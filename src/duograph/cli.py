@@ -90,13 +90,16 @@ def _model_config(cfg: dict, args, graph: BiGraph) -> ModelConfig:
     return ModelConfig.from_dict(fields)
 
 
-def _write_json(path, payload) -> None:
+def _write_lines(path, lines) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write("\n".join(lines) + "\n")
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+
+def _write_json(path, payload) -> None:
+    _write_lines(path, [json.dumps(payload, indent=2, sort_keys=True)])
 
 
 def _load_checkpoint(cfg: dict, args, graph, tasks, config) -> ParamSet:
@@ -210,11 +213,7 @@ def _cmd_ablate(cfg, args) -> int:
             cell(rep.get("clustering", {}).get("nmi_mean")),
             cell(rep.get("clustering", {}).get("ari_mean")),
         ]))
-    try:
-        with open(os.path.join(args.out, "ablation.tsv"), "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write ablation table: {exc}") from exc
+    _write_lines(os.path.join(args.out, "ablation.tsv"), lines)
     print(f"ablation table written to {args.out} "
           f"({len(rows)} cells, {len(seeds)} seeds x {len(VARIANTS)} variants)")
     return 0
@@ -296,21 +295,18 @@ def _cmd_export_attn(cfg, args) -> int:
     intra_lines = ["layer\trelation\ttarget\tsource\talpha"]
     inter_lines = ["layer\trelation\tdirection\ttarget\tsource\talpha"]
     for rec in records.attention:
+        cross = not graph.spec(rec.relation).is_intra  # no-dual records carry stage "unified"
         alpha = rec.alpha.reshape(-1)
         for e in range(rec.sources.size):
             tgt, src = int(rec.edge_targets[e]), int(rec.sources[e])
             val = format_float(alpha[e])
-            if rec.stage == "inter":
+            if cross:
                 inter_lines.append(f"{rec.layer}\t{rec.relation}\tto_{rec.target_type.label}"
                                    f"\t{tgt}\t{src}\t{val}")
             else:
                 intra_lines.append(f"{rec.layer}\t{rec.relation}\t{tgt}\t{src}\t{val}")
-    for fname, lines in (("attn_intra.tsv", intra_lines), ("attn_inter.tsv", inter_lines)):
-        try:
-            with open(os.path.join(args.out, fname), "w", encoding="utf-8") as fh:
-                fh.write("\n".join(lines) + "\n")
-        except OSError as exc:
-            raise IoFailure(f"cannot write {fname}: {exc}") from exc
+    _write_lines(os.path.join(args.out, "attn_intra.tsv"), intra_lines)
+    _write_lines(os.path.join(args.out, "attn_inter.tsv"), inter_lines)
 
     fusion = []
     for rec in records.fusion:
@@ -357,11 +353,7 @@ def _cmd_export_emb(cfg, args) -> int:
         for i in range(data.shape[0]):
             vals = "\t".join(format_float(v) for v in data[i])
             lines.append(f"{i}\t{t.label}\t{vals}")
-    try:
-        with open(os.path.join(args.out, "embeddings.tsv"), "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write embeddings: {exc}") from exc
+    _write_lines(os.path.join(args.out, "embeddings.tsv"), lines)
 
     proj = _pca_2d(np.vstack(stacked))
     lines = ["node_id\ttype\tpc_0\tpc_1"]
@@ -371,11 +363,7 @@ def _cmd_export_emb(cfg, args) -> int:
             lines.append(f"{i}\t{t.label}\t{format_float(proj[row, 0])}"
                          f"\t{format_float(proj[row, 1])}")
             row += 1
-    try:
-        with open(os.path.join(args.out, "embeddings_pca.tsv"), "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write PCA projection: {exc}") from exc
+    _write_lines(os.path.join(args.out, "embeddings_pca.tsv"), lines)
     print(f"embedding exports written to {args.out}")
     return 0
 

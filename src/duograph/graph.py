@@ -266,6 +266,8 @@ def build_graph(counts: dict[NodeType, int], features: dict[NodeType, np.ndarray
         if f.ndim != 2 or f.shape[0] != counts[t]:
             raise DimensionMismatch(
                 f"features[{t.label}] shape {f.shape} does not match {counts[t]} nodes")
+        if not np.isfinite(f).all():
+            raise DimensionMismatch(f"features[{t.label}] contain NaN or infinite values")
         if dim is None:
             dim = f.shape[1]
         elif f.shape[1] != dim:

@@ -1,12 +1,12 @@
 """Model assembly: configuration, task declarations, the layered forward
 pass in its variants and stage orderings, and the task losses.
 
-A layer projects both node classes, runs the within-class stage and the
-cross-class stage (order set by `ordering`), and applies a weighted
-residual after each stage. Variants prune parts of that pipeline:
-`no-dual` folds all relations into one stage, `no-hier` replaces learned
-relation weights with uniform averaging, `no-global` drops the
-graph-level weight share.
+A layer projects both node classes, then runs the within-class and the
+cross-class stage in the order `ordering` sets; each stage is one pass of
+`_stage` over a row of the stage table `params.STAGES`. Variants prune
+parts of that pipeline: `no-dual` runs the single `unified` stage,
+`no-hier` replaces learned relation weights with uniform averaging,
+`no-global` drops the graph-level weight share.
 """
 from __future__ import annotations
 
@@ -19,7 +19,8 @@ from . import inter, intra, ops
 from .errors import ConfigShapeMismatch, NoLabeledNodes, NoRelations
 from .graph import BiGraph, NodeType
 from .intra import AttentionRecord, FusionRecord
-from .params import ParamSet, TYPES
+from .params import (STAGES, TYPES, ParamSet, Stage, input_proj, layer_param,
+                     task_param)
 from .tensor import Tensor
 
 VARIANTS = ("full", "no-dual", "no-hier", "no-global")
@@ -142,140 +143,53 @@ class ForwardRecords:
     fusion: list = field(default_factory=list)
 
 
-def _stage_params(ps: ParamSet, layer: int, rel: str, group: str, t: NodeType):
-    stem = {"intra": f"layer{layer}.intra.{rel}",
-            "inter": f"layer{layer}.inter.{rel}.to_{t.label}",
-            "uni": f"layer{layer}.uni.{rel}.to_{t.label}"}[group]
-    return ps.get(f"{stem}.attn"), ps.get(f"{stem}.gain"), ps.get(f"{stem}.bias")
-
-
-def _intra_stage(graph: BiGraph, inputs: dict, ps: ParamSet, layer: int,
-                 config: ModelConfig, records: ForwardRecords | None) -> dict:
-    out = {}
-    mean_fusion = config.variant == "no-hier"
-    use_global = config.variant == "full"
-    for t in TYPES:
-        rels = graph.intra_relations(t)
-        if not rels:
-            raise NoRelations(f"node class {t.label} declares no within-class relations")
-        reps, masks = [], []
-        n = graph.n_nodes(t)
-        for rel in rels:
-            attn, gain, bias = _stage_params(ps, layer, rel, "intra", t)
-            rep, alpha, plan = intra.node_aggregate(inputs[t], graph, rel, t,
-                                                    attn, gain, bias, config.slope)
-            reps.append(rep)
-            masks.append(np.ones(n, dtype=bool))
-            if records is not None:
-                records.attention.append(AttentionRecord(
-                    layer=layer, relation=rel, target_type=t, stage="intra",
-                    edge_targets=plan.edge_targets, sources=plan.sources,
-                    offsets=plan.offsets, alpha=alpha.data[:, 0].copy()))
-        score_vec = ps.get(f"layer{layer}.{t.label}.local_score") if not mean_fusion else None
-        glb = ps.get(f"layer{layer}.{t.label}.global_logits") if use_global else None
-        mix = ps.get(f"layer{layer}.{t.label}.mix_logit") if use_global else None
-        fused, local_np, global_row, mix_val, coeff, mask = intra.relation_fuse(
-            inputs[t], reps, masks, score_vec, glb, mix, mean_fusion=mean_fusion)
-        if records is not None:
-            records.fusion.append(FusionRecord(
-                layer=layer, target_type=t, stage="intra", relations=rels, mask=mask,
-                local=local_np, global_row=global_row, mix=mix_val, coeff=coeff))
-        out[t] = inter.weighted_residual(
-            fused, inputs[t], config.res_weight,
-            ps.get(f"layer{layer}.{t.label}.res_intra.gain"),
-            ps.get(f"layer{layer}.{t.label}.res_intra.bias"), config.slope)
-    return out
-
-
-def _inter_stage(graph: BiGraph, inputs: dict, ps: ParamSet, layer: int,
-                 config: ModelConfig, records: ForwardRecords | None) -> dict:
-    rels = graph.inter_relations()
-    mean_fusion = config.variant == "no-hier"
-    mapped = {t: ops.matmul(inputs[t], ps.get(f"layer{layer}.{t.label}.common_map"))
-              for t in TYPES}
+def _stage(stage: Stage, graph: BiGraph, inputs: dict, ps: ParamSet, layer: int,
+           config: ModelConfig, records: ForwardRecords | None) -> dict:
+    """One stage for both node classes: attend per relation, fuse, residual."""
+    sources = inputs
+    if stage.mapped:
+        sources = {t: ops.matmul(inputs[t], ps.get(layer_param(layer, t, "common_map")))
+                   for t in TYPES}
     out = {}
     for t in TYPES:
+        rels = stage.reads(graph, t)
+        if not rels and stage.required:
+            raise NoRelations(f"node class {t.label} has no relations for the {stage.label} stage")
         reps, masks = [], []
         for rel in rels:
-            attn, gain, bias = _stage_params(ps, layer, rel, "inter", t)
-            rep, reached, alpha, plan = inter.node_aggregate(
-                mapped[t], mapped[t.other], graph, rel, t, attn, gain, bias, config.slope)
+            attn, gain, bias = (ps.get(n) for n in stage.attn_names(layer, rel, t))
+            if graph.spec(rel).is_intra:
+                rep, alpha, plan = intra.node_aggregate(sources[t], graph, rel, t,
+                                                        attn, gain, bias, config.slope)
+                reached = np.ones(graph.n_nodes(t), dtype=bool)
+            else:
+                rep, reached, alpha, plan = inter.node_aggregate(
+                    sources[t], sources[t.other], graph, rel, t, attn, gain, bias, config.slope)
             reps.append(rep)
             masks.append(reached)
             if records is not None and alpha is not None:
                 records.attention.append(AttentionRecord(
-                    layer=layer, relation=rel, target_type=t, stage="inter",
+                    layer=layer, relation=rel, target_type=t, stage=stage.label,
                     edge_targets=plan.edge_targets, sources=plan.sources,
                     offsets=plan.offsets, alpha=alpha.data[:, 0].copy()))
         if reps:
-            score_vec = (ps.get(f"layer{layer}.{t.label}.inter_score")
-                         if not mean_fusion else None)
+            score, glb, mix = (None if n is None else ps.get(n)
+                               for n in stage.fusion_names(layer, t, config.variant))
             fused, local_np, global_row, mix_val, coeff, mask = intra.relation_fuse(
-                inputs[t], reps, masks, score_vec, None, None, mean_fusion=mean_fusion)
+                inputs[t], reps, masks, score, glb, mix,
+                mean_fusion=config.variant == "no-hier")
             if records is not None:
                 records.fusion.append(FusionRecord(
-                    layer=layer, target_type=t, stage="inter", relations=rels, mask=mask,
+                    layer=layer, target_type=t, stage=stage.label, relations=rels, mask=mask,
                     local=local_np, global_row=global_row, mix=mix_val, coeff=coeff))
-        else:
-            # no cross relations declared: stage contributes zero pre-residual
+        else:  # no relation declared: the stage contributes a zero pre-residual
             fused = ops.constant(np.zeros(inputs[t].shape))
-        gain = ps.get(f"layer{layer}.{t.label}.res_inter.gain")
-        bias = ps.get(f"layer{layer}.{t.label}.res_inter.bias")
-        res = inter.weighted_residual(fused, inputs[t], config.res_weight_inter,
-                                      gain, bias, config.slope)
-        if config.extra_inter_residual:
+        gain, bias = (ps.get(n) for n in stage.residual_names(layer, t))
+        weight = getattr(config, stage.res_weight)
+        out[t] = inter.weighted_residual(fused, inputs[t], weight, gain, bias, config.slope)
+        if config.extra_inter_residual and stage.label == "inter":
             # second pass through the same residual, reusing its tensors
-            res = inter.weighted_residual(res, inputs[t], config.res_weight_inter,
-                                          gain, bias, config.slope)
-        out[t] = res
-    return out
-
-
-def _unified_stage(graph: BiGraph, inputs: dict, ps: ParamSet, layer: int,
-                   config: ModelConfig, records: ForwardRecords | None) -> dict:
-    out = {}
-    for t in TYPES:
-        rel_names = graph.intra_relations(t) + graph.inter_relations()
-        if not rel_names:
-            raise NoRelations(f"node class {t.label} has no relations")
-        reps, masks = [], []
-        n = graph.n_nodes(t)
-        for rel in graph.intra_relations(t):
-            attn, gain, bias = _stage_params(ps, layer, rel, "uni", t)
-            plan = graph.message_plan(rel, t)
-            rep, alpha = intra.attend_over_plan(inputs[t], inputs[t], plan,
-                                                attn, gain, bias, config.slope)
-            reps.append(rep)
-            masks.append(np.ones(n, dtype=bool))
-            if records is not None:
-                records.attention.append(AttentionRecord(
-                    layer=layer, relation=rel, target_type=t, stage="unified",
-                    edge_targets=plan.edge_targets, sources=plan.sources,
-                    offsets=plan.offsets, alpha=alpha.data[:, 0].copy()))
-        for rel in graph.inter_relations():
-            attn, gain, bias = _stage_params(ps, layer, rel, "uni", t)
-            rep, reached, alpha, plan = inter.node_aggregate(
-                inputs[t], inputs[t.other], graph, rel, t, attn, gain, bias, config.slope)
-            reps.append(rep)
-            masks.append(reached)
-            if records is not None and alpha is not None:
-                records.attention.append(AttentionRecord(
-                    layer=layer, relation=rel, target_type=t, stage="unified",
-                    edge_targets=plan.edge_targets, sources=plan.sources,
-                    offsets=plan.offsets, alpha=alpha.data[:, 0].copy()))
-        fused, local_np, global_row, mix_val, coeff, mask = intra.relation_fuse(
-            inputs[t], reps, masks,
-            ps.get(f"layer{layer}.{t.label}.local_score"),
-            ps.get(f"layer{layer}.{t.label}.global_logits"),
-            ps.get(f"layer{layer}.{t.label}.mix_logit"))
-        if records is not None:
-            records.fusion.append(FusionRecord(
-                layer=layer, target_type=t, stage="unified", relations=rel_names,
-                mask=mask, local=local_np, global_row=global_row, mix=mix_val, coeff=coeff))
-        out[t] = inter.weighted_residual(
-            fused, inputs[t], config.res_weight,
-            ps.get(f"layer{layer}.{t.label}.res.gain"),
-            ps.get(f"layer{layer}.{t.label}.res.bias"), config.slope)
+            out[t] = inter.weighted_residual(out[t], inputs[t], weight, gain, bias, config.slope)
     return out
 
 
@@ -294,26 +208,26 @@ def forward(graph: BiGraph, config: ModelConfig, ps: ParamSet, *,
     records = ForwardRecords() if collect else None
     current = {t: ops.constant(graph.features[t]) for t in TYPES}
     if config.num_layers == 0:
-        return ({t: ops.matmul(current[t], ps.get(f"proj.{t.label}")) for t in TYPES},
-                records)
+        return {t: ops.matmul(current[t], ps.get(input_proj(t))) for t in TYPES}, records
+
+    def run(kind, layer, inputs):
+        return _stage(STAGES[kind], graph, inputs, ps, layer, config, records)
+
     for layer in range(config.num_layers):
         if training and config.dropout > 0.0:
             current = {t: ops.dropout(current[t], config.dropout, rng) for t in TYPES}
-        projected = {t: ops.matmul(current[t], ps.get(f"layer{layer}.{t.label}.proj"))
+        projected = {t: ops.matmul(current[t], ps.get(layer_param(layer, t, "proj")))
                      for t in TYPES}
         if config.variant == "no-dual":
-            current = _unified_stage(graph, projected, ps, layer, config, records)
+            current = run("unified", layer, projected)
         elif config.ordering == "standard":
-            z = _intra_stage(graph, projected, ps, layer, config, records)
-            current = _inter_stage(graph, z, ps, layer, config, records)
+            current = run("inter", layer, run("intra", layer, projected))
         elif config.ordering == "inverted":
-            v = _inter_stage(graph, projected, ps, layer, config, records)
-            current = _intra_stage(graph, v, ps, layer, config, records)
+            current = run("intra", layer, run("inter", layer, projected))
         else:  # parallel
-            z = _intra_stage(graph, projected, ps, layer, config, records)
-            v = _inter_stage(graph, projected, ps, layer, config, records)
+            z, v = run("intra", layer, projected), run("inter", layer, projected)
             current = {t: ops.matmul(ops.concat_cols(z[t], v[t]),
-                                     ps.get(f"layer{layer}.{t.label}.merge"))
+                                     ps.get(layer_param(layer, t, "merge")))
                        for t in TYPES}
     return current, records
 
@@ -330,7 +244,7 @@ def task_loss(task: TaskSpec, embs: dict, ps: ParamSet, config: ModelConfig,
         raise NoLabeledNodes(f"task {task.name!r} has no labeled nodes in split {split!r}")
     m = ids.size
     logits = ops.matmul(ops.gather_rows(embs[task.target_type], ids),
-                        ps.get(f"head.{task.name}.weight"))
+                        ps.get(task_param(task, "weight")))
     y = ops.constant(task.label_matrix(ids))
     temp = config.temperature
     if task.kind is TaskKind.SINGLE_LABEL:
@@ -359,6 +273,9 @@ def _ranking_loss(task: TaskSpec, embs: dict, ps: ParamSet, config: ModelConfig,
         raise NoLabeledNodes(f"ranking loss for task {task.name!r} needs an rng for negatives")
     cand_type = task.target_type.other
     n_cand = embs[cand_type].shape[0]
+    if n_cand < 2:
+        raise NoLabeledNodes(f"task {task.name!r} needs at least 2 {cand_type.label} nodes "
+                             f"to sample negatives, found {n_cand}")
     instances = [task.instances[i] for i in idxs]
     m = len(instances)
     k = config.num_negatives
@@ -372,9 +289,9 @@ def _ranking_loss(task: TaskSpec, embs: dict, ps: ParamSet, config: ModelConfig,
                 neg = int(rng.integers(n_cand))
             cols[row, 1 + j] = neg
     q = ops.matmul(ops.gather_rows(embs[task.target_type], queries),
-                   ps.get(f"head.{task.name}.query"))
+                   ps.get(task_param(task, "query")))
     c = ops.matmul(ops.gather_rows(embs[cand_type], cols.reshape(-1)),
-                   ps.get(f"head.{task.name}.cand"))
+                   ps.get(task_param(task, "cand")))
     q_rep = ops.gather_rows(q, np.repeat(np.arange(m), 1 + k))
     dots = ops.row_sum(ops.mul(q_rep, c))
     scores = ops.reshape(dots, m, 1 + k)
@@ -393,15 +310,15 @@ def _ranking_loss(task: TaskSpec, embs: dict, ps: ParamSet, config: ModelConfig,
 
 def classification_scores(task: TaskSpec, emb_data: np.ndarray, ps: ParamSet,
                           ids: np.ndarray) -> np.ndarray:
-    w = ps.get(f"head.{task.name}.weight").data
+    w = ps.get(task_param(task, "weight")).data
     return emb_data[ids] @ w
 
 
 def ranking_scores(task: TaskSpec, emb_q: np.ndarray, emb_c: np.ndarray,
                    ps: ParamSet, idxs: np.ndarray):
     """Per instance: scores over its candidate list (in candidate order)."""
-    wq = ps.get(f"head.{task.name}.query").data
-    wc = ps.get(f"head.{task.name}.cand").data
+    wq = ps.get(task_param(task, "query")).data
+    wc = ps.get(task_param(task, "cand")).data
     out = []
     for i in idxs:
         inst = task.instances[int(i)]

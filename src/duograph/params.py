@@ -1,10 +1,19 @@
-"""Parameter construction for every model variant.
+"""Parameter schema and construction for every model variant.
 
 Parameters live in a flat named list whose order is fixed by the graph
 schema and config, so checkpoints, the optimizer, and gradient checks all
 see the same layout. Names double as the checkpoint header keys.
+
+`STAGES` is the stage table: one row per stage kind (`intra`, `inter`,
+and the `unified` stage of the no-dual variant), each node-level
+attention per relation, relation-level fusion, then a weighted residual.
+`build_params` creates and `model.forward` reads parameters through the
+same rows and naming functions, so every name is spelled once.
 """
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -14,6 +23,65 @@ from .rand import rng_for
 from .tensor import Tensor
 
 TYPES = (NodeType.A, NodeType.B)
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One row of the stage table."""
+
+    label: str                 # stage name on attention and fusion records
+    attn: str                  # attention parameter stem under layer{l}, from {rel} and {t}
+    reads: Callable[[BiGraph, NodeType], list[str]]  # relations a target type fuses, in order
+    mapped: bool               # attention reads inputs mapped by `common_map`
+    score: str                 # per-node fusion score; absent under no-hier (mean fusion)
+    global_fusion: bool        # graph-level logits and mix gate under full and no-dual
+    residual: str              # residual normalization stem
+    res_weight: str            # ModelConfig field holding the residual weight
+    required: bool             # no relation raises NoRelations, else zero pre-residual
+    relation_major: bool       # attention sets created relation by relation (checkpoint order)
+
+    def attn_names(self, layer: int, rel: str, t: NodeType) -> tuple[str, str, str]:
+        stem = f"layer{layer}." + self.attn.format(rel=rel, t=t.label)
+        return f"{stem}.attn", f"{stem}.gain", f"{stem}.bias"
+
+    def fusion_names(self, layer: int, t: NodeType, variant: str) -> tuple:
+        """(score, global logits, mix gate) names; None where the variant has none."""
+        score = None if variant == "no-hier" else layer_param(layer, t, self.score)
+        if self.global_fusion and variant in ("full", "no-dual"):
+            return score, layer_param(layer, t, "global_logits"), layer_param(layer, t, "mix_logit")
+        return score, None, None
+
+    def residual_names(self, layer: int, t: NodeType) -> tuple[str, str]:
+        return (layer_param(layer, t, f"{self.residual}.gain"),
+                layer_param(layer, t, f"{self.residual}.bias"))
+
+
+STAGES = {stage.label: stage for stage in (
+    Stage("intra", "intra.{rel}", lambda g, t: g.intra_relations(t), mapped=False,
+          score="local_score", global_fusion=True, residual="res_intra",
+          res_weight="res_weight", required=True, relation_major=False),
+    Stage("inter", "inter.{rel}.to_{t}", lambda g, t: g.inter_relations(), mapped=True,
+          score="inter_score", global_fusion=False, residual="res_inter",
+          res_weight="res_weight_inter", required=False, relation_major=True),
+    Stage("unified", "uni.{rel}.to_{t}", lambda g, t: g.intra_relations(t) + g.inter_relations(),
+          mapped=False, score="local_score", global_fusion=True, residual="res",
+          res_weight="res_weight", required=True, relation_major=False),
+)}
+
+
+def layer_param(layer: int, t: NodeType, key: str) -> str:
+    """Name of a per-layer, per-node-class parameter (proj, common_map, merge)."""
+    return f"layer{layer}.{t.label}.{key}"
+
+
+def input_proj(t: NodeType) -> str:
+    """Name of the projection used when the model has no layers."""
+    return f"proj.{t.label}"
+
+
+def task_param(task, key: str) -> str:
+    """Name of a task head parameter (weight, query or cand)."""
+    return f"head.{task.name}.{key}"
 
 
 class ParamSet:
@@ -76,75 +144,61 @@ def build_params(graph: BiGraph, config, tasks=()) -> ParamSet:
     d = config.hidden_dim
     rng = rng_for(config.seed, "init")
     ps = ParamSet()
-    hierarchical = config.variant in ("full", "no-global", "no-dual")
-    global_side = config.variant in ("full", "no-dual")
 
     if config.num_layers == 0:
         for t in TYPES:
-            ps.add(f"proj.{t.label}", _glorot(rng, d_in, d))
-        _add_heads(ps, rng, d, tasks)
-        return ps
-
+            ps.add(input_proj(t), _glorot(rng, d_in, d))
+    stages = ("unified",) if config.variant == "no-dual" else ("intra", "inter")
     for layer in range(config.num_layers):
         width = d_in if layer == 0 else d
         for t in TYPES:
-            ps.add(f"layer{layer}.{t.label}.proj", _glorot(rng, width, d))
-        if config.variant == "no-dual":
+            ps.add(layer_param(layer, t, "proj"), _glorot(rng, width, d))
+        for kind in stages:
+            _add_stage(ps, rng, graph, STAGES[kind], layer, d, config.variant)
+        if config.ordering == "parallel" and config.variant != "no-dual":
             for t in TYPES:
-                rels = graph.intra_relations(t) + graph.inter_relations()
-                for rel in rels:
-                    stem = f"layer{layer}.uni.{rel}.to_{t.label}"
-                    ps.add(f"{stem}.attn", _attn_vec(rng, 2 * d))
-                    ps.add(f"{stem}.gain", np.ones((1, d)))
-                    ps.add(f"{stem}.bias", np.zeros((1, d)))
-                ps.add(f"layer{layer}.{t.label}.local_score", _attn_vec(rng, 2 * d))
-                ps.add(f"layer{layer}.{t.label}.global_logits", np.zeros((1, len(rels))))
-                ps.add(f"layer{layer}.{t.label}.mix_logit", np.zeros((1, 1)))
-                ps.add(f"layer{layer}.{t.label}.res.gain", np.ones((1, d)))
-                ps.add(f"layer{layer}.{t.label}.res.bias", np.zeros((1, d)))
-            continue
-        # within-class stage
-        for t in TYPES:
-            for rel in graph.intra_relations(t):
-                stem = f"layer{layer}.intra.{rel}"
-                ps.add(f"{stem}.attn", _attn_vec(rng, 2 * d))
-                ps.add(f"{stem}.gain", np.ones((1, d)))
-                ps.add(f"{stem}.bias", np.zeros((1, d)))
-            if hierarchical:
-                ps.add(f"layer{layer}.{t.label}.local_score", _attn_vec(rng, 2 * d))
-            if global_side:
-                k = len(graph.intra_relations(t))
-                ps.add(f"layer{layer}.{t.label}.global_logits", np.zeros((1, k)))
-                ps.add(f"layer{layer}.{t.label}.mix_logit", np.zeros((1, 1)))
-            ps.add(f"layer{layer}.{t.label}.res_intra.gain", np.ones((1, d)))
-            ps.add(f"layer{layer}.{t.label}.res_intra.bias", np.zeros((1, d)))
-        # cross-class stage
-        for t in TYPES:
-            ps.add(f"layer{layer}.{t.label}.common_map", _glorot(rng, d, d))
-        for rel in graph.inter_relations():
-            for t in TYPES:
-                stem = f"layer{layer}.inter.{rel}.to_{t.label}"
-                ps.add(f"{stem}.attn", _attn_vec(rng, 2 * d))
-                ps.add(f"{stem}.gain", np.ones((1, d)))
-                ps.add(f"{stem}.bias", np.zeros((1, d)))
-        for t in TYPES:
-            if hierarchical:
-                ps.add(f"layer{layer}.{t.label}.inter_score", _attn_vec(rng, 2 * d))
-            ps.add(f"layer{layer}.{t.label}.res_inter.gain", np.ones((1, d)))
-            ps.add(f"layer{layer}.{t.label}.res_inter.bias", np.zeros((1, d)))
-        if config.ordering == "parallel":
-            for t in TYPES:
-                ps.add(f"layer{layer}.{t.label}.merge", _glorot(rng, 2 * d, d))
-
+                ps.add(layer_param(layer, t, "merge"), _glorot(rng, 2 * d, d))
     _add_heads(ps, rng, d, tasks)
     return ps
+
+
+def _add_stage(ps: ParamSet, rng, graph: BiGraph, stage: Stage, layer: int, d: int,
+               variant: str) -> None:
+    """One stage's parameters, in the draw order checkpoints were written with."""
+    def add_attention(rel, t):
+        attn, gain, bias = stage.attn_names(layer, rel, t)
+        ps.add(attn, _attn_vec(rng, 2 * d))
+        ps.add(gain, np.ones((1, d)))
+        ps.add(bias, np.zeros((1, d)))
+
+    if stage.mapped:
+        for t in TYPES:
+            ps.add(layer_param(layer, t, "common_map"), _glorot(rng, d, d))
+    if stage.relation_major:  # the relation list is then the same for both classes
+        for rel in stage.reads(graph, TYPES[0]):
+            for t in TYPES:
+                add_attention(rel, t)
+    for t in TYPES:
+        rels = stage.reads(graph, t)
+        if not stage.relation_major:
+            for rel in rels:
+                add_attention(rel, t)
+        score, global_logits, mix = stage.fusion_names(layer, t, variant)
+        if score is not None:
+            ps.add(score, _attn_vec(rng, 2 * d))
+        if global_logits is not None:
+            ps.add(global_logits, np.zeros((1, len(rels))))
+            ps.add(mix, np.zeros((1, 1)))
+        gain, bias = stage.residual_names(layer, t)
+        ps.add(gain, np.ones((1, d)))
+        ps.add(bias, np.zeros((1, d)))
 
 
 def _add_heads(ps: ParamSet, rng, d: int, tasks) -> None:
     from .model import TaskKind
     for task in tasks:
         if task.kind is TaskKind.LINK_RANKING:
-            ps.add(f"head.{task.name}.query", _glorot(rng, d, d))
-            ps.add(f"head.{task.name}.cand", _glorot(rng, d, d))
+            ps.add(task_param(task, "query"), _glorot(rng, d, d))
+            ps.add(task_param(task, "cand"), _glorot(rng, d, d))
         else:
-            ps.add(f"head.{task.name}.weight", _glorot(rng, d, task.n_classes))
+            ps.add(task_param(task, "weight"), _glorot(rng, d, task.n_classes))

@@ -70,6 +70,7 @@ class SynthConfig:
             (self.max_cites >= 0, "max_cites must be >= 0"),
             (self.name_group_size >= 2, "name groups need at least 2 members"),
             (self.ad_distractors >= 1, "need at least one distractor"),
+            (self.ad_distractors < self.n_papers, "more distractors than other papers"),
             (0 < self.year_span, "year_span must be positive"),
             (0 <= self.train_year_max < self.val_year_max < self.year_span,
              "year thresholds must satisfy 0 <= train < val < span"),

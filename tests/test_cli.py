@@ -143,6 +143,25 @@ class TestExports:
             sums[(layer, rel, tgt)] += float(alpha)
         assert all(abs(v - 1.0) < 1e-6 for v in sums.values())
 
+    def test_export_attn_no_dual_routes_cross_relations(self, tmp_path, config_path):
+        out = str(tmp_path / "run")
+        args = ["--config", config_path, "--out", out, "--variant", "no-dual"]
+        assert main(["train"] + args) == 0
+        assert main(["export-attn"] + args) == 0
+        intra = _read(os.path.join(out, "attn_intra.tsv")).decode().strip().split("\n")
+        inter = _read(os.path.join(out, "attn_inter.tsv")).decode().strip().split("\n")
+        cross = {"lead_author_of", "support_author_of"}
+        assert not {line.split("\t")[1] for line in intra[1:]} & cross
+        assert {tuple(line.split("\t")[1:3]) for line in inter[1:]} == {
+            (rel, f"to_{t}") for rel in cross for t in "AB"}
+        # the weights of each (layer, relation, direction, target) sum to 1
+        sums = {}
+        for line in inter[1:]:
+            layer, rel, direction, tgt, _, alpha = line.split("\t")
+            key = (layer, rel, direction, tgt)
+            sums[key] = sums.get(key, 0.0) + float(alpha)
+        assert sums and all(abs(v - 1.0) < 1e-6 for v in sums.values())
+
     def test_export_emb_and_pca(self, tmp_path, config_path):
         out = str(tmp_path / "run")
         main(["train", "--config", config_path, "--out", out])

@@ -86,6 +86,13 @@ class TestBuild:
         with pytest.raises(DimensionMismatch):
             build_graph({NodeType.A: 2, NodeType.B: 2}, feats, [], [])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        feats = {NodeType.A: np.zeros((2, 2)), NodeType.B: np.zeros((2, 2))}
+        feats[NodeType.B][1, 0] = bad
+        with pytest.raises(DimensionMismatch, match=r"features\[B\]"):
+            build_graph({NodeType.A: 2, NodeType.B: 2}, feats, [], [])
+
     def test_relation_class_typing_enforced(self):
         with pytest.raises(TypeMismatch):
             RelationSpec("bad", RelationClass.INTRA_A, NodeType.A, NodeType.B)
@@ -228,6 +235,16 @@ class TestGraphTsv:
         with pytest.raises(ParseError) as exc:
             load_graph_tsv(tmp_path)
         assert exc.value.line == 3
+
+    def test_non_finite_feature_rejected(self, tmp_path, tiny_graph):
+        save_graph_tsv(tiny_graph, tmp_path)
+        nodes = tmp_path / "nodes.tsv"
+        lines = nodes.read_text().splitlines()
+        assert lines[1].startswith("0\tA\t")
+        lines[1] = "\t".join(lines[1].split("\t")[:2] + ["nan", "0"])
+        nodes.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DimensionMismatch, match=r"features\[A\]"):
+            load_graph_tsv(tmp_path)
 
     def test_non_dense_ids_rejected(self, tmp_path, tiny_graph):
         save_graph_tsv(tiny_graph, tmp_path)

@@ -264,6 +264,17 @@ class TestLossOracles:
         expect = -np.log(np.exp(3.0) / (np.exp(3.0) + 6 * np.exp(0.0)))
         assert loss.data[0, 0] == pytest.approx(expect, abs=1e-12)
 
+    def test_single_candidate_node_raises(self):
+        # with one candidate node every draw equals the true id: no negative exists
+        inst = [RankInstance.make(0, 0, [])]
+        task = TaskSpec(name="ad", kind=TaskKind.LINK_RANKING, target_type=NodeType.A,
+                        instances=inst, splits={"train": np.arange(1)})
+        ps = ParamSet()
+        ps.add("head.ad.query", np.zeros((4, 4)))
+        ps.add("head.ad.cand", np.zeros((4, 4)))
+        with pytest.raises(NoLabeledNodes, match="at least 2 B nodes"):
+            task_loss(task, _zero_embs(1, 1, 4), ps, _config(hidden_dim=4), rng=rng_for(0, "n"))
+
 
 class TestEvalScores:
     def test_classification_scores_identity(self):

@@ -143,6 +143,19 @@ class TestConfigValidation:
         with pytest.raises(InfeasibleConfig):
             _small(p_colleague=1.5)
 
+    def test_distractors_need_other_papers(self):
+        # the default 9 distractors cannot be drawn from 8 papers minus the true one
+        with pytest.raises(InfeasibleConfig):
+            _small(n_papers=8, ad_distractors=9)
+        with pytest.raises(InfeasibleConfig):
+            _small(n_papers=8, ad_distractors=8)
+
+    def test_distractors_may_use_every_other_paper(self):
+        _, tasks = generate(_small(n_papers=8, ad_distractors=7))
+        ad = tasks[3]
+        assert ad.instances
+        assert all(inst.candidates.tolist() == list(range(8)) for inst in ad.instances)
+
     def test_coarse_exceeds_fine(self):
         with pytest.raises(InfeasibleConfig):
             _small(n_fields_l1=5, n_fields_l2=4)
