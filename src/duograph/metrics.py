@@ -34,6 +34,21 @@ def ndcg(scores, relevant) -> float:
     return dcg / ideal
 
 
+def ndcg_rows(scores, relevant) -> np.ndarray:
+    """`ndcg` of every row of a score matrix against its relevance row.
+
+    Rows whose ranked relevance pattern is the same have the same NDCG, so
+    `ndcg` runs once per distinct pattern; each value equals the per-row
+    call bit for bit.
+    """
+    rel = np.asarray(relevant, dtype=bool)
+    order = np.argsort(-np.asarray(scores, dtype=np.float64), axis=1, kind="stable")
+    patterns, which = np.unique(np.take_along_axis(rel, order, axis=1), axis=0,
+                                return_inverse=True)
+    already_ranked = np.arange(rel.shape[1], 0, -1.0)
+    return np.array([ndcg(already_ranked, p) for p in patterns])[which.ravel()]
+
+
 def mrr(scores, relevant) -> float:
     """Reciprocal rank of the best-ranked relevant candidate."""
     rel = np.asarray(relevant, dtype=bool)

@@ -100,11 +100,13 @@ def gather_rows(x: Tensor, index) -> Tensor:
     n_rows, n_cols = x.shape
 
     def bw(g: Array):
-        gx = np.zeros((n_rows, n_cols))
-        np.add.at(gx, idx, g)
-        return (gx,)
+        # bincount adds in index order, exactly as np.add.at would, but
+        # without add.at's per-row dispatch
+        flat = (idx[:, None] * n_cols + np.arange(n_cols)).ravel()
+        gx = np.bincount(flat, weights=g.ravel(), minlength=n_rows * n_cols)
+        return (gx.reshape(n_rows, n_cols),)
 
-    return _result(x.data[idx], (x,), bw)
+    return _result(np.take(x.data, idx, axis=0), (x,), bw)
 
 
 def scatter_rows(x: Tensor, index, n_rows: int) -> Tensor:
@@ -134,7 +136,7 @@ def concat_cols(x: Tensor, y: Tensor) -> Tensor:
     def bw(g: Array):
         return g[:, :split], g[:, split:]
 
-    return _result(np.hstack((x.data, y.data)), (x, y), bw)
+    return _result(np.concatenate((x.data, y.data), axis=1), (x, y), bw)
 
 
 def concat_rows(x: Tensor, y: Tensor) -> Tensor:
@@ -146,7 +148,7 @@ def concat_rows(x: Tensor, y: Tensor) -> Tensor:
     def bw(g: Array):
         return g[:split], g[split:]
 
-    return _result(np.vstack((x.data, y.data)), (x, y), bw)
+    return _result(np.concatenate((x.data, y.data), axis=0), (x, y), bw)
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
@@ -308,11 +310,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ShapeMismatch("layer_norm needs at least 2 columns")
     if gain.shape != (1, d) or bias.shape != (1, d):
         raise ShapeMismatch(f"gain/bias must be (1, {d})")
-    xd = x.data
-    mu = xd.mean(axis=1, keepdims=True)
-    var = xd.var(axis=1, keepdims=True)
+    # sum / d is what ndarray.mean and .var compute, minus their overhead
+    centered = x.data - x.data.sum(axis=1, keepdims=True) / d
+    var = (centered * centered).sum(axis=1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (xd - mu) * inv
+    xhat = centered * inv
     gd = gain.data
 
     def bw(g: Array):
@@ -320,8 +322,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         gb = g.sum(axis=0, keepdims=True) if bias.requires_grad else None
         gg = (g * xhat).sum(axis=0, keepdims=True) if gain.requires_grad else None
         if x.requires_grad:
-            m1 = gy.mean(axis=1, keepdims=True)
-            m2 = (gy * xhat).mean(axis=1, keepdims=True)
+            m1 = gy.sum(axis=1, keepdims=True) / d
+            m2 = (gy * xhat).sum(axis=1, keepdims=True) / d
             gx = (gy - m1 - xhat * m2) * inv
         else:
             gx = None

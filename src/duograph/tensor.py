@@ -60,8 +60,10 @@ class Tensor:
         if g.shape != self.data.shape:
             raise ShapeMismatch(f"gradient shape {g.shape} != value shape {self.data.shape}")
         if self._grad is None:
-            self._grad = np.zeros_like(self.data)
-        self._grad += g
+            # a fresh array equal to zeros + g, -0.0 entries included
+            self._grad = g + 0.0
+        else:
+            self._grad += g
 
     def zero_grad(self) -> None:
         self._grad = None

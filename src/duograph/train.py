@@ -14,7 +14,8 @@ import numpy as np
 from . import ops
 from .errors import DivergedLoss, IoFailure, NoLabeledNodes
 from .graph import BiGraph, NodeType
-from .metrics import accuracy, cluster_eval, mrr, ndcg, ranked_order, top1_predictions
+from .metrics import (accuracy, cluster_eval, mrr, ndcg, ndcg_rows, ranked_order,
+                      top1_predictions)
 from .model import (ModelConfig, TaskKind, TaskSpec, classification_scores, forward,
                     ranking_scores, task_loss)
 from .optim import AdamW, cosine_lr
@@ -52,7 +53,7 @@ def _task_ndcg(task: TaskSpec, embs_data: dict, ps: ParamSet, ids: np.ndarray) -
         return float(np.mean([ndcg(s, _one_hot_bool(len(s), t)) for s, t in scored]))
     scores = classification_scores(task, embs_data[task.target_type], ps, ids)
     rel = task.label_matrix(ids) > 0
-    return float(np.mean([ndcg(scores[i], rel[i]) for i in range(len(ids))]))
+    return float(np.mean(ndcg_rows(scores, rel)))
 
 
 def _one_hot_bool(n: int, idx: int) -> np.ndarray:
@@ -149,7 +150,7 @@ def evaluate(graph: BiGraph, tasks, ps: ParamSet, config: ModelConfig,
         else:
             scores = classification_scores(task, embs_data[task.target_type], ps, ids)
             rel = task.label_matrix(ids) > 0
-            ndcgs = [ndcg(scores[i], rel[i]) for i in range(len(ids))]
+            ndcgs = ndcg_rows(scores, rel)
             mrrs = [mrr(scores[i], rel[i]) for i in range(len(ids))]
             acc = accuracy(top1_predictions(scores),
                            [task.labels[int(n)] for n in ids])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from duograph.errors import DegenerateData, EmptySet, NoRelevant
-from duograph.metrics import (accuracy, ari, cluster_eval, kmeans, mrr, ndcg,
+from duograph.metrics import (accuracy, ari, cluster_eval, kmeans, mrr, ndcg, ndcg_rows,
                               nmi, ranked_order, top1_predictions)
 from duograph.rand import rng_for
 
@@ -43,6 +43,21 @@ class TestNdcg:
     def test_no_relevant_raises(self):
         with pytest.raises(NoRelevant):
             ndcg([1.0, 2.0], [False, False])
+
+
+class TestNdcgRows:
+    def test_equals_per_row_ndcg_bitwise(self):
+        rng = rng_for(4, "ndcg-rows")
+        scores = rng.integers(0, 4, size=(60, 9)).astype(np.float64)  # many ties
+        rel = rng.random((60, 9)) < 0.3
+        rel[np.arange(60), rng.integers(0, 9, size=60)] = True
+        got = ndcg_rows(scores, rel)
+        expected = [ndcg(scores[i], rel[i]) for i in range(60)]
+        assert got.tolist() == expected
+
+    def test_row_without_relevant_raises(self):
+        with pytest.raises(NoRelevant):
+            ndcg_rows([[1.0, 2.0], [2.0, 1.0]], [[True, False], [False, False]])
 
 
 class TestMrr:

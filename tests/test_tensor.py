@@ -69,6 +69,14 @@ class TestTapeMechanics:
         y = ops.scalar_mul(x, 2.0)
         assert not y.requires_grad
 
+    def test_first_gradient_is_copied_and_zero_signs_cleared(self):
+        x = Tensor([[1.0, 2.0]], requires_grad=True)
+        g = np.array([[-0.0, 3.0]])
+        x.accumulate_grad(g)
+        g[0, 1] = 99.0
+        assert x.grad.tolist() == [[0.0, 3.0]]
+        assert not np.signbit(x.grad).any()
+
     def test_scalars_are_1x1(self):
         t = Tensor(3.5)
         assert t.shape == (1, 1)
@@ -111,6 +119,18 @@ class TestPrimitiveGradients:
         x = _param((5, 3))
         idx = np.array([0, 2, 2, 4, 1, 2])
         check_op_gradient(lambda t: ops.gather_rows(t, idx), [x])
+
+    def test_gather_rows_backward_matches_add_at_bitwise(self):
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.standard_normal((7, 3)), requires_grad=True)
+        idx = rng.integers(0, 7, size=40)
+        g = rng.standard_normal((40, 3)) * 10.0 ** rng.integers(-8, 8, size=(40, 1))
+        with Tape() as tape:
+            loss = ops.sum_all(ops.mul(ops.gather_rows(x, idx), ops.constant(g)))
+        backward(tape, loss)
+        expected = np.zeros((7, 3))
+        np.add.at(expected, idx, g)
+        assert x.grad.tobytes() == (expected + 0.0).tobytes()
 
     def test_scatter_rows(self):
         x = _param((3, 2))
@@ -215,6 +235,16 @@ class TestPrimitiveGradients:
         expected = np.array([[1.0, -1.0]]) / np.sqrt(1.0 + 1e-5)
         np.testing.assert_allclose(y.data, expected, rtol=0, atol=1e-15)
         np.testing.assert_allclose(y.data, [[1.0, -1.0]], atol=1e-4)
+
+    def test_layer_norm_matches_mean_var_bitwise(self):
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((9, 16)) * 10.0 ** rng.integers(-3, 4, size=(9, 1))
+        gain = Tensor(rng.uniform(0.5, 1.5, size=(1, 16)))
+        bias = Tensor(rng.uniform(-0.5, 0.5, size=(1, 16)))
+        y = ops.layer_norm(Tensor(x), gain, bias)
+        xhat = (x - x.mean(axis=1, keepdims=True)) * (
+            1.0 / np.sqrt(x.var(axis=1, keepdims=True) + 1e-5))
+        assert y.data.tobytes() == (xhat * gain.data + bias.data).tobytes()
 
     def test_softmax_rows(self):
         x = _param((4, 5))
