@@ -7,6 +7,7 @@ ranking quality, with lower validation loss breaking exact ties.
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,8 +63,7 @@ def _one_hot_bool(n: int, idx: int) -> np.ndarray:
     return out
 
 
-def _total_loss(graph, tasks, ps, config, split, training, drop_rng, neg_rng):
-    embs, _ = forward(graph, config, ps, training=training, rng=drop_rng)
+def _total_loss(tasks, embs, ps, config, split, neg_rng):
     total = None
     for task in tasks:
         if task.split_ids(split).size == 0:
@@ -72,7 +72,7 @@ def _total_loss(graph, tasks, ps, config, split, training, drop_rng, neg_rng):
         total = loss if total is None else ops.add(total, loss)
     if total is None:
         raise NoLabeledNodes(f"no task has data in split {split!r}")
-    return total, embs
+    return total
 
 
 def train(graph: BiGraph, tasks, config: ModelConfig, ps: ParamSet | None = None):
@@ -84,23 +84,33 @@ def train(graph: BiGraph, tasks, config: ModelConfig, ps: ParamSet | None = None
         ps = build_params(graph, config, tasks)
     opt = AdamW(ps.named, weight_decay=config.weight_decay)
     result = TrainResult()
+    # Without dropout the training forward equals the evaluation forward of
+    # the same weights, so each epoch's evaluation forward is recorded and
+    # reused by the next epoch's step: one forward per parameter state.
+    reuse = config.dropout == 0.0
+    tape, embs = Tape(), None
     for epoch in range(config.epochs):
         lr = cosine_lr(epoch, config.epochs, config.lr_max, config.lr_min)
         drop_rng = rng_for(config.seed, "dropout", epoch)
         neg_rng = rng_for(config.seed, "negatives", epoch)
         opt.zero_grad()
-        with Tape() as tape:
-            loss, _ = _total_loss(graph, tasks, ps, config, "train", True, drop_rng, neg_rng)
+        with tape:
+            if embs is None:
+                embs, _ = forward(graph, config, ps, training=True, rng=drop_rng)
+            loss = _total_loss(tasks, embs, ps, config, "train", neg_rng)
         train_loss = float(loss.data[0, 0])
         if not np.isfinite(train_loss):
             raise DivergedLoss(f"train loss became {train_loss} at epoch {epoch + 1}")
         backward(tape, loss)
         opt.step(lr)
 
+        tape = Tape()
+        with tape if reuse else nullcontext():
+            val_embs, _ = forward(graph, config, ps, training=False)
+        embs = val_embs if reuse else None
         val_neg_rng = rng_for(config.seed, "val-negatives")
-        val_loss_t, embs = _total_loss(graph, tasks, ps, config, "val", False, None, val_neg_rng)
-        val_loss = float(val_loss_t.data[0, 0])
-        embs_data = {t: embs[t].data for t in embs}
+        val_loss = float(_total_loss(tasks, val_embs, ps, config, "val", val_neg_rng).data[0, 0])
+        embs_data = {t: val_embs[t].data for t in val_embs}
         val_ndcg = _mean_val_ndcg(graph, tasks, ps, config, embs_data, "val")
         result.log.append({"epoch": epoch + 1, "train_loss": train_loss,
                            "val_ndcg": val_ndcg, "val_loss": val_loss, "lr": lr})

@@ -307,16 +307,15 @@ class TestEndToEndGradient:
         graph, tasks, config = _tiny_problem()
         ps = build_params(graph, config, tasks)
 
+        def train_loss():
+            embs, _ = forward(graph, config, ps, training=False)
+            return _total_loss(tasks, embs, ps, config, "train", neg_rng=rng_for(0, "neg"))
+
         def loss_value() -> float:
-            loss, _ = _total_loss(graph, tasks, ps, config, "train",
-                                  training=False, drop_rng=None,
-                                  neg_rng=rng_for(0, "neg"))
-            return float(loss.data[0, 0])
+            return float(train_loss().data[0, 0])
 
         with Tape() as tape:
-            loss, _ = _total_loss(graph, tasks, ps, config, "train",
-                                  training=False, drop_rng=None,
-                                  neg_rng=rng_for(0, "neg"))
+            loss = train_loss()
             backward(tape, loss)
 
         picked = ["layer0.A.proj", "layer1.intra.colleague.attn",

@@ -1,16 +1,23 @@
 """Training loop: determinism, log schema, checkpoint selection, and the
 evaluation report shape."""
+import importlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from duograph.errors import DivergedLoss
-from duograph.model import ModelConfig, TaskKind
-from duograph.optim import cosine_lr
+from duograph.model import ModelConfig, TaskKind, forward
+from duograph.optim import AdamW, cosine_lr
 from duograph.params import build_params
+from duograph.rand import rng_for
 from duograph.synth import SynthConfig, generate
-from duograph.train import TrainResult, evaluate, train, write_log
+from duograph.tensor import Tape, backward
+from duograph.train import TrainResult, _total_loss, evaluate, train, write_log
+
+# the package re-exports the function train, which shadows the module name
+train_mod = importlib.import_module("duograph.train")
 
 
 def _problem(seed=13):
@@ -32,6 +39,44 @@ class TestTrainLoop:
         for name in ps1.names():
             a, b = ps1.get(name).data, ps2.get(name).data
             assert np.array_equal(a, b), name
+
+    def test_reused_forward_matches_a_fresh_forward_per_step(self):
+        # without dropout, train() records each epoch's evaluation forward and
+        # reuses it for the next step; a fresh forward per step must agree
+        graph, tasks, config = _problem()
+        config = replace(config, dropout=0.0)
+        _, result = train(graph, tasks, config)
+        ps = build_params(graph, config, tasks)
+        opt = AdamW(ps.named, weight_decay=config.weight_decay)
+        for epoch, entry in enumerate(result.log):
+            opt.zero_grad()
+            with Tape() as tape:
+                embs, _ = forward(graph, config, ps, training=True,
+                                  rng=rng_for(config.seed, "dropout", epoch))
+                loss = _total_loss(tasks, embs, ps, config, "train",
+                                   rng_for(config.seed, "negatives", epoch))
+            assert float(loss.data[0, 0]) == entry["train_loss"]
+            backward(tape, loss)
+            opt.step(entry["lr"])
+            embs, _ = forward(graph, config, ps)
+            val = _total_loss(tasks, embs, ps, config, "val",
+                              rng_for(config.seed, "val-negatives"))
+            assert float(val.data[0, 0]) == entry["val_loss"]
+
+    @pytest.mark.parametrize("dropout, forwards_per_epoch", [(0.0, 1), (0.1, 2)])
+    def test_forwards_per_epoch(self, monkeypatch, dropout, forwards_per_epoch):
+        graph, tasks, config = _problem()
+        config = replace(config, dropout=dropout)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("training"))
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(train_mod, "forward", counted)
+        train(graph, tasks, config)
+        extra = 1 if dropout == 0.0 else 0  # the first epoch's training forward
+        assert len(calls) == forwards_per_epoch * config.epochs + extra
 
     def test_log_schema(self):
         graph, tasks, config = _problem()
