@@ -17,12 +17,12 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .errors import Error, InfeasibleConfig, IoFailure
-from .graph import BiGraph, NodeType, format_float
-from .model import (VARIANTS, ORDERINGS, ModelConfig, TaskKind, forward, task_loss)
+from .graph import BiGraph, NodeType, format_float, write_lines
+from .gradcheck import gradcheck
+from .model import VARIANTS, ORDERINGS, ModelConfig, TaskKind, forward
 from .params import ParamSet, build_params
-from .rand import rng_for
 from .synth import SynthConfig, export_dataset, generate, import_dataset
-from .tensor import Tape, backward, load_tensors, save_tensors
+from .tensor import load_tensors, save_tensors
 from .train import evaluate, train, write_log
 
 COMMANDS = ("generate", "train", "eval", "ablate", "gradcheck",
@@ -90,16 +90,8 @@ def _model_config(cfg: dict, args, graph: BiGraph) -> ModelConfig:
     return ModelConfig.from_dict(fields)
 
 
-def _write_lines(path, lines) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
-
-
 def _write_json(path, payload) -> None:
-    _write_lines(path, [json.dumps(payload, indent=2, sort_keys=True)])
+    write_lines(path, [json.dumps(payload, indent=2, sort_keys=True)])
 
 
 def _load_checkpoint(cfg: dict, args, graph, tasks, config) -> ParamSet:
@@ -148,8 +140,9 @@ def _cmd_eval(cfg, args) -> int:
     return 0
 
 
-def _ablate_cell(payload: dict) -> dict:
-    """One variant x seed run; module level so worker pools can pickle it.
+def _ablate_cell(payload: dict) -> tuple[dict, list]:
+    """One variant x seed run and the table columns of its tasks; module
+    level so worker pools can pickle it.
 
     The dataset is fixed by the config (cell seeds steer only model
     randomness), so every cell compares on identical data.
@@ -163,8 +156,17 @@ def _ablate_cell(payload: dict) -> dict:
     config = _model_config(cfg, ns_model, graph)
     ps, _ = train(graph, tasks, config)
     report = evaluate(graph, tasks, ps, config)
-    return {"variant": payload["variant"], "seed": payload["seed"],
-            "report": report}
+    row = {"variant": payload["variant"], "seed": payload["seed"], "report": report}
+    return row, _ablation_columns(tasks)
+
+
+def _ablation_columns(tasks) -> list[tuple[str, str, str]]:
+    """(header, report entry, metric) of each ablation column after variant and seed."""
+    columns = []
+    for task in tasks:
+        metrics = ("ndcg", "mrr") if task.kind is TaskKind.LINK_RANKING else ("acc",)
+        columns += [(f"{task.name}_{m}", task.name, m) for m in metrics]
+    return columns + [(key, "clustering", key) for key in ("nmi_mean", "ari_mean")]
 
 
 def _cmd_ablate(cfg, args) -> int:
@@ -181,9 +183,10 @@ def _cmd_ablate(cfg, args) -> int:
     threads = int(os.environ.get("DHAN_THREADS", "1"))
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_ablate_cell, jobs))
+            cells = list(pool.map(_ablate_cell, jobs))
     else:
-        rows = [_ablate_cell(job) for job in jobs]
+        cells = [_ablate_cell(job) for job in jobs]
+    rows = [row for row, _ in cells]
 
     done = {(r["variant"], r["seed"]) for r in rows}
     expected = {(v, s) for s in seeds for v in VARIANTS}
@@ -194,86 +197,16 @@ def _cmd_ablate(cfg, args) -> int:
     os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "ablation.json"),
                 {"seeds": list(seeds), "variants": list(VARIANTS), "rows": rows})
-    columns = ["variant", "seed", "pv_acc", "pf_l1_acc", "pf_l2_acc",
-               "ad_ndcg", "ad_mrr", "nmi_mean", "ari_mean"]
-    lines = ["\t".join(columns)]
+    columns = cells[0][1]  # every cell reads the same dataset
+    lines = ["\t".join(["variant", "seed"] + [header for header, _, _ in columns])]
     for row in rows:
-        rep = row["report"]
-
-        def cell(value):
-            return "NA" if value is None else format_float(value)
-
-        lines.append("\t".join([
-            row["variant"], str(row["seed"]),
-            cell(rep.get("pv", {}).get("acc")),
-            cell(rep.get("pf_l1", {}).get("acc")),
-            cell(rep.get("pf_l2", {}).get("acc")),
-            cell(rep.get("ad", {}).get("ndcg")),
-            cell(rep.get("ad", {}).get("mrr")),
-            cell(rep.get("clustering", {}).get("nmi_mean")),
-            cell(rep.get("clustering", {}).get("ari_mean")),
-        ]))
-    _write_lines(os.path.join(args.out, "ablation.tsv"), lines)
+        values = [row["report"].get(entry, {}).get(key) for _, entry, key in columns]
+        lines.append("\t".join([row["variant"], str(row["seed"])] +
+                                ["NA" if v is None else format_float(v) for v in values]))
+    write_lines(os.path.join(args.out, "ablation.tsv"), lines)
     print(f"ablation table written to {args.out} "
           f"({len(rows)} cells, {len(seeds)} seeds x {len(VARIANTS)} variants)")
     return 0
-
-
-def builtin_gradcheck_problem(seed: int):
-    """Tiny fixed-size problem (20 nodes) exercising every head kind."""
-    synth = SynthConfig(n_papers=12, n_authors=8, n_venues=2, n_fields_l1=2,
-                        n_fields_l2=3, feature_dim=5, min_authors=1, max_authors=3,
-                        name_group_size=2, ad_distractors=3, seed=seed)
-    graph, tasks = generate(synth)
-    config = ModelConfig(input_dim=5, hidden_dim=4, num_layers=2, dropout=0.0,
-                         seed=seed)
-    return graph, tasks, config
-
-
-def gradcheck(seed: int, entries_per_tensor: int = 4, h: float = 1e-5):
-    """Compare backward() against central differences on the builtin problem.
-
-    Samples a few entries from every parameter tensor. Returns
-    (max relative error, entries checked, tensor count).
-    """
-    graph, tasks, config = builtin_gradcheck_problem(seed)
-    ps = build_params(graph, config, tasks)
-
-    def loss_value() -> float:
-        total = None
-        from . import ops
-        embs, _ = forward(graph, config, ps, training=False)
-        for task in tasks:
-            loss = task_loss(task, embs, ps, config, split="train",
-                             rng=rng_for(seed, "negatives", 0))
-            total = loss if total is None else ops.add(total, loss)
-        return total
-
-    with Tape() as tape:
-        loss = loss_value()
-        backward(tape, loss)
-    analytic = {name: ps.get(name).grad.copy() for name in ps.names()}
-
-    pick_rng = rng_for(seed, "gradcheck")
-    worst, checked = 0.0, 0
-    for name in ps.names():
-        tensor = ps.get(name)
-        flat = tensor.data.reshape(-1)
-        count = min(entries_per_tensor, flat.size)
-        idx = pick_rng.choice(flat.size, size=count, replace=False)
-        for j in sorted(int(i) for i in idx):
-            orig = flat[j]
-            flat[j] = orig + h
-            up = float(loss_value().data[0, 0])
-            flat[j] = orig - h
-            down = float(loss_value().data[0, 0])
-            flat[j] = orig
-            fd = (up - down) / (2.0 * h)
-            an = float(analytic[name].reshape(-1)[j])
-            scale = max(abs(an), abs(fd), 1e-6)
-            worst = max(worst, abs(an - fd) / scale)
-            checked += 1
-    return worst, checked, len(ps.names())
 
 
 def _cmd_gradcheck(cfg, args) -> int:
@@ -305,8 +238,8 @@ def _cmd_export_attn(cfg, args) -> int:
                                    f"\t{tgt}\t{src}\t{val}")
             else:
                 intra_lines.append(f"{rec.layer}\t{rec.relation}\t{tgt}\t{src}\t{val}")
-    _write_lines(os.path.join(args.out, "attn_intra.tsv"), intra_lines)
-    _write_lines(os.path.join(args.out, "attn_inter.tsv"), inter_lines)
+    write_lines(os.path.join(args.out, "attn_intra.tsv"), intra_lines)
+    write_lines(os.path.join(args.out, "attn_inter.tsv"), inter_lines)
 
     fusion = []
     for rec in records.fusion:
@@ -353,7 +286,7 @@ def _cmd_export_emb(cfg, args) -> int:
         for i in range(data.shape[0]):
             vals = "\t".join(format_float(v) for v in data[i])
             lines.append(f"{i}\t{t.label}\t{vals}")
-    _write_lines(os.path.join(args.out, "embeddings.tsv"), lines)
+    write_lines(os.path.join(args.out, "embeddings.tsv"), lines)
 
     proj = _pca_2d(np.vstack(stacked))
     lines = ["node_id\ttype\tpc_0\tpc_1"]
@@ -363,7 +296,7 @@ def _cmd_export_emb(cfg, args) -> int:
             lines.append(f"{i}\t{t.label}\t{format_float(proj[row, 0])}"
                          f"\t{format_float(proj[row, 1])}")
             row += 1
-    _write_lines(os.path.join(args.out, "embeddings_pca.tsv"), lines)
+    write_lines(os.path.join(args.out, "embeddings_pca.tsv"), lines)
     print(f"embedding exports written to {args.out}")
     return 0
 

@@ -7,6 +7,7 @@ says so, and kept in per-relation CSR form sorted by (src, dst).
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 
@@ -205,22 +206,16 @@ class BiGraph:
         n_t = self.counts[target_type]
         offsets, cols = adj.offsets, adj.cols
         if with_loops:
-            # splice a self-loop into each row unless one is already stored
-            parts = []
-            for i in range(n_t):
-                row = cols[offsets[i]:offsets[i + 1]]
-                if i in row:
-                    parts.append(row)
-                else:
-                    parts.append(np.sort(np.append(row, i)))
-            new_cols = np.concatenate(parts)
-            counts = np.array([p.size for p in parts], dtype=np.int64)
+            # add a self-loop to each row unless one is already stored; the
+            # flat row * n_t + col keys sort by row, then by source
+            rows = np.repeat(np.arange(n_t, dtype=np.int64), np.diff(offsets))
+            diag = np.arange(n_t, dtype=np.int64) * (n_t + 1)
+            keys = np.unique(np.concatenate([rows * n_t + cols, diag]))
+            edge_targets, new_cols = np.divmod(keys, n_t)
             new_offsets = np.zeros(n_t + 1, dtype=np.int64)
-            np.cumsum(counts, out=new_offsets[1:])
-            targets = np.arange(n_t, dtype=np.int64)
-            edge_targets = np.repeat(targets, counts)
-            return MessagePlan(targets=targets, offsets=new_offsets, sources=new_cols,
-                               edge_targets=edge_targets, n_targets_total=n_t)
+            np.cumsum(np.bincount(edge_targets, minlength=n_t), out=new_offsets[1:])
+            return MessagePlan(targets=np.arange(n_t, dtype=np.int64), offsets=new_offsets,
+                               sources=new_cols, edge_targets=edge_targets, n_targets_total=n_t)
         counts = np.diff(offsets)
         live = np.nonzero(counts > 0)[0]
         live_counts = counts[live]
@@ -350,7 +345,6 @@ def format_float(x: float) -> str:
 
 def save_graph_tsv(graph: BiGraph, directory) -> None:
     """Write nodes.tsv, edges.tsv, relations.tsv under `directory`."""
-    import os
     os.makedirs(directory, exist_ok=True)
     dim = graph.feature_dim
     header = "node_id\ttype\t" + "\t".join(f"feat_{j}" for j in range(dim))
@@ -360,7 +354,7 @@ def save_graph_tsv(graph: BiGraph, directory) -> None:
         for i in range(graph.n_nodes(t)):
             vals = "\t".join(format_float(v) for v in feats[i])
             lines.append(f"{i}\t{t.label}\t{vals}")
-    _write_lines(directory, "nodes.tsv", lines)
+    write_lines(os.path.join(directory, "nodes.tsv"), lines)
 
     lines = ["relation_name\tsrc\tdst"]
     for name in graph.relation_names():
@@ -368,28 +362,26 @@ def save_graph_tsv(graph: BiGraph, directory) -> None:
         for src in range(adj.n_rows):
             for dst in adj.row(src):
                 lines.append(f"{name}\t{src}\t{dst}")
-    _write_lines(directory, "edges.tsv", lines)
+    write_lines(os.path.join(directory, "edges.tsv"), lines)
 
     lines = ["name\tklass\tsrc_type\tdst_type\tsymmetric"]
     for name in graph.relation_names():
         s = graph.spec(name)
         lines.append(f"{name}\t{s.klass.value}\t{s.src_type.label}\t{s.dst_type.label}"
                      f"\t{'true' if s.symmetric else 'false'}")
-    _write_lines(directory, "relations.tsv", lines)
+    write_lines(os.path.join(directory, "relations.tsv"), lines)
 
 
-def _write_lines(directory, filename: str, lines: list[str]) -> None:
-    import os
-    path = os.path.join(directory, filename)
+def write_lines(path, lines: list[str]) -> None:
+    """Write UTF-8 text, each line newline-terminated (no lines: empty file)."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("\n".join(lines) + "\n" if lines else "")
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
 def _read_rows(path, expected_cols: int | None, header: str):
-    import os
     if not os.path.exists(path):
         raise IoFailure(f"missing interchange file {path}")
     with open(path, "r", encoding="utf-8") as fh:
@@ -408,8 +400,6 @@ def _read_rows(path, expected_cols: int | None, header: str):
 
 def load_graph_tsv(directory) -> BiGraph:
     """Read a graph written by save_graph_tsv."""
-    import os
-
     rel_path = os.path.join(directory, "relations.tsv")
     relations = []
     for lineno, parts in _read_rows(rel_path, 5, "name\tklass\tsrc_type\tdst_type\tsymmetric"):

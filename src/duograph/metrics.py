@@ -1,9 +1,10 @@
 """Ranking metrics, clustering quality scores, and a small k-means.
 
 Ranking functions take a score vector plus a boolean relevance vector
-over the same candidate list. Ordering is by descending score with ties
-broken by ascending candidate index, so results never depend on sort
-instability.
+over the same candidate list; the `_rows` forms take an [m, C] score
+matrix and relevance mask and score each row. Ordering is by descending
+score with ties broken by ascending candidate index, so results never
+depend on sort instability.
 """
 from __future__ import annotations
 
@@ -34,18 +35,23 @@ def ndcg(scores, relevant) -> float:
     return dcg / ideal
 
 
+def ranked_relevance(scores, relevant) -> np.ndarray:
+    """Each row's relevance flags in its `ranked_order`, for [m, C] matrices."""
+    order = np.argsort(-np.asarray(scores, dtype=np.float64), axis=1, kind="stable")
+    return np.take_along_axis(np.asarray(relevant, dtype=bool), order, axis=1)
+
+
 def ndcg_rows(scores, relevant) -> np.ndarray:
     """`ndcg` of every row of a score matrix against its relevance row.
 
     Rows whose ranked relevance pattern is the same have the same NDCG, so
     `ndcg` runs once per distinct pattern; each value equals the per-row
-    call bit for bit.
+    call bit for bit. Trailing never-relevant cells (`-inf` pads) leave a
+    row's NDCG unchanged.
     """
-    rel = np.asarray(relevant, dtype=bool)
-    order = np.argsort(-np.asarray(scores, dtype=np.float64), axis=1, kind="stable")
-    patterns, which = np.unique(np.take_along_axis(rel, order, axis=1), axis=0,
+    patterns, which = np.unique(ranked_relevance(scores, relevant), axis=0,
                                 return_inverse=True)
-    already_ranked = np.arange(rel.shape[1], 0, -1.0)
+    already_ranked = np.arange(patterns.shape[1], 0, -1.0)
     return np.array([ndcg(already_ranked, p) for p in patterns])[which.ravel()]
 
 
@@ -59,6 +65,15 @@ def mrr(scores, relevant) -> float:
     return 1.0 / (first + 1)
 
 
+def mrr_rows(scores, relevant) -> np.ndarray:
+    """`mrr` of every row of a score matrix, equal to the per-row call bit
+    for bit; a row's hit@1 is its reciprocal rank being 1."""
+    ranked = ranked_relevance(scores, relevant)
+    if not ranked.any(axis=1).all():
+        raise NoRelevant("mrr needs at least one relevant candidate")
+    return 1.0 / (np.argmax(ranked, axis=1) + 1)
+
+
 def accuracy(predictions, label_sets) -> float:
     """Fraction of predictions contained in the instance's label set."""
     preds = list(predictions)
@@ -68,11 +83,6 @@ def accuracy(predictions, label_sets) -> float:
         raise EmptySet("predictions and labels must align")
     hits = sum(1 for p, labels in zip(preds, label_sets) if int(p) in labels)
     return hits / len(preds)
-
-
-def top1_predictions(score_matrix: np.ndarray) -> np.ndarray:
-    """Highest-scoring class per row; ties pick the lowest class id."""
-    return np.argmax(score_matrix, axis=1)
 
 
 # partition comparison

@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from . import inter, intra, ops
-from .errors import ConfigShapeMismatch, NoLabeledNodes, NoRelations
+from .errors import ConfigShapeMismatch, NoLabeledNodes
 from .graph import BiGraph, NodeType
 from .intra import AttentionRecord, FusionRecord
 from .params import (STAGES, TYPES, ParamSet, Stage, input_proj, layer_param,
@@ -136,6 +136,18 @@ class TaskSpec:
                 out[row, c] = 1.0
         return out
 
+    def candidate_matrix(self, idxs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Queries, candidate rows padded with -1 to the longest list, and the
+        true-candidate mask of ranking instances."""
+        insts = [self.instances[int(i)] for i in idxs]
+        lengths = np.array([inst.candidates.size for inst in insts])
+        cands = np.full((len(insts), lengths.max()), -1, dtype=np.int64)
+        cands[np.arange(cands.shape[1]) < lengths[:, None]] = np.concatenate(
+            [inst.candidates for inst in insts])
+        true_ids = np.array([inst.true_id for inst in insts], dtype=np.int64)
+        queries = np.array([inst.query for inst in insts], dtype=np.int64)
+        return queries, cands, cands == true_ids[:, None]
+
 
 @dataclass
 class ForwardRecords:
@@ -152,9 +164,7 @@ def _stage(stage: Stage, graph: BiGraph, inputs: dict, ps: ParamSet, layer: int,
                    for t in TYPES}
     out = {}
     for t in TYPES:
-        rels = stage.reads(graph, t)
-        if not rels and stage.required:
-            raise NoRelations(f"node class {t.label} has no relations for the {stage.label} stage")
+        rels = stage.relations(graph, t)
         reps, masks = [], []
         for rel in rels:
             attn, gain, bias = (ps.get(n) for n in stage.attn_names(layer, rel, t))
@@ -246,15 +256,10 @@ def task_loss(task: TaskSpec, embs: dict, ps: ParamSet, config: ModelConfig,
     logits = ops.matmul(ops.gather_rows(embs[task.target_type], ids),
                         ps.get(task_param(task, "weight")))
     y = ops.constant(task.label_matrix(ids))
-    temp = config.temperature
     if task.kind is TaskKind.SINGLE_LABEL:
-        if config.literal_temperature:
-            p = ops.softmax_rows(logits)
-            loss = ops.scalar_mul(ops.sum_all(ops.mul(ops.log(p), y)), -1.0 / m)
-            return ops.add(loss, ops.constant(np.log(temp)))
-        p = ops.softmax_rows(ops.scalar_mul(logits, 1.0 / temp))
-        return ops.scalar_mul(ops.sum_all(ops.mul(ops.log(p), y)), -1.0 / m)
+        return _softmax_xent(logits, y, config)
     # multi-label: per-class binary cross-entropy via the softplus identity
+    temp = config.temperature
     z = logits if config.literal_temperature else ops.scalar_mul(logits, 1.0 / temp)
     per_entry = ops.add(ops.softplus(z), ops.scalar_mul(ops.mul(y, z), -1.0))
     denom = m * task.n_classes
@@ -297,13 +302,19 @@ def _ranking_loss(task: TaskSpec, embs: dict, ps: ParamSet, config: ModelConfig,
     scores = ops.reshape(dots, m, 1 + k)
     first = np.zeros((m, 1 + k))
     first[:, 0] = 1.0
-    y = ops.constant(first)
-    if config.literal_temperature:
-        p = ops.softmax_rows(scores)
-        loss = ops.scalar_mul(ops.sum_all(ops.mul(ops.log(p), y)), -1.0 / m)
-        return ops.add(loss, ops.constant(np.log(config.temperature)))
-    p = ops.softmax_rows(ops.scalar_mul(scores, 1.0 / config.temperature))
-    return ops.scalar_mul(ops.sum_all(ops.mul(ops.log(p), y)), -1.0 / m)
+    return _softmax_xent(scores, ops.constant(first), config)
+
+
+def _softmax_xent(logits: Tensor, y: Tensor, config: ModelConfig) -> Tensor:
+    """Mean softmax cross-entropy of logit rows against target rows `y`.
+
+    `literal_temperature` leaves the logits unscaled and adds log(T) instead.
+    """
+    literal = config.literal_temperature
+    z = logits if literal else ops.scalar_mul(logits, 1.0 / config.temperature)
+    p = ops.softmax_rows(z)
+    loss = ops.scalar_mul(ops.sum_all(ops.mul(ops.log(p), y)), -1.0 / logits.shape[0])
+    return ops.add(loss, ops.constant(np.log(config.temperature))) if literal else loss
 
 
 # eval-side scoring (plain numpy on detached embeddings)
@@ -315,14 +326,28 @@ def classification_scores(task: TaskSpec, emb_data: np.ndarray, ps: ParamSet,
 
 
 def ranking_scores(task: TaskSpec, emb_q: np.ndarray, emb_c: np.ndarray,
-                   ps: ParamSet, idxs: np.ndarray):
-    """Per instance: scores over its candidate list (in candidate order)."""
+                   ps: ParamSet, idxs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """[m, C] scores of each instance's candidates and the true-candidate mask.
+
+    Rows keep candidate order; pad cells score `-inf` and are never relevant.
+    These batched products equal the per-instance `(emb_c[cands] @ wc) @
+    (emb_q[q] @ wq)` bit for bit; a plain `emb_q[queries] @ wq` does not.
+    """
     wq = ps.get(task_param(task, "query")).data
     wc = ps.get(task_param(task, "cand")).data
-    out = []
-    for i in idxs:
-        inst = task.instances[int(i)]
-        qv = emb_q[inst.query] @ wq
-        cv = emb_c[inst.candidates] @ wc
-        out.append((cv @ qv, inst.true_index))
-    return out
+    queries, cands, relevant = task.candidate_matrix(idxs)
+    q = np.matmul(emb_q[queries][:, None, :], wq)[:, 0, :]
+    c = np.matmul(emb_c[cands], wc)
+    scores = np.matmul(c, q[:, :, None])[:, :, 0]
+    scores[cands < 0] = -np.inf
+    return scores, relevant
+
+
+def task_scores(task: TaskSpec, embs_data: dict, ps: ParamSet,
+                ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """[m, C] scores and boolean relevance mask: classes for classification,
+    each instance's candidates for ranking. Every metric reads these rows."""
+    emb = embs_data[task.target_type]
+    if task.kind is TaskKind.LINK_RANKING:
+        return ranking_scores(task, emb, embs_data[task.target_type.other], ps, ids)
+    return classification_scores(task, emb, ps, ids), task.label_matrix(ids) > 0

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigShapeMismatch
+from .errors import ConfigShapeMismatch, NoRelations
 from .graph import BiGraph, NodeType
 from .rand import rng_for
 from .tensor import Tensor
@@ -39,6 +39,13 @@ class Stage:
     res_weight: str            # ModelConfig field holding the residual weight
     required: bool             # no relation raises NoRelations, else zero pre-residual
     relation_major: bool       # attention sets created relation by relation (checkpoint order)
+
+    def relations(self, graph: BiGraph, t: NodeType) -> list[str]:
+        """`reads`, raising NoRelations when a required stage has none."""
+        rels = self.reads(graph, t)
+        if not rels and self.required:
+            raise NoRelations(f"node class {t.label} has no relations for the {self.label} stage")
+        return rels
 
     def attn_names(self, layer: int, rel: str, t: NodeType) -> tuple[str, str, str]:
         stem = f"layer{layer}." + self.attn.format(rel=rel, t=t.label)
@@ -175,11 +182,11 @@ def _add_stage(ps: ParamSet, rng, graph: BiGraph, stage: Stage, layer: int, d: i
         for t in TYPES:
             ps.add(layer_param(layer, t, "common_map"), _glorot(rng, d, d))
     if stage.relation_major:  # the relation list is then the same for both classes
-        for rel in stage.reads(graph, TYPES[0]):
+        for rel in stage.relations(graph, TYPES[0]):
             for t in TYPES:
                 add_attention(rel, t)
     for t in TYPES:
-        rels = stage.reads(graph, t)
+        rels = stage.relations(graph, t)
         if not stage.relation_major:
             for rel in rels:
                 add_attention(rel, t)

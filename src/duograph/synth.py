@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InfeasibleConfig, IoFailure, ParseError
 from .graph import (BiGraph, NodeType, RelationClass, RelationSpec, build_graph,
-                    load_graph_tsv, mean_neighbor_features, save_graph_tsv, _write_lines,
+                    load_graph_tsv, mean_neighbor_features, save_graph_tsv, write_lines,
                     _read_rows)
 from .model import RankInstance, TaskKind, TaskSpec
 from .rand import rng_for
@@ -280,7 +280,7 @@ def export_dataset(graph: BiGraph, tasks, directory) -> None:
     lines = ["name\tkind\ttarget_type\tn_classes"]
     for task in tasks:
         lines.append(f"{task.name}\t{task.kind.value}\t{task.target_type.label}\t{task.n_classes}")
-    _write_lines(directory, "tasks.tsv", lines)
+    write_lines(os.path.join(directory, "tasks.tsv"), lines)
 
     lines = ["node\ttask\tlabels"]
     for task in tasks:
@@ -292,7 +292,7 @@ def export_dataset(graph: BiGraph, tasks, directory) -> None:
             for node in sorted(task.labels):
                 lab = ",".join(str(c) for c in task.labels[node])
                 lines.append(f"{node}\t{task.name}\t{lab}")
-    _write_lines(directory, "labels.tsv", lines)
+    write_lines(os.path.join(directory, "labels.tsv"), lines)
 
     lines = ["node\ttask\tsplit"]
     for task in tasks:
@@ -302,7 +302,7 @@ def export_dataset(graph: BiGraph, tasks, directory) -> None:
                 ids = np.array([task.instances[i].query for i in ids], dtype=np.int64)
             for node in sorted(int(i) for i in ids):
                 lines.append(f"{node}\t{task.name}\t{split}")
-    _write_lines(directory, "splits.tsv", lines)
+    write_lines(os.path.join(directory, "splits.tsv"), lines)
 
 
 def import_dataset(directory):

@@ -13,12 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ops
-from .errors import DivergedLoss, IoFailure, NoLabeledNodes
-from .graph import BiGraph, NodeType
-from .metrics import (accuracy, cluster_eval, mrr, ndcg, ndcg_rows, ranked_order,
-                      top1_predictions)
-from .model import (ModelConfig, TaskKind, TaskSpec, classification_scores, forward,
-                    ranking_scores, task_loss)
+from .errors import DivergedLoss, NoLabeledNodes
+from .graph import BiGraph, write_lines
+from .metrics import cluster_eval, mrr_rows, ndcg_rows
+from .model import ModelConfig, TaskKind, forward, task_loss, task_scores
 from .optim import AdamW, cosine_lr
 from .params import ParamSet, build_params
 from .rand import rng_for
@@ -34,33 +32,15 @@ class TrainResult:
     best_params: list = field(default_factory=list)
 
 
-def _mean_val_ndcg(graph: BiGraph, tasks, ps: ParamSet, config: ModelConfig,
-                   embs_data: dict, split: str) -> float:
+def _mean_val_ndcg(tasks, ps: ParamSet, embs_data: dict, split: str) -> float:
     vals = []
     for task in tasks:
         ids = task.split_ids(split)
-        if ids.size == 0:
-            continue
-        vals.append(_task_ndcg(task, embs_data, ps, ids))
+        if ids.size:
+            vals.append(np.mean(ndcg_rows(*task_scores(task, embs_data, ps, ids))))
     if not vals:
         raise NoLabeledNodes(f"no task has instances in split {split!r}")
     return float(np.mean(vals))
-
-
-def _task_ndcg(task: TaskSpec, embs_data: dict, ps: ParamSet, ids: np.ndarray) -> float:
-    if task.kind is TaskKind.LINK_RANKING:
-        scored = ranking_scores(task, embs_data[task.target_type],
-                                embs_data[task.target_type.other], ps, ids)
-        return float(np.mean([ndcg(s, _one_hot_bool(len(s), t)) for s, t in scored]))
-    scores = classification_scores(task, embs_data[task.target_type], ps, ids)
-    rel = task.label_matrix(ids) > 0
-    return float(np.mean(ndcg_rows(scores, rel)))
-
-
-def _one_hot_bool(n: int, idx: int) -> np.ndarray:
-    out = np.zeros(n, dtype=bool)
-    out[idx] = True
-    return out
 
 
 def _total_loss(tasks, embs, ps, config, split, neg_rng):
@@ -111,7 +91,7 @@ def train(graph: BiGraph, tasks, config: ModelConfig, ps: ParamSet | None = None
         val_neg_rng = rng_for(config.seed, "val-negatives")
         val_loss = float(_total_loss(tasks, val_embs, ps, config, "val", val_neg_rng).data[0, 0])
         embs_data = {t: val_embs[t].data for t in val_embs}
-        val_ndcg = _mean_val_ndcg(graph, tasks, ps, config, embs_data, "val")
+        val_ndcg = _mean_val_ndcg(tasks, ps, embs_data, "val")
         result.log.append({"epoch": epoch + 1, "train_loss": train_loss,
                            "val_ndcg": val_ndcg, "val_loss": val_loss, "lr": lr})
         better = (val_ndcg > result.best_val_ndcg
@@ -127,12 +107,7 @@ def train(graph: BiGraph, tasks, config: ModelConfig, ps: ParamSet | None = None
 
 def write_log(path, log: list) -> None:
     """One JSON object per line: epoch, train_loss, val_ndcg, val_loss, lr."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for entry in log:
-                fh.write(json.dumps(entry, sort_keys=True) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write training log {path}: {exc}") from exc
+    write_lines(path, [json.dumps(entry, sort_keys=True) for entry in log])
 
 
 def evaluate(graph: BiGraph, tasks, ps: ParamSet, config: ModelConfig,
@@ -150,22 +125,11 @@ def evaluate(graph: BiGraph, tasks, ps: ParamSet, config: ModelConfig,
         if ids.size == 0:
             report[task.name] = {"ndcg": None, "mrr": None, "acc": None}
             continue
-        if task.kind is TaskKind.LINK_RANKING:
-            scored = ranking_scores(task, embs_data[task.target_type],
-                                    embs_data[task.target_type.other], ps, ids)
-            ndcgs = [ndcg(s, _one_hot_bool(len(s), t)) for s, t in scored]
-            mrrs = [mrr(s, _one_hot_bool(len(s), t)) for s, t in scored]
-            top1 = [int(ranked_order(s)[0]) for s, _ in scored]
-            acc = accuracy(top1, [(t,) for _, t in scored])
-        else:
-            scores = classification_scores(task, embs_data[task.target_type], ps, ids)
-            rel = task.label_matrix(ids) > 0
-            ndcgs = ndcg_rows(scores, rel)
-            mrrs = [mrr(scores[i], rel[i]) for i in range(len(ids))]
-            acc = accuracy(top1_predictions(scores),
-                           [task.labels[int(n)] for n in ids])
-        report[task.name] = {"ndcg": float(np.mean(ndcgs)),
-                             "mrr": float(np.mean(mrrs)), "acc": acc}
+        scores, relevant = task_scores(task, embs_data, ps, ids)
+        rr = mrr_rows(scores, relevant)
+        report[task.name] = {"ndcg": float(np.mean(ndcg_rows(scores, relevant))),
+                             "mrr": float(np.mean(rr)),
+                             "acc": float(np.mean(rr == 1.0))}  # hit@1
     single = next((t for t in tasks if t.kind is TaskKind.SINGLE_LABEL), None)
     if single is not None:
         nodes = np.array(sorted(single.labels), dtype=np.int64)

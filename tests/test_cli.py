@@ -113,7 +113,33 @@ class TestAblate:
                          for s in (0, 1)}
         tsv = _read(os.path.join(out, "ablation.tsv")).decode().strip().split("\n")
         assert len(tsv) == 1 + 8
-        assert tsv[0].split("\t")[:2] == ["variant", "seed"]
+        assert tsv[0].split("\t") == ["variant", "seed", "pv_acc", "pf_l1_acc", "pf_l2_acc",
+                                      "ad_ndcg", "ad_mrr", "nmi_mean", "ari_mean"]
+
+    def test_columns_follow_the_task_list(self, tmp_path, config_path):
+        # an imported dataset whose tasks carry other names
+        data = str(tmp_path / "data")
+        assert main(["generate", "--config", config_path, "--out", data]) == 0
+        renames = {"pv": "venue", "pf_l1": "topic", "pf_l2": "subtopic", "ad": "author"}
+        for name, column in (("tasks.tsv", 0), ("labels.tsv", 1), ("splits.tsv", 1)):
+            path = os.path.join(data, name)
+            rows = [line.split("\t") for line in _read(path).decode().splitlines()]
+            for row in rows[1:]:
+                row[column] = renames[row[column]]
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("".join("\t".join(row) + "\n" for row in rows))
+        path = tmp_path / "ab.json"
+        path.write_text(json.dumps({"data": data, "model": dict(CONFIG["model"], epochs=1),
+                                    "seeds": [0]}))
+        out = str(tmp_path / "ab")
+        assert main(["ablate", "--config", str(path), "--out", out]) == 0
+        tsv = [line.split("\t") for line in
+               _read(os.path.join(out, "ablation.tsv")).decode().strip().split("\n")]
+        assert tsv[0] == ["variant", "seed", "venue_acc", "topic_acc", "subtopic_acc",
+                          "author_ndcg", "author_mrr", "nmi_mean", "ari_mean"]
+        assert len(tsv) == 1 + 4 and all("NA" not in row for row in tsv[1:])
+        rows = json.loads(_read(os.path.join(out, "ablation.json")))["rows"]
+        assert all(set(row) == {"variant", "seed", "report"} for row in rows)
 
 
 class TestGradcheck:

@@ -4,7 +4,9 @@ import pytest
 from duograph.errors import (DanglingNode, DimensionMismatch, DirectionInvalid,
                              NodeOutOfRange, ParseError, TypeMismatch, UnknownRelation)
 from duograph.graph import (BiGraph, NodeType, RelationClass, RelationSpec, build_graph,
-                            load_graph_tsv, mean_neighbor_features, save_graph_tsv)
+                            load_graph_tsv, mean_neighbor_features, save_graph_tsv,
+                            write_lines)
+from duograph.rand import rng_for
 
 from conftest import random_bigraph
 
@@ -131,6 +133,30 @@ class TestMessagePlans:
         plan = g.message_plan("r", NodeType.A)
         np.testing.assert_array_equal(plan.sources[plan.offsets[0]:plan.offsets[1]], [0])
 
+    def test_self_loop_plan_matches_per_row_oracle(self):
+        # per row: the stored row when it holds the node itself, else the row
+        # with the node spliced in, in sorted order
+        rng = rng_for(21, "self-loop-plan")
+        stored_loops = 0
+        for _ in range(40):
+            graph = random_bigraph(rng, n_a=int(rng.integers(1, 9)),
+                                   n_b=int(rng.integers(1, 9)), extra_intra=1)
+            for t in (NodeType.A, NodeType.B):
+                for name in graph.intra_relations(t):
+                    adj, n = graph.csr(name), graph.n_nodes(t)
+                    rows = []
+                    for i in range(n):
+                        row = adj.row(i)
+                        stored_loops += int(i in row)
+                        rows.append(row if i in row else np.sort(np.append(row, i)))
+                    plan = graph.message_plan(name, t)
+                    sizes = [r.size for r in rows]
+                    assert plan.sources.tolist() == np.concatenate(rows).tolist()
+                    assert plan.offsets.tolist() == np.cumsum([0] + sizes).tolist()
+                    assert plan.edge_targets.tolist() == np.repeat(np.arange(n), sizes).tolist()
+                    assert plan.targets.tolist() == list(range(n)) and plan.covers_all
+        assert stored_loops > 0
+
     def test_inter_plan_drops_isolated_targets(self, tiny_graph):
         # toward A: a0 wrote p0; a1 wrote p0, p1 -- both live
         plan_a = tiny_graph.message_plan("wrote", NodeType.A)
@@ -185,6 +211,12 @@ class TestMeanNeighborFeatures:
 
 
 class TestGraphTsv:
+    def test_write_lines_terminates_every_line(self, tmp_path):
+        write_lines(tmp_path / "two.txt", ["a", "b\tc"])
+        write_lines(tmp_path / "none.txt", [])
+        assert (tmp_path / "two.txt").read_bytes() == b"a\nb\tc\n"
+        assert (tmp_path / "none.txt").read_bytes() == b""
+
     def test_round_trip_structure(self, tmp_path, tiny_graph):
         save_graph_tsv(tiny_graph, tmp_path)
         g2 = load_graph_tsv(tmp_path)

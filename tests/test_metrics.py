@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from duograph.errors import DegenerateData, EmptySet, NoRelevant
-from duograph.metrics import (accuracy, ari, cluster_eval, kmeans, mrr, ndcg, ndcg_rows,
-                              nmi, ranked_order, top1_predictions)
+from duograph.metrics import (accuracy, ari, cluster_eval, kmeans, mrr, mrr_rows, ndcg,
+                              ndcg_rows, nmi, ranked_order)
 from duograph.rand import rng_for
 
 
@@ -59,6 +59,26 @@ class TestNdcgRows:
         with pytest.raises(NoRelevant):
             ndcg_rows([[1.0, 2.0], [2.0, 1.0]], [[True, False], [False, False]])
 
+    def test_trailing_pads_leave_ndcg_unchanged(self):
+        scores = np.array([[0.2, 0.9, -np.inf, -np.inf], [0.5, 0.1, 0.3, -np.inf]])
+        rel = np.array([[True, False, False, False], [False, False, True, False]])
+        assert ndcg_rows(scores, rel).tolist() == [ndcg([0.2, 0.9], [True, False]),
+                                                   ndcg([0.5, 0.1, 0.3], [False, False, True])]
+
+
+class TestMrrRows:
+    def test_equals_per_row_mrr_bitwise(self):
+        rng = rng_for(5, "mrr-rows")
+        scores = rng.integers(0, 4, size=(60, 9)).astype(np.float64)  # many ties
+        rel = rng.random((60, 9)) < 0.3
+        rel[np.arange(60), rng.integers(0, 9, size=60)] = True
+        got = mrr_rows(scores, rel)
+        assert got.tolist() == [mrr(scores[i], rel[i]) for i in range(60)]
+
+    def test_row_without_relevant_raises(self):
+        with pytest.raises(NoRelevant):
+            mrr_rows([[1.0, 2.0], [2.0, 1.0]], [[True, False], [False, False]])
+
 
 class TestMrr:
     def test_first(self):
@@ -89,8 +109,10 @@ class TestAccuracy:
             accuracy([1], [{1}, {2}])
 
     def test_top1_tie_lowest_class(self):
-        scores = np.array([[0.5, 0.5, 0.1], [0.1, 0.2, 0.9]])
-        assert top1_predictions(scores).tolist() == [0, 2]
+        # hit@1 is a reciprocal rank of 1; tied scores rank the lower class first
+        scores = np.array([[0.5, 0.5, 0.1], [0.5, 0.5, 0.1], [0.1, 0.2, 0.9]])
+        rel = np.array([[True, False, False], [False, True, False], [False, False, True]])
+        assert (mrr_rows(scores, rel) == 1.0).tolist() == [True, False, True]
 
 
 class TestNmi:

@@ -11,7 +11,7 @@ from duograph.errors import ConfigShapeMismatch, NoLabeledNodes
 from duograph.graph import NodeType
 from duograph.model import (ModelConfig, RankInstance, TaskKind, TaskSpec,
                             classification_scores, forward, ranking_scores,
-                            task_loss)
+                            task_loss, task_scores)
 from duograph.params import ParamSet, build_params
 from duograph.rand import rng_for
 from duograph.synth import SynthConfig, generate
@@ -296,9 +296,42 @@ class TestEvalScores:
         emb_q = np.array([[1.0, 0.0]])
         emb_c = np.vstack([np.zeros((1, 2)),
                            [[4.0, 9.0], [5.0, 9.0], [6.0, 9.0]]])
-        (scores, true_index), = ranking_scores(task, emb_q, emb_c, ps, np.array([0]))
-        np.testing.assert_allclose(scores, [4.0, 5.0, 6.0], atol=0.0)
+        scores, relevant = ranking_scores(task, emb_q, emb_c, ps, np.array([0]))
+        np.testing.assert_allclose(scores, [[4.0, 5.0, 6.0]], atol=0.0)
+        true_index, = np.nonzero(relevant[0])[0]
         assert true_index == 2 and inst.candidates[true_index] == 3
+
+
+    def test_ranking_scores_pad_shorter_lists(self):
+        # two instances of 3 and 2 candidates: the shorter row ends in a -inf
+        # pad that is never relevant; real cells equal the per-instance scores
+        rng = rng_for(2, "pads")
+        ps = ParamSet()
+        ps.add("head.ad.query", rng.standard_normal((3, 3)))
+        ps.add("head.ad.cand", rng.standard_normal((3, 3)))
+        insts = [RankInstance.make(1, 4, [0, 2]), RankInstance.make(0, 1, [3])]
+        task = TaskSpec(name="ad", kind=TaskKind.LINK_RANKING, target_type=NodeType.A,
+                        instances=insts)
+        emb_q, emb_c = rng.standard_normal((2, 3)), rng.standard_normal((5, 3))
+        scores, relevant = ranking_scores(task, emb_q, emb_c, ps, np.array([0, 1]))
+        assert scores.shape == relevant.shape == (2, 3)
+        for row, inst in enumerate(insts):
+            n = inst.candidates.size
+            expected = ((emb_c[inst.candidates] @ ps.get("head.ad.cand").data)
+                        @ (emb_q[inst.query] @ ps.get("head.ad.query").data))
+            assert scores[row, :n].tolist() == expected.tolist()
+            assert relevant[row].tolist() == [j == inst.true_index for j in range(3)]
+        assert scores[1, 2] == -np.inf
+
+    def test_task_scores_classification_relevance_is_label_set(self):
+        ps = ParamSet()
+        ps.add("head.pf.weight", np.eye(3))
+        task = TaskSpec(name="pf", kind=TaskKind.MULTI_LABEL, target_type=NodeType.B,
+                        n_classes=3, labels={0: (0, 2), 1: (1,)})
+        emb = np.arange(6.0).reshape(2, 3)
+        scores, relevant = task_scores(task, {NodeType.B: emb}, ps, np.array([1, 0]))
+        assert scores.tolist() == emb[[1, 0]].tolist()
+        assert relevant.tolist() == [[False, True, False], [True, False, True]]
 
 
 class TestEndToEndGradient:

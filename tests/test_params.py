@@ -3,6 +3,7 @@ in which the initializer draws, for every variant and ordering."""
 import numpy as np
 import pytest
 
+from duograph.errors import NoRelations
 from duograph.graph import NodeType, RelationClass, RelationSpec, build_graph
 from duograph.model import ORDERINGS, VARIANTS, ModelConfig, TaskKind, TaskSpec
 from duograph.params import build_params
@@ -92,3 +93,16 @@ def test_cross_attention_created_relation_major():
     assert [n for n in ps.names() if n.startswith("layer0.inter.") and n.endswith(".attn")] == [
         "layer0.inter.reviewed.to_A.attn", "layer0.inter.reviewed.to_B.attn",
         "layer0.inter.wrote.to_A.attn", "layer0.inter.wrote.to_B.attn"]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_class_without_within_class_relation_rejected_at_build(variant):
+    # the only relation is `cite` within B: class A has nothing to attend over,
+    # which used to leave a zero-width layer0.A.global_logits for forward to trip on
+    relations = [RelationSpec("cite", RelationClass.INTRA_B, NodeType.B, NodeType.B)]
+    feats = {NodeType.A: np.zeros((2, 2)), NodeType.B: np.zeros((2, 2))}
+    graph = build_graph({NodeType.A: 2, NodeType.B: 2}, feats, relations, [("cite", 0, 1)])
+    stage = "unified" if variant == "no-dual" else "intra"
+    config = ModelConfig(input_dim=2, hidden_dim=4, num_layers=1, variant=variant)
+    with pytest.raises(NoRelations, match=f"node class A has no relations for the {stage} stage"):
+        build_params(graph, config, TASKS)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from duograph.errors import DivergedLoss
-from duograph.model import ModelConfig, TaskKind, forward
+from duograph.metrics import accuracy, mrr, ndcg, ranked_order
+from duograph.model import ModelConfig, RankInstance, TaskKind, forward
 from duograph.optim import AdamW, cosine_lr
 from duograph.params import build_params
 from duograph.rand import rng_for
@@ -129,6 +130,11 @@ class TestTrainLoop:
         lines = path.read_text().strip().split("\n")
         assert [json.loads(line) for line in lines] == result.log
 
+    def test_write_log_of_no_epochs_is_empty(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        write_log(str(path), [])
+        assert path.read_bytes() == b""
+
 
 class TestEvaluate:
     def test_report_shape(self):
@@ -162,3 +168,42 @@ class TestEvaluate:
             task.splits["test"] = task.splits["test"][:1]
         small = evaluate(graph, tasks, ps, config, cluster_repeats=2)
         assert full["clustering"] == small["clustering"]
+
+    def test_equals_mean_of_per_row_oracles_with_padded_candidates(self):
+        # ranking instances of differing lengths are padded in one score
+        # matrix; each task's report must equal the mean of the per-row
+        # metrics computed on each instance's own list
+        graph, tasks, config = _problem()
+        ad = next(t for t in tasks if t.kind is TaskKind.LINK_RANKING)
+        shortened = []
+        for k, inst in enumerate(ad.instances):
+            others = [int(c) for c in inst.candidates if c != inst.true_id]
+            keep = others[:1 + k % len(others)]
+            shortened.append(RankInstance.make(inst.query, inst.true_id, keep))
+        ad.instances = shortened
+        test = ad.split_ids("test")
+        assert len({ad.instances[i].candidates.size for i in test}) > 1
+        ps, _ = train(graph, tasks, config)
+        report = evaluate(graph, tasks, ps, config, cluster_repeats=1)
+
+        embs, _ = forward(graph, config, ps, training=False)
+        for task in tasks:
+            emb = embs[task.target_type].data
+            rows = []  # (scores, relevance, label set of the top-ranked candidate's row)
+            for i in task.split_ids("test"):
+                if task.kind is TaskKind.LINK_RANKING:
+                    inst = task.instances[int(i)]
+                    qv = emb[inst.query] @ ps.get("head.ad.query").data
+                    cv = embs[task.target_type.other].data[inst.candidates] @ ps.get("head.ad.cand").data
+                    rel = np.arange(inst.candidates.size) == inst.true_index
+                    rows.append((cv @ qv, rel, {inst.true_index}))
+                else:
+                    scores = emb[int(i)] @ ps.get(f"head.{task.name}.weight").data
+                    labels = task.labels[int(i)]
+                    rows.append((scores, np.isin(np.arange(task.n_classes), labels), set(labels)))
+            expected = {
+                "ndcg": float(np.mean([ndcg(s, r) for s, r, _ in rows])),
+                "mrr": float(np.mean([mrr(s, r) for s, r, _ in rows])),
+                "acc": accuracy([ranked_order(s)[0] for s, _, _ in rows], [l for _, _, l in rows]),
+            }
+            assert report[task.name] == expected, task.name
