@@ -35,7 +35,7 @@ def ndcg(scores, relevant) -> float:
     return dcg / ideal
 
 
-def ranked_relevance(scores, relevant) -> np.ndarray:
+def _ranked_relevance(scores, relevant) -> np.ndarray:
     """Each row's relevance flags in its `ranked_order`, for [m, C] matrices."""
     order = np.argsort(-np.asarray(scores, dtype=np.float64), axis=1, kind="stable")
     return np.take_along_axis(np.asarray(relevant, dtype=bool), order, axis=1)
@@ -49,7 +49,7 @@ def ndcg_rows(scores, relevant) -> np.ndarray:
     call bit for bit. Trailing never-relevant cells (`-inf` pads) leave a
     row's NDCG unchanged.
     """
-    patterns, which = np.unique(ranked_relevance(scores, relevant), axis=0,
+    patterns, which = np.unique(_ranked_relevance(scores, relevant), axis=0,
                                 return_inverse=True)
     already_ranked = np.arange(patterns.shape[1], 0, -1.0)
     return np.array([ndcg(already_ranked, p) for p in patterns])[which.ravel()]
@@ -68,7 +68,7 @@ def mrr(scores, relevant) -> float:
 def mrr_rows(scores, relevant) -> np.ndarray:
     """`mrr` of every row of a score matrix, equal to the per-row call bit
     for bit; a row's hit@1 is its reciprocal rank being 1."""
-    ranked = ranked_relevance(scores, relevant)
+    ranked = _ranked_relevance(scores, relevant)
     if not ranked.any(axis=1).all():
         raise NoRelevant("mrr needs at least one relevant candidate")
     return 1.0 / (np.argmax(ranked, axis=1) + 1)
