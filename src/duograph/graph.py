@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
+from itertools import repeat
 
 import numpy as np
 
@@ -237,6 +238,53 @@ class BiGraph:
         return BiGraph(self.counts, features, self.relations, self._csr, self._csr_rev)
 
 
+def _check_edge(spec_map: dict, sizes: dict, edge) -> None:
+    """Raise what is wrong with one (relation_name, src_id, dst_id) edge, if anything."""
+    rel_name, src, dst = edge
+    spec = spec_map.get(rel_name)
+    if spec is None:
+        raise UnknownRelation(f"edge references undeclared relation {rel_name!r}")
+    src, dst = int(src), int(dst)
+    if not 0 <= src < sizes[spec.src_type]:
+        raise DanglingNode(
+            f"edge {rel_name!r}({src}, {dst}): src outside [0, {sizes[spec.src_type]})")
+    if not 0 <= dst < sizes[spec.dst_type]:
+        raise DanglingNode(
+            f"edge {rel_name!r}({src}, {dst}): dst outside [0, {sizes[spec.dst_type]})")
+
+
+def _validated_edges(spec_map: dict, sizes: dict, edges):
+    """Relation codes (declaration order) and int64 src, dst columns of `edges`.
+
+    All edges are checked at once; the first invalid one in iteration
+    order raises exactly what `_check_edge` raises for it.
+    """
+    edges = list(edges)
+    if not edges:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty
+    code_of = {name: k for k, name in enumerate(spec_map)}
+    try:
+        names, srcs, dsts = zip(*edges, strict=True)
+        codes = np.fromiter(map(code_of.get, names, repeat(-1)), dtype=np.int64,
+                            count=len(edges))
+        src = np.array(list(map(int, srcs)))
+        dst = np.array(list(map(int, dsts)))
+    except (TypeError, ValueError):
+        # a malformed edge: replay the per-edge checks so the first bad edge raises
+        for edge in edges:
+            _check_edge(spec_map, sizes, edge)
+        raise
+    # an undeclared relation (code -1) reads the trailing 0: no id fits [0, 0)
+    specs = list(spec_map.values())
+    src_cap = np.array([sizes[s.src_type] for s in specs] + [0])[codes]
+    dst_cap = np.array([sizes[s.dst_type] for s in specs] + [0])[codes]
+    bad = ~((src >= 0) & (src < src_cap) & (dst >= 0) & (dst < dst_cap))
+    if bad.any():
+        _check_edge(spec_map, sizes, edges[int(np.argmax(bad))])
+    return codes, src.astype(np.int64), dst.astype(np.int64)
+
+
 def build_graph(counts: dict[NodeType, int], features: dict[NodeType, np.ndarray],
                 relations: list[RelationSpec], edges) -> BiGraph:
     """Validate, deduplicate, symmetrize, and freeze a graph.
@@ -271,37 +319,19 @@ def build_graph(counts: dict[NodeType, int], features: dict[NodeType, np.ndarray
     if dim == 0:
         raise DimensionMismatch("feature dimension must be positive")
 
-    by_rel: dict[str, list[tuple[int, int]]] = {name: [] for name in spec_map}
     sizes = {NodeType.A: n_a, NodeType.B: n_b}
-    for rel_name, src, dst in edges:
-        spec = spec_map.get(rel_name)
-        if spec is None:
-            raise UnknownRelation(f"edge references undeclared relation {rel_name!r}")
-        src, dst = int(src), int(dst)
-        if not 0 <= src < sizes[spec.src_type]:
-            raise DanglingNode(
-                f"edge {rel_name!r}({src}, {dst}): src outside [0, {sizes[spec.src_type]})")
-        if not 0 <= dst < sizes[spec.dst_type]:
-            raise DanglingNode(
-                f"edge {rel_name!r}({src}, {dst}): dst outside [0, {sizes[spec.dst_type]})")
-        by_rel[rel_name].append((src, dst))
+    codes, all_src, all_dst = _validated_edges(spec_map, sizes, edges)
 
     csr: dict[str, CsrAdjacency] = {}
     csr_rev: dict[str, CsrAdjacency] = {}
-    for name, spec in spec_map.items():
-        pairs = by_rel[name]
-        if pairs:
-            arr = np.array(pairs, dtype=np.int64)
-            src, dst = arr[:, 0], arr[:, 1]
-            if spec.symmetric:
-                src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-            flat = src * np.int64(sizes[spec.dst_type]) + dst
-            flat = np.unique(flat)
-            src = flat // sizes[spec.dst_type]
-            dst = flat % sizes[spec.dst_type]
-        else:
-            src = np.empty(0, dtype=np.int64)
-            dst = np.empty(0, dtype=np.int64)
+    for k, (name, spec) in enumerate(spec_map.items()):
+        mine = codes == k
+        src, dst = all_src[mine], all_dst[mine]
+        if spec.symmetric:
+            src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+        flat = np.unique(src * np.int64(sizes[spec.dst_type]) + dst)
+        src = flat // sizes[spec.dst_type]
+        dst = flat % sizes[spec.dst_type]
         csr[name] = _csr_from_pairs(src, dst, sizes[spec.src_type], sizes[spec.dst_type])
         csr_rev[name] = _csr_from_pairs(dst, src, sizes[spec.dst_type], sizes[spec.src_type])
 

@@ -3,7 +3,10 @@ global-local weighting that fuses the per-relation summaries.
 
 Per relation, each node scores its neighbors (self included), softmaxes
 the scores over the neighborhood, and aggregates neighbor projections
-through a per-relation normalization. The fusion step weights relations
+through a per-relation normalization. An edge j -> i scores
+leaky(a . [h_i || h_j]), computed as a[:d] . h_i + a[d:] . h_j: two [n,1]
+node columns, one scalar of each gathered per edge (`ops.edge_scores`),
+so no [E,2d] concat is ever built. The fusion step weights relations
 by a convex mix of graph-level softmax weights and per-node softmax
 scores; the mix factor is a learned sigmoid gate.
 """
@@ -55,9 +58,9 @@ def attend_over_plan(target_feats: Tensor, source_feats: Tensor, plan: MessagePl
     Returns the aggregated rows for plan.targets (in plan order) and the
     per-edge attention column.
     """
+    scores = ops.leaky_relu(ops.edge_scores(target_feats, source_feats, attn,
+                                            plan.edge_targets, plan.sources), slope)
     src = ops.gather_rows(source_feats, plan.sources)
-    dst = ops.gather_rows(target_feats, plan.edge_targets)
-    scores = ops.leaky_relu(ops.matmul(ops.concat_cols(dst, src), attn), slope)
     alpha = ops.segment_softmax(scores, plan.offsets)
     agg = ops.weighted_sum_rows(alpha, src, plan.offsets)
     out = ops.leaky_relu(ops.layer_norm(agg, gain, bias), slope)

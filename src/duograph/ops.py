@@ -90,13 +90,18 @@ def scalar_mul(x: Tensor, c: float) -> Tensor:
     return _result(x.data * c, (x,), bw)
 
 
-def gather_rows(x: Tensor, index) -> Tensor:
-    """Select rows by integer index (repeats allowed)."""
+def _row_index(index, n_rows: int, what: str) -> Array:
     idx = np.asarray(index, dtype=np.int64)
     if idx.ndim != 1:
-        raise ShapeMismatch("gather_rows index must be 1-D")
-    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
-        raise ShapeMismatch(f"gather_rows index out of range for {x.shape[0]} rows")
+        raise ShapeMismatch(f"{what} must be 1-D")
+    if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
+        raise ShapeMismatch(f"{what} out of range for {n_rows} rows")
+    return idx
+
+
+def gather_rows(x: Tensor, index) -> Tensor:
+    """Select rows by integer index (repeats allowed)."""
+    idx = _row_index(index, x.shape[0], "gather_rows index")
     n_rows, n_cols = x.shape
 
     def bw(g: Array):
@@ -107,6 +112,34 @@ def gather_rows(x: Tensor, index) -> Tensor:
         return (gx.reshape(n_rows, n_cols),)
 
     return _result(np.take(x.data, idx, axis=0), (x,), bw)
+
+
+def edge_scores(h_t: Tensor, h_s: Tensor, attn: Tensor, targets, sources) -> Tensor:
+    """GAT-split edge scores: (h_t @ attn[:d])[targets] + (h_s @ attn[d:])[sources].
+
+    Equals [h_t[targets] || h_s[sources]] @ attn as an [E,1] column, but
+    scores two node-level columns instead of building the [E,2d] concat.
+    """
+    d = h_t.shape[1]
+    if h_s.shape[1] != d or attn.shape != (2 * d, 1):
+        raise ShapeMismatch(f"edge_scores {h_t.shape}, {h_s.shape} with attn {attn.shape}")
+    t_idx = _row_index(targets, h_t.shape[0], "edge_scores targets")
+    s_idx = _row_index(sources, h_s.shape[0], "edge_scores sources")
+    if t_idx.size != s_idx.size:
+        raise ShapeMismatch(f"edge_scores {t_idx.size} targets vs {s_idx.size} sources")
+    td, sd = h_t.data, h_s.data
+    a_t, a_s = attn.data[:d], attn.data[d:]
+
+    def bw(g: Array):
+        col = g[:, 0]
+        g_t = np.bincount(t_idx, weights=col, minlength=td.shape[0]).reshape(-1, 1)
+        g_s = np.bincount(s_idx, weights=col, minlength=sd.shape[0]).reshape(-1, 1)
+        gt = g_t @ a_t.T if h_t.requires_grad else None
+        gs = g_s @ a_s.T if h_s.requires_grad else None
+        ga = np.concatenate((td.T @ g_t, sd.T @ g_s)) if attn.requires_grad else None
+        return gt, gs, ga
+
+    return _result((td @ a_t)[t_idx] + (sd @ a_s)[s_idx], (h_t, h_s, attn), bw)
 
 
 def scatter_rows(x: Tensor, index, n_rows: int) -> Tensor:

@@ -162,7 +162,10 @@ def load_tensors(path) -> list[tuple[str, Array]]:
         size = rows * cols
         if offset + size > flat.size:
             raise IoFailure(f"checkpoint {path} truncated at tensor {name!r}")
-        out.append((name, flat[offset:offset + size].reshape(rows, cols).astype(np.float64)))
+        values = flat[offset:offset + size]
+        if not np.isfinite(values).all():
+            raise IoFailure(f"checkpoint {path} tensor {name!r} holds NaN or infinite values")
+        out.append((name, values.reshape(rows, cols).astype(np.float64)))
         offset += size
     if offset != flat.size:
         raise IoFailure(f"checkpoint {path} has {flat.size - offset} trailing values")

@@ -20,6 +20,20 @@ def _spec(name, klass, sym=False):
     return RelationSpec(name, klass, *types, symmetric=sym)
 
 
+def _first_edge_error(relations, sizes, edges):
+    """Per-edge oracle: (type, message) a loop over `edges` in order raises first."""
+    spec_map = {spec.name: spec for spec in relations}
+    for name, src, dst in edges:
+        spec = spec_map.get(name)
+        if spec is None:
+            return UnknownRelation, f"edge references undeclared relation {name!r}"
+        for end, node, t in (("src", src, spec.src_type), ("dst", dst, spec.dst_type)):
+            if not 0 <= node < sizes[t]:
+                return DanglingNode, (f"edge {name!r}({src}, {dst}): "
+                                      f"{end} outside [0, {sizes[t]})")
+    return None
+
+
 class TestBuild:
     def test_counts_and_dims(self, tiny_graph):
         assert tiny_graph.n_nodes(NodeType.A) == 2
@@ -77,6 +91,42 @@ class TestBuild:
         feats = {NodeType.A: np.zeros((2, 2)), NodeType.B: np.zeros((2, 2))}
         with pytest.raises(UnknownRelation):
             build_graph({NodeType.A: 2, NodeType.B: 2}, feats, [], [("ghost", 0, 0)])
+
+    @pytest.mark.parametrize("kind", ["relation", "src", "dst"])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_first_bad_edge_matches_per_edge_oracle(self, kind, where):
+        rng = np.random.default_rng(11)
+        sizes = {NodeType.A: 5, NodeType.B: 4}
+        rels = [_spec("r", RelationClass.INTRA_A, sym=True), _spec("c", RelationClass.INTRA_B),
+                _spec("w", RelationClass.INTER)]
+        edges = []
+        for _ in range(40):
+            spec = rels[int(rng.integers(3))]
+            edges.append((spec.name, int(rng.integers(sizes[spec.src_type])),
+                          int(rng.integers(sizes[spec.dst_type]))))
+        bad = {"relation": ("ghost", 0, 0), "src": ("w", -1, 0), "dst": ("c", 3, 4)}
+        at = {"first": 0, "middle": 20, "last": len(edges)}[where]
+        edges.insert(at, bad[kind])
+        # later edges of every kind must not win over the first bad one
+        if where != "last":
+            edges[at + 1:at + 1] = [bad[k] for k in ("dst", "src", "relation") if k != kind]
+        expected = _first_edge_error(rels, sizes, edges)
+        assert expected is not None and expected[0] is (
+            UnknownRelation if kind == "relation" else DanglingNode)
+        feats = {NodeType.A: np.zeros((5, 2)), NodeType.B: np.zeros((4, 2))}
+        with pytest.raises(expected[0]) as info:
+            build_graph(sizes, feats, rels, (e for e in edges))
+        assert str(info.value) == expected[1]
+
+    def test_src_range_checked_before_dst(self):
+        feats = {NodeType.A: np.zeros((2, 2)), NodeType.B: np.zeros((2, 2))}
+        rel = _spec("wrote", RelationClass.INTER)
+        edges = [("wrote", 0, 0), ("wrote", 2, -1)]
+        expected = _first_edge_error([rel], {NodeType.A: 2, NodeType.B: 2}, edges)
+        with pytest.raises(DanglingNode) as info:
+            build_graph({NodeType.A: 2, NodeType.B: 2}, feats, [rel], edges)
+        assert str(info.value) == expected[1]
+        assert "src outside" in expected[1]
 
     def test_feature_shape_mismatch_rejected(self):
         feats = {NodeType.A: np.zeros((3, 2)), NodeType.B: np.zeros((2, 2))}

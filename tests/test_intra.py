@@ -10,8 +10,9 @@ import pytest
 from duograph import ops
 from duograph.errors import NoRelations, RelationClassMismatch
 from duograph.graph import NodeType, RelationClass, RelationSpec, build_graph
-from duograph.intra import node_aggregate, relation_fuse
+from duograph.intra import attend_over_plan, node_aggregate, relation_fuse
 from duograph.rand import rng_for
+from duograph.tensor import Tape, Tensor
 
 LN3 = float(np.log(3.0))
 
@@ -83,6 +84,27 @@ class TestNodeAggregate:
                                         attn, gain, bias, 0.2)
         sums = np.add.reduceat(alpha.data.reshape(-1), plan.offsets[:-1])
         np.testing.assert_allclose(sums, np.ones(5), atol=1e-12)
+
+    def test_no_per_edge_concat_or_target_gather(self):
+        # edges are scored from two node-level columns: the tape must hold no
+        # [E, 2d] concat and exactly one [E, d] gather (the sources, for the sum)
+        rng = rng_for(4, "guard")
+        d = 3
+        specs = [RelationSpec("r", RelationClass.INTRA_A, NodeType.A, NodeType.A,
+                              symmetric=True)]
+        feats = {NodeType.A: rng.normal(size=(6, d)), NodeType.B: np.zeros((1, d))}
+        edges = [("r", 0, 1), ("r", 0, 2), ("r", 3, 4), ("r", 1, 2), ("r", 5, 0)]
+        graph = build_graph({NodeType.A: 6, NodeType.B: 1}, feats, specs, edges)
+        plan = graph.message_plan("r", NodeType.A)
+        h = Tensor(feats[NodeType.A], requires_grad=True)
+        attn = Tensor(rng.normal(size=(2 * d, 1)), requires_grad=True)
+        gain, bias = Tensor(np.ones((1, d))), Tensor(np.zeros((1, d)))
+        with Tape() as tape:
+            attend_over_plan(h, h, plan, attn, gain, bias, 0.2)
+        shapes = [out.shape for out, _, _ in tape._records]
+        assert plan.n_edges > 6
+        assert (plan.n_edges, 2 * d) not in shapes
+        assert shapes.count((plan.n_edges, d)) == 1
 
     def test_rejects_cross_relation(self):
         specs = [RelationSpec("wrote", RelationClass.INTER, NodeType.A, NodeType.B)]

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from duograph import ops
-from duograph.errors import (EmptySegment, NonScalarLoss, ShapeMismatch, TapeConsumed)
+from duograph.errors import (EmptySegment, IoFailure, NonScalarLoss, ShapeMismatch,
+                             TapeConsumed)
 from duograph.tensor import Tape, Tensor, backward, load_tensors, save_tensors
 
 from fd import fd_gradient, rel_err
@@ -131,6 +132,56 @@ class TestPrimitiveGradients:
         expected = np.zeros((7, 3))
         np.add.at(expected, idx, g)
         assert x.grad.tobytes() == (expected + 0.0).tobytes()
+
+    # edge_scores: targets and sources repeat, and row 3 of h_t gets no edge
+    TARGETS = np.array([0, 2, 2, 4, 1, 0, 2])
+    SOURCES = np.array([3, 0, 1, 3, 3, 2, 0])
+
+    def test_edge_scores(self):
+        # random per-edge weights, so each edge's gradient share must be right
+        w = ops.constant(RNG.uniform(-2.0, 2.0, size=(7, 1)))
+        check_op_gradient(
+            lambda ht, hs, a: ops.mul(ops.edge_scores(ht, hs, a, self.TARGETS, self.SOURCES), w),
+            [_param((5, 3)), _param((4, 3)), _param((6, 1))])
+
+    def test_edge_scores_shared_input_accumulates_both_parts(self):
+        # within-class attention scores an edge from one tensor on both sides
+        w = ops.constant(RNG.uniform(-2.0, 2.0, size=(7, 1)))
+        check_op_gradient(
+            lambda h, a: ops.mul(ops.edge_scores(h, h, a, self.TARGETS, self.SOURCES), w),
+            [_param((5, 3)), _param((6, 1))])
+
+    def test_edge_scores_match_concat_matmul(self):
+        rng = np.random.default_rng(9)
+        h_t = Tensor(rng.standard_normal((30, 16)), requires_grad=True)
+        h_s = Tensor(rng.standard_normal((20, 16)), requires_grad=True)
+        attn = Tensor(rng.standard_normal((32, 1)), requires_grad=True)
+        tgt, src = rng.integers(0, 30, size=400), rng.integers(0, 20, size=400)
+        split = ops.edge_scores(h_t, h_s, attn, tgt, src)
+        joint = ops.matmul(ops.concat_cols(ops.gather_rows(h_t, tgt),
+                                           ops.gather_rows(h_s, src)), attn)
+        assert split.shape == (400, 1)
+        np.testing.assert_allclose(split.data, joint.data, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("case", ["target high", "source negative", "lengths",
+                                      "attn rows", "attn cols", "source width"])
+    def test_edge_scores_shape_checks(self, case):
+        h_t, h_s, attn = np.ones((5, 3)), np.ones((4, 3)), np.ones((6, 1))
+        tgt, src = np.array([0, 4]), np.array([3, 0])
+        if case == "target high":
+            tgt = np.array([0, 5])
+        elif case == "source negative":
+            src = np.array([-1, 0])
+        elif case == "lengths":
+            src = np.array([3, 0, 1])
+        elif case == "attn rows":
+            attn = np.ones((7, 1))
+        elif case == "attn cols":
+            attn = np.ones((6, 2))
+        else:
+            h_s = np.ones((4, 2))
+        with pytest.raises(ShapeMismatch):
+            ops.edge_scores(Tensor(h_t), Tensor(h_s), Tensor(attn), tgt, src)
 
     def test_scatter_rows(self):
         x = _param((3, 2))
@@ -322,6 +373,15 @@ class TestCheckpointIo:
         assert [n for n, _ in loaded] == ["alpha", "beta", "gamma"]
         for (_, t), (_, arr) in zip(named, loaded):
             np.testing.assert_array_equal(t.data, arr)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_rejected(self, tmp_path, bad):
+        weights = RNG.normal(size=(2, 3))
+        weights[1, 2] = bad
+        path = tmp_path / "ckpt.bin"
+        save_tensors(path, [("fine", Tensor(np.ones((1, 2)))), ("layer0.w", Tensor(weights))])
+        with pytest.raises(IoFailure, match=r"ckpt\.bin tensor 'layer0\.w' holds NaN"):
+            load_tensors(path)
 
     def test_save_is_deterministic(self, tmp_path):
         named = [("w", Tensor(RNG.normal(size=(4, 4))))]
