@@ -16,13 +16,13 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .errors import Error, InfeasibleConfig, IoFailure
+from .errors import ConfigShapeMismatch, Error, InfeasibleConfig, IoFailure
 from .graph import BiGraph, NodeType, format_float, write_lines
 from .gradcheck import gradcheck
 from .model import VARIANTS, ORDERINGS, ModelConfig, TaskKind, forward
 from .params import ParamSet, build_params
 from .synth import SynthConfig, export_dataset, generate, import_dataset
-from .tensor import load_tensors, save_tensors
+from .tensor import load_meta, load_tensors, save_tensors
 from .train import evaluate, train, write_log
 
 COMMANDS = ("generate", "train", "eval", "ablate", "gradcheck",
@@ -94,9 +94,36 @@ def _write_json(path, payload) -> None:
     write_lines(path, [json.dumps(payload, indent=2, sort_keys=True)])
 
 
+def _fingerprint(graph: BiGraph, config: ModelConfig) -> dict:
+    """What a checkpoint must match beyond its parameter names and shapes."""
+    specs = [graph.spec(name) for name in graph.relation_names()]
+    return {"variant": config.variant, "ordering": config.ordering,
+            "relations": [[s.name, s.klass.value, s.src_type.label, s.dst_type.label]
+                          for s in specs]}
+
+
+def _check_fingerprint(path, saved: dict | None, expected: dict) -> None:
+    saved = saved or {}
+    for key, want in expected.items():
+        if key not in saved:
+            raise ConfigShapeMismatch(f"checkpoint {path} has no {key!r} in its fingerprint")
+        got = saved[key]
+        if got == want:
+            continue
+        if key == "relations":
+            k = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                     min(len(got), len(want)))
+            got = got[k] if k < len(got) else None
+            want = want[k] if k < len(want) else None
+            key = f"relation {k}"
+        raise ConfigShapeMismatch(
+            f"checkpoint {path} was saved for {key} {got!r}, this run has {want!r}")
+
+
 def _load_checkpoint(cfg: dict, args, graph, tasks, config) -> ParamSet:
-    ps = build_params(graph, config, tasks)
     path = cfg.get("checkpoint") or os.path.join(args.out, "checkpoint.bin")
+    _check_fingerprint(path, load_meta(path), _fingerprint(graph, config))
+    ps = build_params(graph, config, tasks)
     ps.load(load_tensors(path))
     return ps
 
@@ -117,7 +144,7 @@ def _cmd_train(cfg, args) -> int:
     ps, result = train(graph, tasks, config)
     os.makedirs(args.out, exist_ok=True)
     save_tensors(os.path.join(args.out, "checkpoint.bin"),
-                 [(n, ps.get(n)) for n in ps.names()])
+                 [(n, ps.get(n)) for n in ps.names()], meta=_fingerprint(graph, config))
     write_log(os.path.join(args.out, "train_log.jsonl"), result.log)
     resolved = {"model": config.to_dict(),
                 "synth": synth.to_dict() if synth is not None else None,

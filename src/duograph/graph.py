@@ -10,10 +10,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
+from functools import cached_property
 from itertools import repeat
 
 import numpy as np
 
+from . import ops
 from .errors import (DanglingNode, DimensionMismatch, DirectionInvalid, IoFailure,
                      NodeOutOfRange, ParseError, TypeMismatch, UnknownRelation)
 
@@ -98,6 +100,7 @@ class MessagePlan:
     Rows with no sources are dropped: `targets` lists only nodes that
     receive at least one message, `offsets` segments `sources` by target,
     and `edge_targets` repeats the target id once per incoming edge.
+    `layout` groups the edges by in- and out-degree for the weighted sum.
     """
 
     targets: np.ndarray
@@ -113,6 +116,11 @@ class MessagePlan:
     @property
     def covers_all(self) -> bool:
         return self.targets.size == self.n_targets_total
+
+    @cached_property
+    def layout(self) -> ops.DegreeLayout:
+        """Built on first use, then kept with the plan."""
+        return ops.degree_layout(self.offsets, self.sources)
 
 
 def _csr_from_pairs(src: np.ndarray, dst: np.ndarray, n_rows: int, n_cols: int) -> CsrAdjacency:

@@ -6,9 +6,14 @@ the scores over the neighborhood, and aggregates neighbor projections
 through a per-relation normalization. An edge j -> i scores
 leaky(a . [h_i || h_j]), computed as a[:d] . h_i + a[d:] . h_j: two [n,1]
 node columns, one scalar of each gathered per edge (`ops.edge_scores`),
-so no [E,2d] concat is ever built. The fusion step weights relations
-by a convex mix of graph-level softmax weights and per-node softmax
-scores; the mix factor is a learned sigmoid gate.
+so no [E,2d] concat is ever built. The attention-weighted sum reads the
+source rows itself (`ops.weighted_sum_rows`): the plan's cached degree
+layout groups the targets with equal in-degree k, and each group sums
+as one batched [1,k] @ [k,d] matmul, so no [E,d] tensor enters the
+tape; its backward groups the sources by out-degree the same way. The
+fusion step weights relations by a convex mix of graph-level softmax
+weights and per-node softmax scores; the mix factor is a learned
+sigmoid gate.
 """
 from __future__ import annotations
 
@@ -60,9 +65,8 @@ def attend_over_plan(target_feats: Tensor, source_feats: Tensor, plan: MessagePl
     """
     scores = ops.leaky_relu(ops.edge_scores(target_feats, source_feats, attn,
                                             plan.edge_targets, plan.sources), slope)
-    src = ops.gather_rows(source_feats, plan.sources)
     alpha = ops.segment_softmax(scores, plan.offsets)
-    agg = ops.weighted_sum_rows(alpha, src, plan.offsets)
+    agg = ops.weighted_sum_rows(alpha, source_feats, plan.sources, plan.layout)
     out = ops.leaky_relu(ops.layer_norm(agg, gain, bias), slope)
     return out, alpha
 

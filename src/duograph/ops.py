@@ -7,6 +7,8 @@ never themselves recorded.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import EmptySegment, ShapeMismatch
@@ -316,21 +318,109 @@ def segment_softmax(scores: Tensor, offsets) -> Tensor:
     return _result(y, (scores,), bw)
 
 
-def weighted_sum_rows(weights: Tensor, values: Tensor, offsets) -> Tensor:
-    """Per segment s: sum_i weights[i] * values[i] over rows i in s -> [k,d]."""
+@dataclass(frozen=True)
+class DegreeLayout:
+    """The edges of a segmented edge list, grouped by degree both ways.
+
+    `target_perm` lists the edges group by group: the segments with k
+    edges, in segment order, fill one run of n_k * k entries, so the run
+    reshapes to the [n_k, k] edge positions of those segments.
+    `target_groups` holds (k, segment ids) for each run. `source_perm`
+    and `source_groups` do the same for the edges leaving each source
+    node, taken in a stable source-sorted order, and `source_segments`
+    is the segment of each edge in `source_perm` order.
+    """
+
+    n_edges: int
+    n_segments: int
+    target_perm: Array
+    target_groups: tuple
+    source_perm: Array
+    source_groups: tuple
+    source_segments: Array
+
+
+def _degree_groups(lengths: Array, starts: Array, edge_order: Array):
+    """Group items by length: (edge permutation, ((k, item ids), ...))."""
+    order = np.argsort(lengths, kind="stable")
+    ks, first = np.unique(lengths[order], return_index=True)
+    bounds = np.append(first, order.size)
+    groups, runs = [], [np.zeros(0, dtype=np.int64)]
+    for k, lo, hi in zip(ks.tolist(), bounds[:-1], bounds[1:]):
+        ids = order[lo:hi]
+        groups.append((k, ids))
+        runs.append(edge_order[starts[ids][:, None] + np.arange(k)].ravel())
+    return np.concatenate(runs), tuple(groups)
+
+
+def degree_layout(offsets, sources) -> DegreeLayout:
+    """Degree groups of the edges that `offsets` segments; see `weighted_sum_rows`."""
     off = np.asarray(offsets, dtype=np.int64)
-    if weights.shape != (values.shape[0], 1):
-        raise ShapeMismatch(f"weights {weights.shape} vs values {values.shape}")
-    _check_offsets(off, values.shape[0])
-    starts = off[:-1]
+    src = np.asarray(sources, dtype=np.int64)
+    if src.ndim != 1:
+        raise ShapeMismatch("degree_layout sources must be 1-D")
+    _check_offsets(off, src.size)
     seg_len = np.diff(off)
-    wd, vd = weights.data, values.data
-    out = np.add.reduceat(wd * vd, starts, axis=0)
+    target_perm, target_groups = _degree_groups(seg_len, off[:-1], np.arange(src.size))
+    by_source = np.argsort(src, kind="stable")
+    nodes, first, counts = np.unique(src[by_source], return_index=True, return_counts=True)
+    source_perm, groups = _degree_groups(counts, first, by_source)
+    edge_segments = np.repeat(np.arange(seg_len.size), seg_len)
+    return DegreeLayout(n_edges=src.size, n_segments=seg_len.size,
+                        target_perm=target_perm, target_groups=target_groups,
+                        source_perm=source_perm,
+                        source_groups=tuple((k, nodes[ids]) for k, ids in groups),
+                        source_segments=edge_segments[source_perm])
+
+
+def _runs(groups):
+    """(ids, run slice, n_k, k) for each degree group, in layout order."""
+    start = 0
+    for k, ids in groups:
+        stop = start + ids.size * k
+        yield ids, slice(start, stop), ids.size, k
+        start = stop
+
+
+def weighted_sum_rows(weights: Tensor, values: Tensor, sources,
+                      layout: DegreeLayout) -> Tensor:
+    """Per segment s: sum of weights[e] * values[sources[e]] over its edges e -> [k,d].
+
+    The source gather is fused into the sum. `layout` is
+    `degree_layout(offsets, sources)`; each group of n_k segments with k
+    edges is one batched [1,k] @ [k,d] matmul. The gathered [E,d] source
+    rows are kept only for the backward, which takes each edge's weight
+    gradient as a batched dot of its segment's output gradient with its
+    row, and the values gradient as batched matmuls over the groups of
+    source nodes with equal out-degree (values no edge reads get 0).
+    """
+    n_edges, d = layout.n_edges, values.shape[1]
+    if weights.shape != (n_edges, 1):
+        raise ShapeMismatch(f"weights {weights.shape} vs {n_edges} edges")
+    src = _row_index(sources, values.shape[0], "weighted_sum_rows sources")
+    if src.size != n_edges:
+        raise ShapeMismatch(f"weighted_sum_rows {src.size} sources vs {n_edges} edges")
+    w = weights.data[:, 0]
+    w_t = w[layout.target_perm]
+    rows = np.take(values.data, src[layout.target_perm], axis=0)
+    out = np.empty((layout.n_segments, d))
+    for segs, run, n, k in _runs(layout.target_groups):
+        out[segs] = np.matmul(w_t[run].reshape(n, 1, k), rows[run].reshape(n, k, d))[:, 0, :]
 
     def bw(g: Array):
-        g_rows = np.repeat(g, seg_len, axis=0)
-        gw = (g_rows * vd).sum(axis=1, keepdims=True) if weights.requires_grad else None
-        gv = g_rows * wd if values.requires_grad else None
+        gw = gv = None
+        if weights.requires_grad:
+            gw_t = np.empty(n_edges)
+            for segs, run, n, k in _runs(layout.target_groups):
+                gw_t[run] = np.matmul(rows[run].reshape(n, k, d), g[segs][:, :, None]).ravel()
+            gw = np.empty((n_edges, 1))
+            gw[layout.target_perm, 0] = gw_t
+        if values.requires_grad:
+            gv = np.zeros(values.shape)
+            w_s = w[layout.source_perm]
+            for nodes, run, n, k in _runs(layout.source_groups):
+                g_rows = np.take(g, layout.source_segments[run], axis=0).reshape(n, k, d)
+                gv[nodes] = np.matmul(w_s[run].reshape(n, 1, k), g_rows)[:, 0, :]
         return gw, gv
 
     return _result(out, (weights, values), bw)

@@ -128,10 +128,13 @@ def backward(tape: Tape, loss: Tensor) -> None:
 
 
 # checkpoint interchange: one JSON header line, then little-endian float64
-# payload holding every tensor flattened in header order.
+# payload holding every tensor flattened in header order. The header may
+# also carry a `meta` object that the payload does not depend on.
 
-def save_tensors(path, named: list[tuple[str, Tensor]]) -> None:
+def save_tensors(path, named: list[tuple[str, Tensor]], meta: dict | None = None) -> None:
     header = {"tensors": [[name, list(t.data.shape)] for name, t in named]}
+    if meta is not None:
+        header["meta"] = meta
     try:
         with open(path, "wb") as fh:
             fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
@@ -142,18 +145,29 @@ def save_tensors(path, named: list[tuple[str, Tensor]]) -> None:
         raise IoFailure(f"cannot write checkpoint {path}: {exc}") from exc
 
 
-def load_tensors(path) -> list[tuple[str, Array]]:
+def _read_checkpoint(path, payload: bool) -> tuple[dict, bytes]:
     try:
         with open(path, "rb") as fh:
             header_line = fh.readline()
-            payload = fh.read()
+            data = fh.read() if payload else b""
     except OSError as exc:
         raise IoFailure(f"cannot read checkpoint {path}: {exc}") from exc
     try:
         header = json.loads(header_line.decode("utf-8"))
-        entries = header["tensors"]
-    except (ValueError, KeyError) as exc:
+        header["tensors"]  # every header lists its tensors
+    except (ValueError, KeyError, TypeError) as exc:
         raise IoFailure(f"malformed checkpoint header in {path}: {exc}") from exc
+    return header, data
+
+
+def load_meta(path) -> dict | None:
+    """The header's `meta` object, or None for a checkpoint saved without one."""
+    return _read_checkpoint(path, payload=False)[0].get("meta")
+
+
+def load_tensors(path) -> list[tuple[str, Array]]:
+    header, payload = _read_checkpoint(path, payload=True)
+    entries = header["tensors"]
     flat = np.frombuffer(payload, dtype="<f8")
     out = []
     offset = 0

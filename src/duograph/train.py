@@ -55,6 +55,13 @@ def _total_loss(tasks, embs, ps, config, split, neg_rng):
     return total
 
 
+def _check_gradients(ps: ParamSet, epoch: int) -> None:
+    """Raise DivergedLoss naming the first parameter whose gradient is not finite."""
+    for name, t in ps.named:
+        if not np.isfinite(t.grad).all():
+            raise DivergedLoss(f"gradient of {name!r} became non-finite at epoch {epoch + 1}")
+
+
 def train(graph: BiGraph, tasks, config: ModelConfig, ps: ParamSet | None = None):
     """Train on the `train` split; returns (params, TrainResult).
 
@@ -82,6 +89,7 @@ def train(graph: BiGraph, tasks, config: ModelConfig, ps: ParamSet | None = None
         if not np.isfinite(train_loss):
             raise DivergedLoss(f"train loss became {train_loss} at epoch {epoch + 1}")
         backward(tape, loss)
+        _check_gradients(ps, epoch)
         opt.step(lr)
 
         tape = Tape()

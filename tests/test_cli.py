@@ -1,11 +1,13 @@
 """Command-line behavior: artifacts, idempotency, exit codes."""
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
-from duograph.cli import main
+from duograph.cli import _check_fingerprint, main
+from duograph.errors import ConfigShapeMismatch
 
 CONFIG = {
     "synth": {"n_papers": 28, "n_authors": 14, "n_venues": 2, "n_fields_l1": 2,
@@ -207,6 +209,85 @@ class TestExports:
         first = _read(os.path.join(out, "embeddings_pca.tsv"))
         main(["export-emb", "--config", config_path, "--out", out])
         assert _read(os.path.join(out, "embeddings_pca.tsv")) == first
+
+
+def _rename_relation(src_dir, dst_dir, old, new):
+    os.makedirs(dst_dir)
+    for name in os.listdir(src_dir):
+        lines = _read(os.path.join(src_dir, name)).decode("utf-8").split("\n")
+        if name in ("relations.tsv", "edges.tsv"):
+            lines = [new + line[len(old):] if line.split("\t")[0] == old else line
+                     for line in lines]
+        with open(os.path.join(dst_dir, name), "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines))
+
+
+class TestCheckpointFingerprint:
+    def _train(self, tmp_path, config_path, *flags):
+        out = str(tmp_path / "run")
+        assert main(["train", "--config", config_path, "--out", out, *flags]) == 0
+        return out
+
+    def test_header_holds_variant_ordering_and_schema(self, tmp_path, config_path):
+        out = self._train(tmp_path, config_path, "--ordering", "inverted")
+        with open(os.path.join(out, "checkpoint.bin"), "rb") as fh:
+            meta = json.loads(fh.readline())["meta"]
+        assert meta["variant"] == "full" and meta["ordering"] == "inverted"
+        assert ["lead_author_of", "inter", "A", "B"] in meta["relations"]
+        assert [r[0] for r in meta["relations"]] == sorted(r[0] for r in meta["relations"])
+
+    def test_other_variant_is_rejected(self, tmp_path, config_path, capsys):
+        out = self._train(tmp_path, config_path, "--variant", "no-hier")
+        assert main(["eval", "--config", config_path, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigShapeMismatch: ")
+        assert "saved for variant 'no-hier', this run has 'full'" in err
+
+    def test_same_parameters_other_ordering_is_rejected(self, tmp_path, config_path, capsys):
+        # standard and inverted read the same parameter names and shapes
+        out = self._train(tmp_path, config_path, "--ordering", "inverted")
+        assert main(["eval", "--config", config_path, "--out", out]) == 1
+        assert "saved for ordering 'inverted', this run has 'standard'" in capsys.readouterr().err
+        assert main(["eval", "--config", config_path, "--out", out,
+                     "--ordering", "inverted"]) == 0
+
+    def test_dataset_with_renamed_relation_is_rejected(self, tmp_path, config_path, capsys):
+        data = str(tmp_path / "data")
+        main(["generate", "--config", config_path, "--out", data])
+        renamed = str(tmp_path / "renamed")
+        _rename_relation(data, renamed, "lead_author_of", "first_author_of")
+        run_cfg = tmp_path / "run.json"
+        run_cfg.write_text(json.dumps({"data": data, "model": CONFIG["model"]}))
+        out = self._train(tmp_path, str(run_cfg))
+        other_cfg = tmp_path / "other.json"
+        other_cfg.write_text(json.dumps({"data": renamed, "model": CONFIG["model"],
+                                         "checkpoint": os.path.join(out, "checkpoint.bin")}))
+        assert main(["eval", "--config", str(other_cfg), "--out", str(tmp_path / "e")]) == 1
+        err = capsys.readouterr().err
+        assert "saved for relation 5 ['lead_author_of', 'inter', 'A', 'B'], " \
+               "this run has ['first_author_of', 'inter', 'A', 'B']" in err
+
+    @pytest.mark.parametrize("saved, message", [
+        ({"variant": "full"}, "has no 'ordering' in its fingerprint"),
+        ({"variant": "full", "ordering": "standard", "relations": [["cite", "intra_b", "B", "B"]]},
+         "saved for relation 1 None, this run has ['wrote', 'inter', 'A', 'B']"),
+    ])
+    def test_first_differing_field_is_named(self, saved, message):
+        expected = {"variant": "full", "ordering": "standard",
+                    "relations": [["cite", "intra_b", "B", "B"], ["wrote", "inter", "A", "B"]]}
+        with pytest.raises(ConfigShapeMismatch, match=re.escape(message)):
+            _check_fingerprint("ckpt.bin", saved, expected)
+
+    def test_checkpoint_without_fingerprint_is_rejected(self, tmp_path, config_path, capsys):
+        out = self._train(tmp_path, config_path)
+        path = os.path.join(out, "checkpoint.bin")
+        header, payload = _read(path).split(b"\n", 1)
+        bare = json.loads(header)
+        del bare["meta"]
+        with open(path, "wb") as fh:
+            fh.write(json.dumps(bare).encode("utf-8") + b"\n" + payload)
+        assert main(["eval", "--config", config_path, "--out", out]) == 1
+        assert "has no 'variant' in its fingerprint" in capsys.readouterr().err
 
 
 class TestExitCodes:

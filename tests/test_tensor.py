@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from duograph import ops
+from hypothesis import given, settings, strategies as st
+
+from duograph import inter, ops
 from duograph.errors import (EmptySegment, IoFailure, NonScalarLoss, ShapeMismatch,
                              TapeConsumed)
+from duograph.graph import NodeType, RelationClass, RelationSpec, build_graph
 from duograph.tensor import Tape, Tensor, backward, load_tensors, save_tensors
 
 from fd import fd_gradient, rel_err
@@ -266,10 +269,14 @@ class TestPrimitiveGradients:
             ops.segment_softmax(Tensor(np.ones((3, 1))), np.array([0, 1, 1, 3]))
 
     def test_weighted_sum_rows(self):
-        w = _param((6, 1))
-        v = _param((6, 3))
-        off = np.array([0, 2, 3, 6])
-        check_op_gradient(lambda a, b: ops.weighted_sum_rows(a, b, off), [w, v])
+        # sources 1 and 3 repeat; source 2 is read by no edge
+        w = _param((7, 1))
+        v = _param((5, 3))
+        off = np.array([0, 2, 3, 7])
+        sources = np.array([1, 3, 0, 3, 1, 4, 1])
+        layout = ops.degree_layout(off, sources)
+        check_op_gradient(lambda a, b: ops.weighted_sum_rows(a, b, sources, layout), [w, v])
+        assert v.grad[2].tolist() == [0.0, 0.0, 0.0]
 
     def test_layer_norm(self):
         x = _param((4, 5))
@@ -347,6 +354,131 @@ class TestPrimitiveGradients:
         a = ops.dropout(x, 0.3, np.random.default_rng(11)).data
         b = ops.dropout(x, 0.3, np.random.default_rng(11)).data
         np.testing.assert_array_equal(a, b)
+
+
+def _weighted_sum_oracle(w, h, sources, offsets, g):
+    """The gather-then-reduceat aggregation and its gradients, in plain numpy."""
+    seg_len = np.diff(offsets)
+    rows = h[sources]
+    out = np.add.reduceat(w * rows, offsets[:-1], axis=0)
+    g_rows = np.repeat(g, seg_len, axis=0)
+    gh = np.zeros_like(h)
+    np.add.at(gh, sources, g_rows * w)
+    return out, (g_rows * rows).sum(axis=1, keepdims=True), gh
+
+
+def _check_against_oracle(offsets, sources, n_sources, d=4, seed=0):
+    rng = np.random.default_rng(seed)
+    w = Tensor(rng.uniform(-1.0, 1.0, size=(sources.size, 1)), requires_grad=True)
+    h = Tensor(rng.standard_normal((n_sources, d)), requires_grad=True)
+    g = rng.standard_normal((offsets.size - 1, d))
+    layout = ops.degree_layout(offsets, sources)
+    with Tape() as tape:
+        out = ops.weighted_sum_rows(w, h, sources, layout)
+        loss = ops.sum_all(ops.mul(out, ops.constant(g)))
+    backward(tape, loss)
+    want_out, want_gw, want_gh = _weighted_sum_oracle(w.data, h.data, sources, offsets, g)
+    for got, want in ((out.data, want_out), (w.grad, want_gw), (h.grad, want_gh)):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+def _segments(lengths, n_sources, rng):
+    lengths = np.asarray(lengths, dtype=np.int64)
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    return offsets, rng.integers(0, n_sources, size=int(offsets[-1]))
+
+
+def _cross_plan_with_dropped_targets():
+    # papers 1 and 4 are written by nobody, so the plan toward B drops them
+    specs = [RelationSpec("wrote", RelationClass.INTER, NodeType.A, NodeType.B)]
+    feats = {NodeType.A: np.zeros((4, 3)), NodeType.B: np.zeros((5, 3))}
+    edges = [("wrote", 0, 0), ("wrote", 1, 0), ("wrote", 3, 0), ("wrote", 2, 2),
+             ("wrote", 2, 3), ("wrote", 0, 3)]
+    graph = build_graph({NodeType.A: 4, NodeType.B: 5}, feats, specs, edges)
+    d = 3
+    ones, zeros = ops.constant(np.ones((1, d))), ops.constant(np.zeros((1, d)))
+    _, reached, _, plan = inter.node_aggregate(
+        ops.constant(graph.features[NodeType.B]), ops.constant(graph.features[NodeType.A]),
+        graph, "wrote", NodeType.B, ops.constant(np.ones((2 * d, 1))), ones, zeros, 0.2)
+    assert not plan.covers_all and reached.tolist() == [True, False, True, True, False]
+    return plan.offsets, plan.sources, 4
+
+
+class TestWeightedSumRows:
+    @pytest.mark.parametrize("case", ["hub target", "one-edge segments",
+                                      "many degrees", "cross plan"])
+    def test_matches_gather_reduceat(self, case):
+        rng = np.random.default_rng(11)
+        if case == "hub target":
+            offsets, sources = _segments([2, 1, 60, 3, 1], 9, rng)
+        elif case == "one-edge segments":
+            offsets, sources = _segments(np.ones(12), 5, rng)
+        elif case == "many degrees":
+            offsets, sources = _segments(rng.permutation(np.arange(1, 31).repeat(2)), 40, rng)
+        else:
+            offsets, sources, n_sources = _cross_plan_with_dropped_targets()
+            _check_against_oracle(offsets, sources, n_sources)
+            return
+        _check_against_oracle(offsets, sources, int(sources.max()) + 3)
+
+    def test_layout_groups_cover_every_edge_once(self):
+        offsets = np.array([0, 3, 4, 7, 9])
+        sources = np.array([2, 0, 2, 1, 2, 0, 4, 0, 2])
+        layout = ops.degree_layout(offsets, sources)
+        assert sorted(layout.target_perm.tolist()) == list(range(9))
+        assert sorted(layout.source_perm.tolist()) == list(range(9))
+        assert [(k, ids.tolist()) for k, ids in layout.target_groups] == [
+            (1, [1]), (2, [3]), (3, [0, 2])]
+        assert [(k, ids.tolist()) for k, ids in layout.source_groups] == [
+            (1, [1, 4]), (3, [0]), (4, [2])]
+        # node 2's edges in source order (stable), and their segments
+        assert layout.source_perm[-4:].tolist() == [0, 2, 4, 8]
+        assert layout.source_segments[-4:].tolist() == [0, 0, 2, 3]
+
+    @pytest.mark.parametrize("case", ["weights wide", "weights short", "weights row",
+                                      "source high", "source negative", "sources short"])
+    def test_shape_checks(self, case):
+        offsets, sources = np.array([0, 2, 3]), np.array([0, 2, 1])
+        layout = ops.degree_layout(offsets, sources)
+        w, h = np.ones((3, 1)), np.ones((3, 2))
+        if case == "weights wide":
+            w = np.ones((3, 2))
+        elif case == "weights short":
+            w = np.ones((2, 1))
+        elif case == "weights row":
+            w = np.ones((1, 3))
+        elif case == "source high":
+            sources = np.array([0, 3, 1])
+        elif case == "source negative":
+            sources = np.array([0, -1, 1])
+        else:
+            sources = np.array([0, 2])
+        with pytest.raises(ShapeMismatch):
+            ops.weighted_sum_rows(Tensor(w), Tensor(h), sources, layout)
+
+    def test_layout_rejects_empty_segment(self):
+        with pytest.raises(EmptySegment):
+            ops.degree_layout(np.array([0, 2, 2, 3]), np.array([0, 1, 0]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6),
+           st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=30),
+           st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=30))
+    def test_random_graph_plans_match_oracle(self, n_a, n_b, intra_pairs, cross_pairs):
+        specs = [RelationSpec("peer", RelationClass.INTRA_A, NodeType.A, NodeType.A),
+                 RelationSpec("link", RelationClass.INTER, NodeType.A, NodeType.B)]
+        edges = [("peer", s % n_a, t % n_a) for s, t in intra_pairs]
+        edges += [("link", s % n_a, t % n_b) for s, t in cross_pairs]
+        feats = {NodeType.A: np.zeros((n_a, 2)), NodeType.B: np.zeros((n_b, 2))}
+        graph = build_graph({NodeType.A: n_a, NodeType.B: n_b}, feats, specs, edges)
+        sizes = {NodeType.A: n_a, NodeType.B: n_b}
+        for name, target, source in (("peer", NodeType.A, NodeType.A),
+                                     ("link", NodeType.A, NodeType.B),
+                                     ("link", NodeType.B, NodeType.A)):
+            plan = graph.message_plan(name, target)
+            if plan.n_edges:
+                _check_against_oracle(plan.offsets, plan.sources, sizes[source])
 
 
 class TestLinearBackwardStructure:

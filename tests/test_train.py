@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from duograph import ops
 from duograph.errors import DivergedLoss
 from duograph.metrics import accuracy, mrr, ndcg, ranked_order
 from duograph.model import ModelConfig, RankInstance, TaskKind, forward
@@ -121,6 +122,28 @@ class TestTrainLoop:
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(DivergedLoss):
                 train(graph, tasks, bad)
+
+    def test_non_finite_gradient_names_first_parameter(self, monkeypatch):
+        # the loss stays finite while both feature projections get an inf
+        # gradient; the error names the earlier one in ParamSet order, and
+        # no optimizer step is taken
+        graph, tasks, config = _problem()
+        ps = build_params(graph, config, tasks)
+        before = ps.snapshot()
+        poisoned = (ps.get("layer0.B.proj"), ps.get("layer0.A.proj"))
+        real_matmul = ops.matmul
+
+        def matmul(x, w):
+            if not any(w is p for p in poisoned):
+                return real_matmul(x, w)
+            return ops._result(x.data @ w.data, (x, w),
+                               lambda g: (None, np.full(w.shape, np.inf)))
+
+        monkeypatch.setattr(ops, "matmul", matmul)
+        with pytest.raises(DivergedLoss, match=r"'layer0\.A\.proj' became non-finite at epoch 1$"):
+            train(graph, tasks, config, ps=ps)
+        for (name, old), (_, new) in zip(before, ps.snapshot()):
+            assert np.array_equal(old, new), name
 
     def test_write_log_round_trips(self, tmp_path):
         graph, tasks, config = _problem()
