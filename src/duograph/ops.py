@@ -340,17 +340,16 @@ class DegreeLayout:
     source_segments: Array
 
 
-def _degree_groups(lengths: Array, starts: Array, edge_order: Array):
-    """Group items by length: (edge permutation, ((k, item ids), ...))."""
+def _degree_groups(ids: Array, lengths: Array, edges: Array):
+    """Group `ids` by edge count; `edges` holds the edges of ids[0], ids[1], ... in turn.
+
+    Returns the edges reordered group by group (a stable sort, so each
+    id's edges stay together and in order) and ((k, ids with k edges), ...).
+    """
+    perm = edges[np.argsort(np.repeat(lengths, lengths), kind="stable")]
     order = np.argsort(lengths, kind="stable")
-    ks, first = np.unique(lengths[order], return_index=True)
-    bounds = np.append(first, order.size)
-    groups, runs = [], [np.zeros(0, dtype=np.int64)]
-    for k, lo, hi in zip(ks.tolist(), bounds[:-1], bounds[1:]):
-        ids = order[lo:hi]
-        groups.append((k, ids))
-        runs.append(edge_order[starts[ids][:, None] + np.arange(k)].ravel())
-    return np.concatenate(runs), tuple(groups)
+    ks, sizes = np.unique(lengths[order], return_counts=True)
+    return perm, tuple(zip(ks.tolist(), np.split(ids[order], np.cumsum(sizes)[:-1])))
 
 
 def degree_layout(offsets, sources) -> DegreeLayout:
@@ -361,15 +360,16 @@ def degree_layout(offsets, sources) -> DegreeLayout:
         raise ShapeMismatch("degree_layout sources must be 1-D")
     _check_offsets(off, src.size)
     seg_len = np.diff(off)
-    target_perm, target_groups = _degree_groups(seg_len, off[:-1], np.arange(src.size))
-    by_source = np.argsort(src, kind="stable")
-    nodes, first, counts = np.unique(src[by_source], return_index=True, return_counts=True)
-    source_perm, groups = _degree_groups(counts, first, by_source)
+    target_perm, target_groups = _degree_groups(np.arange(seg_len.size), seg_len,
+                                                np.arange(src.size))
+    out_degree = np.bincount(src)
+    nodes = np.flatnonzero(out_degree)
+    source_perm, source_groups = _degree_groups(nodes, out_degree[nodes],
+                                                np.argsort(src, kind="stable"))
     edge_segments = np.repeat(np.arange(seg_len.size), seg_len)
     return DegreeLayout(n_edges=src.size, n_segments=seg_len.size,
                         target_perm=target_perm, target_groups=target_groups,
-                        source_perm=source_perm,
-                        source_groups=tuple((k, nodes[ids]) for k, ids in groups),
+                        source_perm=source_perm, source_groups=source_groups,
                         source_segments=edge_segments[source_perm])
 
 
