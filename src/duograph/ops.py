@@ -340,32 +340,43 @@ class DegreeLayout:
     source_segments: Array
 
 
+def _stable_order(keys: Array) -> Array:
+    """np.argsort(keys, kind="stable") of non-negative integer keys."""
+    if keys.max() < 1 << 16:
+        keys = keys.astype(np.uint16)  # numpy radix-sorts 16-bit keys, ~10x faster
+    return np.argsort(keys, kind="stable")
+
+
 def _degree_groups(ids: Array, lengths: Array, edges: Array):
     """Group `ids` by edge count; `edges` holds the edges of ids[0], ids[1], ... in turn.
 
     Returns the edges reordered group by group (a stable sort, so each
     id's edges stay together and in order) and ((k, ids with k edges), ...).
     """
-    perm = edges[np.argsort(np.repeat(lengths, lengths), kind="stable")]
-    order = np.argsort(lengths, kind="stable")
-    ks, sizes = np.unique(lengths[order], return_counts=True)
-    return perm, tuple(zip(ks.tolist(), np.split(ids[order], np.cumsum(sizes)[:-1])))
+    order = _stable_order(lengths)
+    lens = lengths[order]
+    starts = (np.cumsum(lengths) - lengths)[order]   # where each id's edges begin in `edges`
+    run_starts = np.cumsum(lens) - lens              # where they begin in the result
+    perm = edges[np.repeat(starts - run_starts, lens) + np.arange(edges.size)]
+    bounds = [0, *(np.flatnonzero(np.diff(lens)) + 1).tolist(), lens.size]
+    sorted_ids = ids[order]
+    return perm, tuple((int(lens[lo]), sorted_ids[lo:hi])
+                       for lo, hi in zip(bounds[:-1], bounds[1:]))
 
 
 def degree_layout(offsets, sources) -> DegreeLayout:
     """Degree groups of the edges that `offsets` segments; see `weighted_sum_rows`."""
     off = np.asarray(offsets, dtype=np.int64)
     src = np.asarray(sources, dtype=np.int64)
-    if src.ndim != 1:
-        raise ShapeMismatch("degree_layout sources must be 1-D")
+    if src.ndim != 1 or (src.size and src.min() < 0):
+        raise ShapeMismatch("degree_layout sources must be 1-D and non-negative")
     _check_offsets(off, src.size)
     seg_len = np.diff(off)
     target_perm, target_groups = _degree_groups(np.arange(seg_len.size), seg_len,
                                                 np.arange(src.size))
     out_degree = np.bincount(src)
     nodes = np.flatnonzero(out_degree)
-    source_perm, source_groups = _degree_groups(nodes, out_degree[nodes],
-                                                np.argsort(src, kind="stable"))
+    source_perm, source_groups = _degree_groups(nodes, out_degree[nodes], _stable_order(src))
     edge_segments = np.repeat(np.arange(seg_len.size), seg_len)
     return DegreeLayout(n_edges=src.size, n_segments=seg_len.size,
                         target_perm=target_perm, target_groups=target_groups,

@@ -457,9 +457,25 @@ class TestWeightedSumRows:
         with pytest.raises(ShapeMismatch):
             ops.weighted_sum_rows(Tensor(w), Tensor(h), sources, layout)
 
+    def test_layout_of_ids_past_16_bits(self):
+        # ids of 2**16 and up take the general stable sort; an order-keeping
+        # renaming of the ids leaves the source order and groups as they were
+        offsets = np.array([0, 3, 4, 7, 9])
+        sources = np.array([2, 0, 2, 1, 2, 0, 4, 0, 2])
+        renamed = np.array([0, 1, 1 << 16, 0, 70000])
+        small = ops.degree_layout(offsets, sources)
+        big = ops.degree_layout(offsets, renamed[sources])
+        assert big.source_perm.tolist() == small.source_perm.tolist()
+        assert [(k, ids.tolist()) for k, ids in big.source_groups] == [
+            (k, renamed[ids].tolist()) for k, ids in small.source_groups]
+
     def test_layout_rejects_empty_segment(self):
         with pytest.raises(EmptySegment):
             ops.degree_layout(np.array([0, 2, 2, 3]), np.array([0, 1, 0]))
+
+    def test_layout_rejects_negative_source(self):
+        with pytest.raises(ShapeMismatch):
+            ops.degree_layout(np.array([0, 2, 3]), np.array([0, -1, 0]))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 6),
