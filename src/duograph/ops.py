@@ -395,11 +395,11 @@ def _runs(groups):
 
 def weighted_sum_rows(weights: Tensor, values: Tensor, sources,
                       layout: DegreeLayout) -> Tensor:
-    """Per segment s: sum of weights[e] * values[sources[e]] over its edges e -> [k,d].
+    """Per segment s: sum of weights[e] * values[sources[e]] over its edges e.
 
-    The source gather is fused into the sum. `layout` is
-    `degree_layout(offsets, sources)`; each group of n_k segments with k
-    edges is one batched [1,k] @ [k,d] matmul. The gathered [E,d] source
+    Returns [n_segments, d]. The source gather is fused into the sum.
+    `layout` is `degree_layout(offsets, sources)`; each group of n_k
+    segments with k edges is one batched [1,k] @ [k,d] matmul. The gathered [E,d] source
     rows are kept only for the backward, which takes each edge's weight
     gradient as a batched dot of its segment's output gradient with its
     row, and the values gradient as batched matmuls over the groups of
