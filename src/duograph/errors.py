@@ -1,8 +1,12 @@
 """Exception types shared across the package.
 
 Every contract violation raises one of these instead of a bare assert so
-callers can distinguish bad input from bugs.
+callers can distinguish bad input from bugs. `check_fields` is the field
+type check that the model and generator configs share.
 """
+import math
+from dataclasses import fields
+from numbers import Integral, Real
 
 
 class Error(Exception):
@@ -112,3 +116,23 @@ class ParseError(Error):
         super().__init__(f"{path}:{line}: {message}")
         self.path = str(path)
         self.line = line
+
+
+def check_fields(config, error: type) -> None:
+    """Raise `error` naming the first dataclass field whose value has the wrong type.
+
+    int fields take integers but not bools, float fields take finite real
+    numbers, and str and bool fields take exactly those types.
+    """
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type == "int":
+            ok, want = isinstance(value, Integral) and not isinstance(value, bool), "an integer"
+        elif f.type == "float":
+            ok = (isinstance(value, Real) and not isinstance(value, bool)
+                  and math.isfinite(value))
+            want = "a finite number"
+        else:
+            ok, want = isinstance(value, {"str": str, "bool": bool}[f.type]), f"a {f.type}"
+        if not ok:
+            raise error(f"{f.name} must be {want}, got {value!r}")

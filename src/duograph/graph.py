@@ -17,7 +17,8 @@ import numpy as np
 
 from . import ops
 from .errors import (DanglingNode, DimensionMismatch, DirectionInvalid, IoFailure,
-                     NodeOutOfRange, ParseError, TypeMismatch, UnknownRelation)
+                     NodeOutOfRange, NoRelations, ParseError, TypeMismatch,
+                     UnknownRelation)
 
 
 class NodeType(IntEnum):
@@ -100,7 +101,6 @@ class MessagePlan:
     Rows with no sources are dropped: `targets` lists only nodes that
     receive at least one message, `offsets` segments `sources` by target,
     and `edge_targets` repeats the target id once per incoming edge.
-    `layout` groups the edges by in- and out-degree for the weighted sum.
     """
 
     targets: np.ndarray
@@ -117,10 +117,52 @@ class MessagePlan:
     def covers_all(self) -> bool:
         return self.targets.size == self.n_targets_total
 
+
+@dataclass(frozen=True)
+class BlockPlan:
+    """The message plans of K relations toward one node class, stacked.
+
+    Block row k*n + i is node i under relation k (n target nodes). The K
+    plans are concatenated relation by relation, so the edges and the
+    segments of relation k form the runs `edge_runs[k]` and `row_runs[k]`.
+    `offsets`, `sources` and `layout` read like one message plan whose
+    segments are the reached block rows `rows`. Sources index the value
+    rows: the target class for within-class relations, the other class
+    for cross-class ones, or, when `stacked` (a block mixing both), the
+    target rows over the other class's rows, with cross sources offset by
+    n. `target_index` and `source_index` are each edge's flat index into
+    the row-major [n,K] target and [n_v,K] source score matrices, and
+    `mask` is the [n,K] table of the nodes each relation reaches.
+    """
+
+    plans: tuple
+    stacked: bool
+    rows: np.ndarray
+    offsets: np.ndarray
+    sources: np.ndarray
+    target_index: np.ndarray
+    source_index: np.ndarray
+    edge_runs: tuple
+    row_runs: tuple
+    mask: np.ndarray
+
+    @property
+    def n_edges(self) -> int:
+        return int(self.sources.size)
+
+    @property
+    def covers_all(self) -> bool:
+        return self.rows.size == self.mask.size
+
     @cached_property
     def layout(self) -> ops.DegreeLayout:
-        """Built on first use, then kept with the plan."""
+        """Built on first use, then kept with the block."""
         return ops.degree_layout(self.offsets, self.sources)
+
+
+def _runs(sizes) -> tuple:
+    ends = np.cumsum(sizes).tolist()
+    return tuple(slice(lo, hi) for lo, hi in zip([0, *ends[:-1]], ends))
 
 
 def _csr_from_pairs(src: np.ndarray, dst: np.ndarray, n_rows: int, n_cols: int) -> CsrAdjacency:
@@ -144,6 +186,7 @@ class BiGraph:
         self._csr = csr
         self._csr_rev = csr_rev
         self._plans: dict[tuple[str, NodeType, bool], MessagePlan] = {}
+        self._blocks: dict[tuple[tuple, NodeType], BlockPlan] = {}
 
     # introspection
 
@@ -203,6 +246,41 @@ class BiGraph:
             plan = self._build_plan(spec, target_type, with_loops)
             self._plans[key] = plan
         return plan
+
+    def block_plan(self, relations, target_type: NodeType) -> BlockPlan:
+        """The message plans of `relations` toward `target_type`, stacked in order."""
+        key = (tuple(relations), target_type)
+        block = self._blocks.get(key)
+        if block is None:
+            block = self._build_block(*key)
+            self._blocks[key] = block
+        return block
+
+    def _build_block(self, relations: tuple, target_type: NodeType) -> BlockPlan:
+        if not relations:
+            raise NoRelations(f"a block toward {target_type.label} needs a relation")
+        n, n_k = self.counts[target_type], len(relations)
+        plans = tuple(self.message_plan(rel, target_type) for rel in relations)
+        within = [self.spec(rel).is_intra for rel in relations]
+        stacked = any(within) and not all(within)
+        mask = np.zeros((n, n_k), dtype=bool)
+        for k, plan in enumerate(plans):
+            mask[plan.targets, k] = True
+        mask.flags.writeable = False  # fusion records share it across forwards
+        edge_k = np.repeat(np.arange(n_k), [p.n_edges for p in plans])
+        sources = np.concatenate([p.sources + (n if stacked and not w else 0)
+                                  for p, w in zip(plans, within)])
+        seg_sizes = np.concatenate([np.diff(p.offsets) for p in plans])
+        offsets = np.zeros(seg_sizes.size + 1, dtype=np.int64)
+        np.cumsum(seg_sizes, out=offsets[1:])
+        edge_targets = np.concatenate([p.edge_targets for p in plans])
+        return BlockPlan(
+            plans=plans, stacked=stacked,
+            rows=np.concatenate([k * n + p.targets for k, p in enumerate(plans)]),
+            offsets=offsets, sources=sources,
+            target_index=edge_targets * n_k + edge_k, source_index=sources * n_k + edge_k,
+            edge_runs=_runs([p.n_edges for p in plans]),
+            row_runs=_runs([p.targets.size for p in plans]), mask=mask)
 
     def _build_plan(self, spec: RelationSpec, target_type: NodeType, with_loops: bool) -> MessagePlan:
         if target_type is spec.src_type:

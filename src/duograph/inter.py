@@ -4,45 +4,36 @@ weighted residual connection used after each stage.
 
 Both classes are first mapped into a shared space by per-class square
 matrices; each cross relation is processed in both directions with its
-own attention vector and normalization per direction. Nodes that no
-cross relation reaches keep a zero pre-residual vector.
+own attention vector and normalization per direction. The cross
+relations toward one class run as one relation block (`graph.BlockPlan`,
+see `intra`), whose rows stay zero for nodes a relation does not reach.
+The unified stage of the no-dual variant puts the within-class relations
+in the same block: its values are the target rows stacked over the other
+class's rows.
 """
 from __future__ import annotations
 
-import numpy as np
-
 from . import ops
-from .errors import DirectionInvalid, RelationClassMismatch, ShapeMismatch
+from .errors import RelationClassMismatch, ShapeMismatch
 from .graph import BiGraph, NodeType
 from .intra import attend_over_plan
 from .tensor import Tensor
 
 
 def node_aggregate(mapped_target: Tensor, mapped_source: Tensor, graph: BiGraph,
-                   relation: str, target_type: NodeType,
-                   attn: Tensor, gain: Tensor, bias: Tensor, slope: float):
-    """Attention toward `target_type` over one cross relation.
+                   relations, target_type: NodeType, attns, gains, biases, slope: float):
+    """Attention toward `target_type` over a block holding cross relations.
 
-    Returns (rows, reached, alpha, plan): `rows` is [n_target, d] with
-    zeros where nothing arrived, `reached` the boolean coverage column.
+    Within-class relations of `target_type` may share the block; the values
+    are then `mapped_target` stacked over `mapped_source`. Returns (block
+    rows, alpha, block plan); `block.mask` flags the nodes each relation reached.
     """
-    spec = graph.spec(relation)
-    if spec.is_intra:
-        raise RelationClassMismatch(f"relation {relation!r} is not cross-class")
-    if target_type not in (spec.src_type, spec.dst_type):
-        raise DirectionInvalid(f"relation {relation!r} has no {target_type.label} endpoint")
-    n_target = graph.n_nodes(target_type)
-    plan = graph.message_plan(relation, target_type)
-    reached = np.zeros(n_target, dtype=bool)
-    if plan.n_edges == 0:
-        width = mapped_target.shape[1]
-        return ops.constant(np.zeros((n_target, width))), reached, None, plan
-    out_active, alpha = attend_over_plan(mapped_target, mapped_source, plan,
-                                         attn, gain, bias, slope)
-    reached[plan.targets] = True
-    if plan.covers_all:
-        return out_active, reached, alpha, plan
-    return ops.scatter_rows(out_active, plan.targets, n_target), reached, alpha, plan
+    if all(graph.spec(rel).is_intra for rel in relations):
+        raise RelationClassMismatch(f"relations {list(relations)!r} hold no cross-class relation")
+    block = graph.block_plan(relations, target_type)
+    values = ops.concat_rows(mapped_target, mapped_source) if block.stacked else mapped_source
+    out, alpha = attend_over_plan(mapped_target, values, block, attns, gains, biases, slope)
+    return out, alpha, block
 
 
 def weighted_residual(new: Tensor, old: Tensor, weight: float,

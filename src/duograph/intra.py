@@ -1,19 +1,17 @@
-"""Within-class encoder: per-relation neighbor attention, then a
-global-local weighting that fuses the per-relation summaries.
+"""Within-class encoder: attention over all relations of a node class as
+one relation block, then HAN's semantic-level fusion of the K summaries.
 
-Per relation, each node scores its neighbors (self included), softmaxes
-the scores over the neighborhood, and aggregates neighbor projections
-through a per-relation normalization. An edge j -> i scores
-leaky(a . [h_i || h_j]), computed as a[:d] . h_i + a[d:] . h_j: two [n,1]
-node columns, one scalar of each gathered per edge (`ops.edge_scores`),
-so no [E,2d] concat is ever built. The attention-weighted sum reads the
-source rows itself (`ops.weighted_sum_rows`): the plan's cached degree
-layout groups the targets with equal in-degree k, and each group sums
-as one batched [1,k] @ [k,d] matmul, so no [E,d] tensor enters the
-tape; its backward groups the sources by out-degree the same way. The
-fusion step weights relations by a convex mix of graph-level softmax
-weights and per-node softmax scores; the mix factor is a learned
-sigmoid gate.
+Block row k*n + i is node i under relation k (`graph.BlockPlan`). An
+edge j -> i of relation k scores leaky(a_k[:d] . h_i + a_k[d:] . h_j):
+h is scored against all K vectors at once and gathered per edge
+(`ops.edge_scores`), so no [E,2d] concat is built. The scores are
+softmaxed per (node, relation) segment; the weighted sum reads its
+source rows itself, batched over the block's degree groups
+(`ops.weighted_sum_rows`), and one layer norm applies each relation's
+gain and bias to its run of rows. Fusion scores the K runs with one
+`edge_scores` call, weights them by a learned sigmoid mix of graph-level
+softmax weights and per-node masked softmax scores, and sums them with
+one `ops.combine_blocks`.
 """
 from __future__ import annotations
 
@@ -23,7 +21,7 @@ import numpy as np
 
 from . import ops
 from .errors import NoRelations, RelationClassMismatch
-from .graph import BiGraph, MessagePlan, NodeType
+from .graph import BiGraph, BlockPlan, NodeType
 from .tensor import Tensor
 
 
@@ -56,47 +54,57 @@ class FusionRecord:
     coeff: np.ndarray
 
 
-def attend_over_plan(target_feats: Tensor, source_feats: Tensor, plan: MessagePlan,
-                     attn: Tensor, gain: Tensor, bias: Tensor, slope: float):
-    """Edge attention + normalized aggregation for one message plan.
+def attend_over_plan(target_feats: Tensor, values: Tensor, block: BlockPlan,
+                     attns, gains, biases, slope: float):
+    """Edge attention + normalized aggregation over one relation block.
 
-    Returns the aggregated rows for plan.targets (in plan order) and the
-    per-edge attention column.
+    Returns the [K*n, d] block (zero rows where a relation reaches no
+    edge) and the per-edge attention column, or None when the block has
+    no edge at all.
     """
-    scores = ops.leaky_relu(ops.edge_scores(target_feats, source_feats, attn,
-                                            plan.edge_targets, plan.sources), slope)
-    alpha = ops.segment_softmax(scores, plan.offsets)
-    agg = ops.weighted_sum_rows(alpha, source_feats, plan.sources, plan.layout)
-    out = ops.leaky_relu(ops.layer_norm(agg, gain, bias), slope)
+    n_rows = block.mask.size
+    if block.n_edges == 0:
+        return ops.constant(np.zeros((n_rows, values.shape[1]))), None
+    scores = ops.leaky_relu(ops.edge_scores(target_feats, values, attns, block.target_index,
+                                            block.source_index), slope)
+    alpha = ops.segment_softmax(scores, block.offsets)
+    agg = ops.weighted_sum_rows(alpha, values, block.sources, block.layout)
+    out = ops.leaky_relu(ops.layer_norm(agg, gains, biases, block.row_runs), slope)
+    if not block.covers_all:
+        out = ops.scatter_rows(out, block.rows, n_rows)
     return out, alpha
 
 
-def node_aggregate(h: Tensor, graph: BiGraph, relation: str, node_type: NodeType,
-                   attn: Tensor, gain: Tensor, bias: Tensor, slope: float):
-    """Within-class attention over one relation; covers every node via self-loops."""
-    spec = graph.spec(relation)
-    if not spec.is_intra or spec.src_type is not node_type:
-        raise RelationClassMismatch(
-            f"relation {relation!r} is not a within-{node_type.label} relation")
-    plan = graph.message_plan(relation, node_type)
-    out, alpha = attend_over_plan(h, h, plan, attn, gain, bias, slope)
-    return out, alpha, plan
+def node_aggregate(h: Tensor, graph: BiGraph, relations, node_type: NodeType,
+                   attns, gains, biases, slope: float):
+    """Within-class attention over a block of relations; self-loops reach every node.
+
+    Returns (block rows, alpha, block plan).
+    """
+    for rel in relations:
+        spec = graph.spec(rel)
+        if not spec.is_intra or spec.src_type is not node_type:
+            raise RelationClassMismatch(
+                f"relation {rel!r} is not a within-{node_type.label} relation")
+    block = graph.block_plan(relations, node_type)
+    out, alpha = attend_over_plan(h, h, block, attns, gains, biases, slope)
+    return out, alpha, block
 
 
-def relation_fuse(base: Tensor, reps: list[Tensor], masks: list[np.ndarray],
-                  score_vec: Tensor | None, global_logits: Tensor | None,
-                  mix_logit: Tensor | None, mean_fusion: bool = False):
-    """Fuse per-relation summaries into one row per node.
+def relation_fuse(base: Tensor, reps: Tensor, mask, score_vec: Tensor | None,
+                  global_logits: Tensor | None, mix_logit: Tensor | None,
+                  mean_fusion: bool = False):
+    """Fuse the K runs of a [K*n, d] relation block into one row per node.
 
-    `masks[k]` flags the nodes relation k actually reached; weights are
+    `mask[:, k]` flags the nodes relation k actually reached; weights are
     renormalized over the reaching relations per node, and a node reached
     by none gets the zero row. With every mask true this reduces to plain
     softmax weighting. Returns (fused, local, global_row, mix, coeff, mask).
     """
-    if not reps:
+    mask = np.asarray(mask, dtype=bool)
+    n, n_k = mask.shape
+    if n_k == 0:
         raise NoRelations("fusion needs at least one relation summary")
-    n = base.shape[0]
-    mask = np.column_stack([np.asarray(m, dtype=bool) for m in masks])
     if mean_fusion:
         counts = mask.sum(axis=1, keepdims=True)
         coeff_np = np.divide(mask.astype(np.float64), counts,
@@ -104,10 +112,10 @@ def relation_fuse(base: Tensor, reps: list[Tensor], masks: list[np.ndarray],
         coeff = ops.constant(coeff_np)
         local_np, global_row, mix_val = coeff_np, None, None
     else:
-        cols = [ops.matmul(ops.concat_cols(base, rep), score_vec) for rep in reps]
-        scores = cols[0]
-        for c in cols[1:]:
-            scores = ops.concat_cols(scores, c)
+        # node i's score for relation k: [base_i || reps[k*n + i]] @ score_vec
+        rows = np.arange(n)[:, None] + n * np.arange(n_k)
+        scores = ops.reshape(ops.edge_scores(base, reps, score_vec, np.repeat(np.arange(n), n_k),
+                                             rows.ravel()), n, n_k)
         local = ops.masked_softmax_rows(scores, mask)
         if global_logits is not None:
             tiled = ops.mul(ops.constant(np.ones((n, 1))), global_logits)
@@ -123,8 +131,4 @@ def relation_fuse(base: Tensor, reps: list[Tensor], masks: list[np.ndarray],
             coeff = local
             global_row, mix_val = None, None
         local_np = local.data
-    fused = None
-    for k, rep in enumerate(reps):
-        term = ops.mul(ops.slice_cols(coeff, k, k + 1), rep)
-        fused = term if fused is None else ops.add(fused, term)
-    return fused, local_np, global_row, mix_val, coeff.data, mask
+    return ops.combine_blocks(coeff, reps), local_np, global_row, mix_val, coeff.data, mask

@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from . import inter, intra, ops
-from .errors import ConfigShapeMismatch, NoLabeledNodes
+from .errors import ConfigShapeMismatch, NoLabeledNodes, check_fields
 from .graph import BiGraph, NodeType
 from .intra import AttentionRecord, FusionRecord
 from .params import (STAGES, TYPES, ParamSet, Stage, input_proj, layer_param,
@@ -52,6 +52,7 @@ class ModelConfig:
         self.validate()
 
     def validate(self) -> None:
+        check_fields(self, ConfigShapeMismatch)
         checks = [
             (self.input_dim >= 1, "input_dim must be >= 1"),
             (self.hidden_dim >= 2, "hidden_dim must be >= 2"),
@@ -157,7 +158,7 @@ class ForwardRecords:
 
 def _stage(stage: Stage, graph: BiGraph, inputs: dict, ps: ParamSet, layer: int,
            config: ModelConfig, records: ForwardRecords | None) -> dict:
-    """One stage for both node classes: attend per relation, fuse, residual."""
+    """One stage for both node classes: attend over the relation block, fuse, residual."""
     sources = inputs
     if stage.mapped:
         sources = {t: ops.matmul(inputs[t], ps.get(layer_param(layer, t, "common_map")))
@@ -165,30 +166,28 @@ def _stage(stage: Stage, graph: BiGraph, inputs: dict, ps: ParamSet, layer: int,
     out = {}
     for t in TYPES:
         rels = stage.relations(graph, t)
-        reps, masks = [], []
-        for rel in rels:
-            attn, gain, bias = (ps.get(n) for n in stage.attn_names(layer, rel, t))
-            if graph.spec(rel).is_intra:
-                rep, alpha, plan = intra.node_aggregate(sources[t], graph, rel, t,
-                                                        attn, gain, bias, config.slope)
-                reached = np.ones(graph.n_nodes(t), dtype=bool)
+        if rels:
+            attns, gains, biases = zip(*([ps.get(n) for n in stage.attn_names(layer, rel, t)]
+                                         for rel in rels))
+            if stage.label == "intra":
+                reps, alpha, block = intra.node_aggregate(sources[t], graph, rels, t, attns,
+                                                          gains, biases, config.slope)
             else:
-                rep, reached, alpha, plan = inter.node_aggregate(
-                    sources[t], sources[t.other], graph, rel, t, attn, gain, bias, config.slope)
-            reps.append(rep)
-            masks.append(reached)
-            if records is not None and alpha is not None:
-                records.attention.append(AttentionRecord(
-                    layer=layer, relation=rel, target_type=t, stage=stage.label,
-                    edge_targets=plan.edge_targets, sources=plan.sources,
-                    offsets=plan.offsets, alpha=alpha.data[:, 0].copy()))
-        if reps:
+                reps, alpha, block = inter.node_aggregate(sources[t], sources[t.other], graph,
+                                                          rels, t, attns, gains, biases,
+                                                          config.slope)
             score, glb, mix = (None if n is None else ps.get(n)
                                for n in stage.fusion_names(layer, t, config.variant))
             fused, local_np, global_row, mix_val, coeff, mask = intra.relation_fuse(
-                inputs[t], reps, masks, score, glb, mix,
+                inputs[t], reps, block.mask, score, glb, mix,
                 mean_fusion=config.variant == "no-hier")
             if records is not None:
+                records.attention.extend(AttentionRecord(
+                    layer=layer, relation=rel, target_type=t, stage=stage.label,
+                    edge_targets=plan.edge_targets, sources=plan.sources, offsets=plan.offsets,
+                    alpha=alpha.data[run, 0].copy())
+                    for rel, plan, run in zip(rels, block.plans, block.edge_runs)
+                    if plan.n_edges)
                 records.fusion.append(FusionRecord(
                     layer=layer, target_type=t, stage=stage.label, relations=rels, mask=mask,
                     local=local_np, global_row=global_row, mix=mix_val, coeff=coeff))

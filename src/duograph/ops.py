@@ -116,32 +116,41 @@ def gather_rows(x: Tensor, index) -> Tensor:
     return _result(np.take(x.data, idx, axis=0), (x,), bw)
 
 
-def edge_scores(h_t: Tensor, h_s: Tensor, attn: Tensor, targets, sources) -> Tensor:
+def edge_scores(h_t: Tensor, h_s: Tensor, attn, targets, sources) -> Tensor:
     """GAT-split edge scores: (h_t @ attn[:d])[targets] + (h_s @ attn[d:])[sources].
 
     Equals [h_t[targets] || h_s[sources]] @ attn as an [E,1] column, but
     scores two node-level columns instead of building the [E,2d] concat.
+    `attn` may also be a sequence of K [2d,1] vectors: h_t and h_s are then
+    scored against all K at once, into row-major [n_t,K] and [n_s,K]
+    matrices, and `targets` and `sources` are flat indices into those.
     """
-    d = h_t.shape[1]
-    if h_s.shape[1] != d or attn.shape != (2 * d, 1):
-        raise ShapeMismatch(f"edge_scores {h_t.shape}, {h_s.shape} with attn {attn.shape}")
-    t_idx = _row_index(targets, h_t.shape[0], "edge_scores targets")
-    s_idx = _row_index(sources, h_s.shape[0], "edge_scores sources")
+    attns = (attn,) if isinstance(attn, Tensor) else tuple(attn)
+    d, n_k = h_t.shape[1], len(attns)
+    if h_s.shape[1] != d or n_k == 0 or any(a.shape != (2 * d, 1) for a in attns):
+        raise ShapeMismatch(f"edge_scores {h_t.shape}, {h_s.shape} with "
+                            f"attn {[a.shape for a in attns]}")
+    t_idx = _row_index(targets, h_t.shape[0] * n_k, "edge_scores targets")
+    s_idx = _row_index(sources, h_s.shape[0] * n_k, "edge_scores sources")
     if t_idx.size != s_idx.size:
         raise ShapeMismatch(f"edge_scores {t_idx.size} targets vs {s_idx.size} sources")
     td, sd = h_t.data, h_s.data
-    a_t, a_s = attn.data[:d], attn.data[d:]
+    a = attns[0].data if n_k == 1 else np.concatenate([a.data for a in attns], axis=1)
+    a_t, a_s = a[:d], a[d:]
+    out = (td @ a_t).reshape(-1, 1)[t_idx] + (sd @ a_s).reshape(-1, 1)[s_idx]
 
     def bw(g: Array):
         col = g[:, 0]
-        g_t = np.bincount(t_idx, weights=col, minlength=td.shape[0]).reshape(-1, 1)
-        g_s = np.bincount(s_idx, weights=col, minlength=sd.shape[0]).reshape(-1, 1)
+        g_t = np.bincount(t_idx, weights=col, minlength=td.shape[0] * n_k).reshape(-1, n_k)
+        g_s = np.bincount(s_idx, weights=col, minlength=sd.shape[0] * n_k).reshape(-1, n_k)
         gt = g_t @ a_t.T if h_t.requires_grad else None
         gs = g_s @ a_s.T if h_s.requires_grad else None
-        ga = np.concatenate((td.T @ g_t, sd.T @ g_s)) if attn.requires_grad else None
-        return gt, gs, ga
+        if not any(a.requires_grad for a in attns):
+            return (gt, gs, *(None,) * n_k)
+        ga = np.concatenate((td.T @ g_t, sd.T @ g_s))
+        return (gt, gs, *(ga[:, k:k + 1] for k in range(n_k)))
 
-    return _result((td @ a_t)[t_idx] + (sd @ a_s)[s_idx], (h_t, h_s, attn), bw)
+    return _result(out, (h_t, h_s, *attns), bw)
 
 
 def scatter_rows(x: Tensor, index, n_rows: int) -> Tensor:
@@ -184,19 +193,6 @@ def concat_rows(x: Tensor, y: Tensor) -> Tensor:
         return g[:split], g[split:]
 
     return _result(np.concatenate((x.data, y.data), axis=0), (x, y), bw)
-
-
-def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    if not (0 <= start < stop <= x.shape[1]):
-        raise ShapeMismatch(f"slice_cols [{start}:{stop}] of {x.shape}")
-    n_rows, n_cols = x.shape
-
-    def bw(g: Array):
-        gx = np.zeros((n_rows, n_cols))
-        gx[:, start:stop] = g
-        return (gx,)
-
-    return _result(x.data[:, start:stop].copy(), (x,), bw)
 
 
 def reshape(x: Tensor, rows: int, cols: int) -> Tensor:
@@ -437,33 +433,90 @@ def weighted_sum_rows(weights: Tensor, values: Tensor, sources,
     return _result(out, (weights, values), bw)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Row-wise standardization (population variance) with affine output."""
+def layer_norm(x: Tensor, gain, bias, runs=None, eps: float = 1e-5) -> Tensor:
+    """Row-wise standardization (population variance) with affine output.
+
+    `gain` and `bias` are (1, d) tensors, or K of each with `runs` the K
+    row slices, in order and covering x, that each pair applies to.
+    """
     n, d = x.shape
     if d < 2:
         raise ShapeMismatch("layer_norm needs at least 2 columns")
-    if gain.shape != (1, d) or bias.shape != (1, d):
-        raise ShapeMismatch(f"gain/bias must be (1, {d})")
-    # sum / d is what ndarray.mean and .var compute, minus their overhead
-    centered = x.data - x.data.sum(axis=1, keepdims=True) / d
-    var = (centered * centered).sum(axis=1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    gd = gain.data
+    gains = (gain,) if isinstance(gain, Tensor) else tuple(gain)
+    biases = (bias,) if isinstance(bias, Tensor) else tuple(bias)
+    runs = (slice(0, n),) if runs is None else tuple(runs)
+    if not len(gains) == len(biases) == len(runs) or any(
+            t.shape != (1, d) for t in gains + biases):
+        raise ShapeMismatch(f"layer_norm needs one (1, {d}) gain and bias per run")
+    if [r.start for r in runs] != [0, *(r.stop for r in runs[:-1])] or runs[-1].stop != n:
+        raise ShapeMismatch(f"layer_norm runs must cover the {n} rows in order")
+    xd = x.data
+    # sum / d is what ndarray.mean and .var compute, minus their overhead;
+    # xhat holds the centered rows until it is scaled in place
+    xhat = xd - xd.sum(axis=1, keepdims=True) / d
+    out = np.multiply(xhat, xhat)
+    inv = 1.0 / np.sqrt(out.sum(axis=1, keepdims=True) / d + eps)
+    xhat *= inv
+    for run, gn, bs in zip(runs, gains, biases):
+        np.multiply(xhat[run], gn.data, out=out[run])
+        out[run] += bs.data
 
     def bw(g: Array):
-        gy = g * gd
-        gb = g.sum(axis=0, keepdims=True) if bias.requires_grad else None
-        gg = (g * xhat).sum(axis=0, keepdims=True) if gain.requires_grad else None
-        if x.requires_grad:
+        scratch = np.empty_like(g)
+        gy = np.empty_like(g) if x.requires_grad else None
+        g_gain, g_bias = [], []
+        for run, gn, bs in zip(runs, gains, biases):
+            g_bias.append(g[run].sum(axis=0, keepdims=True) if bs.requires_grad else None)
+            if gn.requires_grad:
+                np.multiply(g[run], xhat[run], out=scratch[run])
+                g_gain.append(scratch[run].sum(axis=0, keepdims=True))
+            else:
+                g_gain.append(None)
+            if gy is not None:
+                np.multiply(g[run], gn.data, out=gy[run])
+        if gy is not None:  # gx = (gy - m1 - xhat * m2) * inv
             m1 = gy.sum(axis=1, keepdims=True) / d
-            m2 = (gy * xhat).sum(axis=1, keepdims=True) / d
-            gx = (gy - m1 - xhat * m2) * inv
-        else:
-            gx = None
-        return gx, gg, gb
+            np.multiply(gy, xhat, out=scratch)
+            m2 = scratch.sum(axis=1, keepdims=True) / d
+            gy -= m1
+            np.multiply(xhat, m2, out=scratch)
+            gy -= scratch
+            gy *= inv
+        return (gy, *g_gain, *g_bias)
 
-    return _result(xhat * gd + bias.data, (x, gain, bias), bw)
+    return _result(out, (x, *gains, *biases), bw)
+
+
+def combine_blocks(coeff: Tensor, blocks: Tensor) -> Tensor:
+    """Sum over k of coeff[:, k] times the k-th [n,d] run of a [K*n, d] block.
+
+    Adds the K weighted runs in order, as a chain of mul and add would.
+    """
+    n, n_k = coeff.shape
+    if blocks.shape[0] != n * n_k or n_k == 0:
+        raise ShapeMismatch(f"combine_blocks {coeff.shape} weights over {blocks.shape} rows")
+    cd, bd = coeff.data, blocks.data
+    runs = [slice(k * n, (k + 1) * n) for k in range(n_k)]
+    out = cd[:, :1] * bd[runs[0]]
+    term = np.empty_like(out)
+    for k in range(1, n_k):
+        np.multiply(cd[:, k:k + 1], bd[runs[k]], out=term)
+        out += term
+
+    def bw(g: Array):
+        gc = gb = None
+        if coeff.requires_grad:
+            gc = np.empty((n, n_k))
+            term = np.empty_like(g)
+            for k, run in enumerate(runs):
+                gc[:, k] = np.multiply(g, bd[run], out=term).sum(axis=1)
+        if blocks.requires_grad:
+            gb = np.empty_like(bd)
+            for k, run in enumerate(runs):
+                np.multiply(g, cd[:, k:k + 1], out=gb[run])
+        return gc, gb
+
+    return _result(out, (coeff, blocks), bw)
 
 
 def softmax_rows(x: Tensor) -> Tensor:

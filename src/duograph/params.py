@@ -6,7 +6,8 @@ see the same layout. Names double as the checkpoint header keys.
 
 `STAGES` is the stage table: one row per stage kind (`intra`, `inter`,
 and the `unified` stage of the no-dual variant), each node-level
-attention per relation, relation-level fusion, then a weighted residual.
+attention over one relation block per node class, relation-level fusion,
+then a weighted residual.
 `build_params` creates and `model.forward` reads parameters through the
 same rows and naming functions, so every name is spelled once.
 """

@@ -16,7 +16,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import InfeasibleConfig, IoFailure, ParseError
+from .errors import InfeasibleConfig, IoFailure, ParseError, check_fields
 from .graph import (BiGraph, NodeType, RelationClass, RelationSpec, build_graph,
                     load_graph_tsv, mean_neighbor_features, save_graph_tsv, write_lines,
                     _read_rows)
@@ -56,6 +56,7 @@ class SynthConfig:
         self.validate()
 
     def validate(self) -> None:
+        check_fields(self, InfeasibleConfig)
         checks = [
             (self.n_papers >= 1 and self.n_authors >= 1, "need at least one node per class"),
             (1 <= self.n_venues <= self.n_papers, "more venues than papers"),

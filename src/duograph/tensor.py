@@ -68,9 +68,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self._grad = None
 
-    def copy_data(self) -> Array:
-        return self.data.copy()
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 

@@ -313,6 +313,14 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_wrong_field_type_is_one_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"synth": CONFIG["synth"],
+                                    "model": {**CONFIG["model"], "hidden_dim": "8"}}))
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: ConfigShapeMismatch: hidden_dim must be an integer, got '8'\n"
+
     def test_missing_checkpoint_is_one(self, tmp_path, config_path):
         assert main(["eval", "--config", config_path,
                      "--out", str(tmp_path / "empty")]) == 1

@@ -224,6 +224,29 @@ class TestMessagePlans:
         np.testing.assert_array_equal(plan.targets, [2])
         assert not plan.covers_all
 
+    def test_block_stacks_plans_relation_by_relation(self, tiny_graph):
+        # toward B: cite (within B, self-loops) then wrote (cross, from A)
+        block = tiny_graph.block_plan(["cite", "wrote"], NodeType.B)
+        assert tiny_graph.block_plan(("cite", "wrote"), NodeType.B) is block
+        cite, wrote = (tiny_graph.message_plan(r, NodeType.B) for r in ("cite", "wrote"))
+        assert block.plans == (cite, wrote) and block.stacked
+        assert block.rows.tolist() == [0, 1, 2, 3]
+        assert block.edge_runs == (slice(0, cite.n_edges), slice(cite.n_edges, block.n_edges))
+        assert block.row_runs == (slice(0, 2), slice(2, 4))
+        # cross sources follow the 2 B rows in the stacked values
+        assert block.sources.tolist() == cite.sources.tolist() + (wrote.sources + 2).tolist()
+        assert block.offsets.tolist() == [0, 2, 3, 5, 6]
+        k = np.repeat([0, 1], [cite.n_edges, wrote.n_edges])
+        edge_targets = np.concatenate([cite.edge_targets, wrote.edge_targets])
+        assert block.target_index.tolist() == (edge_targets * 2 + k).tolist()
+        assert block.source_index.tolist() == (block.sources * 2 + k).tolist()
+        assert block.mask.all() and block.covers_all
+
+    def test_block_of_cross_relations_reads_the_other_class(self, tiny_graph):
+        block = tiny_graph.block_plan(["wrote"], NodeType.A)
+        assert not block.stacked
+        assert block.sources.tolist() == tiny_graph.message_plan("wrote", NodeType.A).sources.tolist()
+
     def test_wrong_direction_rejected(self, tiny_graph):
         with pytest.raises(DirectionInvalid):
             tiny_graph._build_plan(tiny_graph.spec("colleague"), NodeType.B, False)

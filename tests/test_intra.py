@@ -13,6 +13,7 @@ from duograph.graph import NodeType, RelationClass, RelationSpec, build_graph
 from duograph.intra import attend_over_plan, node_aggregate, relation_fuse
 from duograph.rand import rng_for
 from duograph.tensor import Tape, Tensor
+from reference import _fuse as dense_fuse
 
 LN3 = float(np.log(3.0))
 
@@ -46,9 +47,9 @@ class TestNodeAggregate:
         h = ops.constant(graph.features[NodeType.A])
         attn = _tensor([[0.0], [0.0], [1.0], [0.0]])
         gain, bias = _tensor([[1.0, 1.0]]), _tensor([[0.0, 0.0]])
-        out, alpha, plan = node_aggregate(h, graph, "colleague", NodeType.A,
-                                          attn, gain, bias, slope=0.2)
-        assert plan.covers_all
+        out, alpha, block = node_aggregate(h, graph, ["colleague"], NodeType.A,
+                                           [attn], [gain], [bias], slope=0.2)
+        assert block.covers_all
         # scores [0, ln 3] per segment -> alpha [1/4, 3/4]
         np.testing.assert_allclose(alpha.data.reshape(-1),
                                    [0.25, 0.75, 0.25, 0.75], atol=1e-15)
@@ -66,7 +67,7 @@ class TestNodeAggregate:
         attn = ops.constant(rng.normal(size=(4, 1)))
         gain, bias = _tensor([[1.0, 1.0]]), _tensor([[0.0, 0.0]])
         out, alpha, _ = node_aggregate(ops.constant(feats[NodeType.A]), graph,
-                                       "colleague", NodeType.A, attn, gain, bias, 0.2)
+                                       ["colleague"], NodeType.A, [attn], [gain], [bias], 0.2)
         assert alpha.data.reshape(-1).tolist() == [1.0]
         np.testing.assert_allclose(out.data[0], _norm_leaky([2.0, -3.0]), atol=1e-14)
 
@@ -80,9 +81,9 @@ class TestNodeAggregate:
         graph = build_graph({NodeType.A: 5, NodeType.B: 1}, feats, specs, edges)
         attn = ops.constant(rng.normal(size=(6, 1)))
         gain, bias = ops.constant(np.ones((1, 3))), ops.constant(np.zeros((1, 3)))
-        _, alpha, plan = node_aggregate(h, graph, "r", NodeType.A,
-                                        attn, gain, bias, 0.2)
-        sums = np.add.reduceat(alpha.data.reshape(-1), plan.offsets[:-1])
+        _, alpha, block = node_aggregate(h, graph, ["r"], NodeType.A,
+                                         [attn], [gain], [bias], 0.2)
+        sums = np.add.reduceat(alpha.data.reshape(-1), block.offsets[:-1])
         np.testing.assert_allclose(sums, np.ones(5), atol=1e-12)
 
     def test_no_per_edge_concat_or_target_gather(self):
@@ -95,16 +96,16 @@ class TestNodeAggregate:
         feats = {NodeType.A: rng.normal(size=(6, d)), NodeType.B: np.zeros((1, d))}
         edges = [("r", 0, 1), ("r", 0, 2), ("r", 3, 4), ("r", 1, 2), ("r", 5, 0)]
         graph = build_graph({NodeType.A: 6, NodeType.B: 1}, feats, specs, edges)
-        plan = graph.message_plan("r", NodeType.A)
+        block = graph.block_plan(["r"], NodeType.A)
         h = Tensor(feats[NodeType.A], requires_grad=True)
         attn = Tensor(rng.normal(size=(2 * d, 1)), requires_grad=True)
         gain, bias = Tensor(np.ones((1, d))), Tensor(np.zeros((1, d)))
         with Tape() as tape:
-            attend_over_plan(h, h, plan, attn, gain, bias, 0.2)
+            attend_over_plan(h, h, block, [attn], [gain], [bias], 0.2)
         shapes = [out.shape for out, _, _ in tape._records]
-        assert plan.n_edges > 6
-        assert (plan.n_edges, 2 * d) not in shapes
-        assert (plan.n_edges, d) not in shapes
+        assert block.n_edges > 6
+        assert (block.n_edges, 2 * d) not in shapes
+        assert (block.n_edges, d) not in shapes
 
     def test_rejects_cross_relation(self):
         specs = [RelationSpec("wrote", RelationClass.INTER, NodeType.A, NodeType.B)]
@@ -113,15 +114,21 @@ class TestNodeAggregate:
                             [("wrote", 0, 0)])
         t = _tensor([[0.0, 0.0]])
         with pytest.raises(RelationClassMismatch):
-            node_aggregate(t, graph, "wrote", NodeType.A,
-                           _tensor([[0.0]] * 4), t, t, 0.2)
+            node_aggregate(t, graph, ["wrote"], NodeType.A,
+                           [_tensor([[0.0]] * 4)], [t], [t], 0.2)
 
     def test_rejects_wrong_side(self):
         graph = _pair_graph([[0.0, 0.0], [0.0, 0.0]])
         t = _tensor([[0.0, 0.0]])
         with pytest.raises(RelationClassMismatch):
-            node_aggregate(t, graph, "colleague", NodeType.B,
-                           _tensor([[0.0]] * 4), t, t, 0.2)
+            node_aggregate(t, graph, ["colleague"], NodeType.B,
+                           [_tensor([[0.0]] * 4)], [t], [t], 0.2)
+
+
+def _fuse(base, reps, masks, *args, **kwargs):
+    """relation_fuse over the block that stacks the per-relation `reps` and `masks`."""
+    block = ops.constant(np.vstack([r.data for r in reps]))
+    return relation_fuse(base, block, np.column_stack(masks), *args, **kwargs)
 
 
 class TestRelationFuse:
@@ -134,7 +141,7 @@ class TestRelationFuse:
         masks = [np.array([True]), np.array([True])]
         glob = _tensor([[0.0, np.log(4.0)]])  # softmax -> [0.2, 0.8]
         mix = _tensor([[0.0]])                # sigmoid -> 0.5
-        fused, local, grow, mval, coeff, mask = relation_fuse(
+        fused, local, grow, mval, coeff, mask = _fuse(
             base, reps, masks, _tensor(self.SCORE), glob, mix)
         np.testing.assert_allclose(local[0], [0.25, 0.75], atol=1e-15)
         np.testing.assert_allclose(grow, [0.2, 0.8], atol=1e-15)
@@ -148,7 +155,7 @@ class TestRelationFuse:
         base = _tensor([[1.0, 1.0]])
         reps = [_tensor([[0.0, 1.0]]), _tensor([[LN3, 3.0]])]
         masks = [np.array([True]), np.array([True])]
-        fused, local, grow, mval, coeff, _ = relation_fuse(
+        fused, local, grow, mval, coeff, _ = _fuse(
             base, reps, masks, _tensor(self.SCORE), None, None)
         assert grow is None and mval is None
         np.testing.assert_allclose(coeff[0], [0.25, 0.75], atol=1e-15)
@@ -160,7 +167,7 @@ class TestRelationFuse:
         reps = [_tensor([[3.0, 4.0]]), _tensor([[9.0, 9.0]])]
         masks = [np.array([True]), np.array([False])]
         glob = _tensor([[0.0, 100.0]])  # would pick relation 1 if unmasked
-        fused, _, _, _, coeff, _ = relation_fuse(
+        fused, _, _, _, coeff, _ = _fuse(
             base, reps, masks, _tensor(self.SCORE), glob, _tensor([[0.0]]))
         np.testing.assert_allclose(coeff[0], [1.0, 0.0], atol=1e-15)
         np.testing.assert_allclose(fused.data[0], [3.0, 4.0], atol=1e-15)
@@ -169,7 +176,7 @@ class TestRelationFuse:
         base = _tensor([[0.0, 0.0], [0.0, 0.0]])
         reps = [_tensor([[1.0, 2.0], [3.0, 4.0]])]
         masks = [np.array([True, False])]
-        fused, _, _, _, coeff, _ = relation_fuse(
+        fused, _, _, _, coeff, _ = _fuse(
             base, reps, masks, _tensor(self.SCORE), None, None)
         np.testing.assert_allclose(coeff, [[1.0], [0.0]], atol=1e-15)
         np.testing.assert_allclose(fused.data, [[1.0, 2.0], [0.0, 0.0]], atol=1e-15)
@@ -179,7 +186,7 @@ class TestRelationFuse:
         reps = [_tensor([[2.0, 0.0], [4.0, 0.0]]),
                 _tensor([[0.0, 6.0], [8.0, 0.0]])]
         masks = [np.array([True, True]), np.array([True, False])]
-        fused, local, grow, mval, coeff, _ = relation_fuse(
+        fused, local, grow, mval, coeff, _ = _fuse(
             base, reps, masks, None, None, None, mean_fusion=True)
         assert grow is None and mval is None
         np.testing.assert_allclose(coeff, [[0.5, 0.5], [1.0, 0.0]], atol=1e-15)
@@ -194,7 +201,7 @@ class TestRelationFuse:
         score = ops.constant(rng.normal(size=(2 * d, 1)))
         glob = ops.constant(rng.normal(size=(1, k)))
         mix = ops.constant(rng.normal(size=(1, 1)))
-        _, _, _, _, coeff, mask = relation_fuse(base, reps, masks, score, glob, mix)
+        _, _, _, _, coeff, mask = _fuse(base, reps, masks, score, glob, mix)
         any_rel = mask.any(axis=1)
         np.testing.assert_allclose(coeff.sum(axis=1)[any_rel],
                                    np.ones(any_rel.sum()), atol=1e-12)
@@ -210,7 +217,7 @@ class TestRelationFuse:
         glob = ops.constant(rng.normal(size=(1, k)))
         # mix logit large -> coefficient is the global row everywhere
         mix = ops.constant(np.array([[60.0]]))
-        _, _, grow, _, coeff, _ = relation_fuse(
+        _, _, grow, _, coeff, _ = _fuse(
             base, reps, masks, ops.constant(rng.normal(size=(2 * d, 1))), glob, mix)
         e = np.exp(glob.data[0] - glob.data[0].max())
         np.testing.assert_allclose(grow, e / e.sum(), atol=0.0)
@@ -218,5 +225,28 @@ class TestRelationFuse:
 
     def test_empty_relation_list_raises(self):
         with pytest.raises(NoRelations):
-            relation_fuse(_tensor([[0.0, 0.0]]), [], [], None, None, None,
-                          mean_fusion=True)
+            relation_fuse(_tensor([[0.0, 0.0]]), ops.constant(np.zeros((0, 2))),
+                          np.zeros((1, 0), dtype=bool), None, None, None, mean_fusion=True)
+
+
+class TestRelationFuseBlock:
+    @pytest.mark.parametrize("weights", ["global mix", "local only", "mean"])
+    def test_block_fusion_equals_per_relation_reference(self, weights):
+        # relation 2 reaches nothing (no edges); the others leave some nodes out
+        rng = np.random.default_rng(12)
+        n, k, d = 7, 4, 5
+        masks = [rng.random(n) < 0.7 for _ in range(k)]
+        masks[2][:] = False
+        reps = [np.where(m[:, None], rng.standard_normal((n, d)), 0.0) for m in masks]
+        base = rng.standard_normal((n, d))
+        score, glob, mix = (rng.standard_normal((2 * d, 1)), rng.standard_normal((1, k)),
+                            rng.standard_normal((1, 1)))
+        args = {"global mix": (score, glob, mix), "local only": (score, None, None),
+                "mean": (None, None, None)}[weights]
+        fused, _, _, _, coeff, mask = relation_fuse(
+            ops.constant(base), ops.constant(np.vstack(reps)), np.column_stack(masks),
+            *(None if a is None else ops.constant(a) for a in args),
+            mean_fusion=weights == "mean")
+        want = dense_fuse(base, reps, masks, *args, weights == "mean")
+        np.testing.assert_allclose(fused.data, want, rtol=0.0, atol=1e-12)
+        assert not mask[:, 2].any() and not coeff[:, 2].any()

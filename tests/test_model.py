@@ -18,6 +18,7 @@ from duograph.synth import SynthConfig, generate
 from duograph.tensor import Tape, backward
 
 from conftest import random_bigraph
+from test_acceptance import ACCEPT_MODEL, ACCEPT_SYNTH
 
 
 def _config(**overrides):
@@ -84,6 +85,30 @@ class TestForwardVariants:
         hier_embs, _ = forward(graph, replace(full_cfg, variant="no-hier"), ps)
         diff = np.abs(full_embs[NodeType.B].data - hier_embs[NodeType.B].data).max()
         assert diff > 1e-6
+
+
+class TestConfigFieldTypes:
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", "3"), ("hidden_dim", 4.5), ("epochs", 2.5), ("seed", True),
+        ("temperature", float("inf")), ("dropout", float("nan")), ("variant", 3),
+        ("extra_inter_residual", 1)])
+    def test_wrong_type_raises_naming_the_field(self, field, value):
+        with pytest.raises(ConfigShapeMismatch, match=f"^{field} must be"):
+            _config(**{field: value})
+
+    def test_ints_are_accepted_for_float_fields(self):
+        assert _config(dropout=0, temperature=2).temperature == 2
+
+
+class TestOpBudget:
+    def test_gate_size_forward_records_at_most_170_ops(self):
+        # one relation block per (stage, node class) instead of one pipeline per relation
+        graph, tasks = generate(SynthConfig(**ACCEPT_SYNTH))
+        config = ModelConfig(seed=0, **ACCEPT_MODEL)
+        ps = build_params(graph, config, tasks)
+        with Tape() as tape:
+            forward(graph, config, ps)
+        assert len(tape) <= 170
 
 
 class TestDropout:

@@ -160,6 +160,12 @@ class TestConfigValidation:
         with pytest.raises(InfeasibleConfig):
             _small(n_fields_l1=5, n_fields_l2=4)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_papers", 40.5), ("seed", True), ("noise", float("nan")), ("p_colleague", "0.1")])
+    def test_wrong_type_raises_naming_the_field(self, field, value):
+        with pytest.raises(InfeasibleConfig, match=f"^{field} must be"):
+            _small(**{field: value})
+
     def test_unknown_key_rejected(self):
         with pytest.raises(InfeasibleConfig):
             SynthConfig.from_dict({"n_paper": 10})

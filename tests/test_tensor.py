@@ -166,6 +166,25 @@ class TestPrimitiveGradients:
         assert split.shape == (400, 1)
         np.testing.assert_allclose(split.data, joint.data, rtol=0.0, atol=1e-12)
 
+    def test_edge_scores_k_vectors(self):
+        # three attention vectors; flat indices address the [n,3] score matrices
+        w = ops.constant(RNG.uniform(-2.0, 2.0, size=(7, 1)))
+        tgt, src = self.TARGETS * 3 + np.arange(7) % 3, self.SOURCES * 3 + np.arange(7) % 3
+        check_op_gradient(
+            lambda ht, hs, a0, a1, a2: ops.mul(ops.edge_scores(ht, hs, [a0, a1, a2], tgt, src), w),
+            [_param((5, 3)), _param((4, 3)), _param((6, 1)), _param((6, 1)), _param((6, 1))])
+
+    def test_edge_scores_k_vectors_match_one_call_per_vector(self):
+        rng = np.random.default_rng(10)
+        h_t, h_s = Tensor(rng.standard_normal((30, 8))), Tensor(rng.standard_normal((20, 8)))
+        attns = [Tensor(rng.standard_normal((16, 1))) for _ in range(4)]
+        k = rng.integers(0, 4, size=300)
+        tgt, src = rng.integers(0, 30, size=300), rng.integers(0, 20, size=300)
+        block = ops.edge_scores(h_t, h_s, attns, tgt * 4 + k, src * 4 + k)
+        for j, attn in enumerate(attns):
+            one = ops.edge_scores(h_t, h_s, attn, tgt[k == j], src[k == j])
+            np.testing.assert_allclose(block.data[k == j], one.data, rtol=0.0, atol=1e-12)
+
     @pytest.mark.parametrize("case", ["target high", "source negative", "lengths",
                                       "attn rows", "attn cols", "source width"])
     def test_edge_scores_shape_checks(self, case):
@@ -201,8 +220,32 @@ class TestPrimitiveGradients:
     def test_concat_rows(self):
         check_op_gradient(ops.concat_rows, [_param((2, 3)), _param((4, 3))])
 
-    def test_slice_cols(self):
-        check_op_gradient(lambda t: ops.slice_cols(t, 1, 3), [_param((4, 5))])
+    def test_combine_blocks(self):
+        w = ops.constant(RNG.uniform(-1, 1, (4, 3)))
+        check_op_gradient(lambda c, b: ops.mul(ops.combine_blocks(c, b), w),
+                          [_param((4, 3)), _param((12, 3))])
+
+    def test_combine_blocks_matches_mul_add_chain_bitwise(self):
+        rng = np.random.default_rng(8)
+        n, k, d = 6, 4, 5
+        coeff = Tensor(rng.standard_normal((n, k)), requires_grad=True)
+        block = Tensor(rng.standard_normal((k * n, d)), requires_grad=True)
+        g = rng.standard_normal((n, d))
+        with Tape() as tape:
+            loss = ops.sum_all(ops.mul(ops.combine_blocks(coeff, block), ops.constant(g)))
+        backward(tape, loss)
+        runs = [block.data[j * n:(j + 1) * n] for j in range(k)]
+        fused = coeff.data[:, :1] * runs[0]
+        for j in range(1, k):
+            fused = fused + coeff.data[:, j:j + 1] * runs[j]
+        assert np.array_equal(ops.combine_blocks(coeff, block).data, fused)
+        assert np.array_equal(coeff.grad, np.column_stack([(g * r).sum(axis=1) for r in runs]))
+        assert np.array_equal(block.grad, np.vstack([g * coeff.data[:, j:j + 1]
+                                                     for j in range(k)]))
+
+    def test_combine_blocks_shape_check(self):
+        with pytest.raises(ShapeMismatch):
+            ops.combine_blocks(Tensor(np.ones((3, 2))), Tensor(np.ones((5, 4))))
 
     def test_reshape(self):
         check_op_gradient(lambda t: ops.mul(ops.reshape(t, 2, 6), ops.constant(np.arange(12.0).reshape(2, 6))),
@@ -304,6 +347,44 @@ class TestPrimitiveGradients:
             1.0 / np.sqrt(x.var(axis=1, keepdims=True) + 1e-5))
         assert y.data.tobytes() == (xhat * gain.data + bias.data).tobytes()
 
+    def test_layer_norm_runs(self):
+        # three gain/bias pairs over row runs of 2, 0 and 3 rows
+        runs = (slice(0, 2), slice(2, 2), slice(2, 5))
+        check_op_gradient(
+            lambda x, g0, g1, g2, b0, b1, b2: ops.layer_norm(x, [g0, g1, g2], [b0, b1, b2], runs),
+            [_param((5, 4))] + [_param((1, 4), low=0.5, high=1.5) for _ in range(3)]
+            + [_param((1, 4), low=-0.5, high=0.5) for _ in range(3)])
+
+    @pytest.mark.parametrize("sizes", [(9,), (3, 0, 4, 2)])
+    def test_layer_norm_matches_separate_norms_bitwise(self, sizes):
+        # the in-place op against the plain formula applied to each run apart
+        rng = np.random.default_rng(len(sizes))
+        n, d = sum(sizes), 16
+        x = Tensor(rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 4, size=(n, 1)),
+                   requires_grad=True)
+        gains = [Tensor(rng.uniform(0.5, 1.5, (1, d)), requires_grad=True) for _ in sizes]
+        biases = [Tensor(rng.uniform(-0.5, 0.5, (1, d)), requires_grad=True) for _ in sizes]
+        g = rng.standard_normal((n, d))
+        ends = np.cumsum(sizes)
+        runs = [slice(int(e - s), int(e)) for s, e in zip(sizes, ends)]
+        with Tape() as tape:
+            y = ops.layer_norm(x, gains, biases, runs)
+            loss = ops.sum_all(ops.mul(y, ops.constant(g)))
+        backward(tape, loss)
+        want = [_layer_norm_formula(x.data[r], gn.data, bs.data, g[r])
+                for r, gn, bs in zip(runs, gains, biases)]
+        assert np.array_equal(y.data, np.vstack([w[0] for w in want]))
+        assert np.array_equal(x.grad, np.vstack([w[1] for w in want]))
+        for (_, _, gg, gb), gn, bs in zip(want, gains, biases):
+            assert np.array_equal(gn.grad, gg) and np.array_equal(bs.grad, gb)
+
+    @pytest.mark.parametrize("runs", [(slice(0, 2), slice(3, 5)), (slice(0, 4),),
+                                      (slice(0, 2), slice(2, 6))])
+    def test_layer_norm_runs_must_cover_rows(self, runs):
+        pairs = [Tensor(np.ones((1, 3))) for _ in runs]
+        with pytest.raises(ShapeMismatch):
+            ops.layer_norm(Tensor(np.ones((5, 3))), pairs, pairs, runs)
+
     def test_softmax_rows(self):
         x = _param((4, 5))
         coeff = ops.constant(RNG.uniform(-1, 1, (4, 5)))
@@ -383,6 +464,21 @@ def _check_against_oracle(offsets, sources, n_sources, d=4, seed=0):
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 
+def _layer_norm_formula(x, gd, bd, g, eps=1e-5):
+    # layer_norm as written before it reused buffers: output, then the
+    # x, gain and bias gradients for output gradient g
+    d = x.shape[1]
+    centered = x - x.sum(axis=1, keepdims=True) / d
+    var = (centered * centered).sum(axis=1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv
+    gy = g * gd
+    m1 = gy.sum(axis=1, keepdims=True) / d
+    m2 = (gy * xhat).sum(axis=1, keepdims=True) / d
+    return (xhat * gd + bd, (gy - m1 - xhat * m2) * inv,
+            (g * xhat).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True))
+
+
 def _segments(lengths, n_sources, rng):
     lengths = np.asarray(lengths, dtype=np.int64)
     offsets = np.concatenate([[0], np.cumsum(lengths)])
@@ -398,11 +494,12 @@ def _cross_plan_with_dropped_targets():
     graph = build_graph({NodeType.A: 4, NodeType.B: 5}, feats, specs, edges)
     d = 3
     ones, zeros = ops.constant(np.ones((1, d))), ops.constant(np.zeros((1, d)))
-    _, reached, _, plan = inter.node_aggregate(
+    _, _, block = inter.node_aggregate(
         ops.constant(graph.features[NodeType.B]), ops.constant(graph.features[NodeType.A]),
-        graph, "wrote", NodeType.B, ops.constant(np.ones((2 * d, 1))), ones, zeros, 0.2)
-    assert not plan.covers_all and reached.tolist() == [True, False, True, True, False]
-    return plan.offsets, plan.sources, 4
+        graph, ["wrote"], NodeType.B, [ops.constant(np.ones((2 * d, 1)))], [ones], [zeros], 0.2)
+    assert not block.covers_all
+    assert block.mask[:, 0].tolist() == [True, False, True, True, False]
+    return block.offsets, block.sources, 4
 
 
 class TestWeightedSumRows:
