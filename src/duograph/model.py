@@ -169,7 +169,7 @@ def _stage(stage: Stage, graph: BiGraph, inputs: dict, ps: ParamSet, layer: int,
         if rels:
             attns, gains, biases = zip(*([ps.get(n) for n in stage.attn_names(layer, rel, t)]
                                          for rel in rels))
-            if stage.label == "intra":
+            if all(graph.spec(rel).is_intra for rel in rels):
                 reps, alpha, block = intra.node_aggregate(sources[t], graph, rels, t, attns,
                                                           gains, biases, config.slope)
             else:

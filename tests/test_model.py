@@ -37,8 +37,10 @@ def _tiny_problem():
 
 
 class TestForwardVariants:
-    def test_all_variants_and_orderings_finite(self):
-        graph = random_bigraph(rng_for(0, "g"), dim=3)
+    @pytest.mark.parametrize("n_inter", [2, 0])
+    def test_all_variants_and_orderings_finite(self, n_inter):
+        # without cross relations the no-dual block holds within-class relations only
+        graph = random_bigraph(rng_for(0, "g"), dim=3, n_inter=n_inter)
         for variant in ("full", "no-dual", "no-hier", "no-global"):
             for ordering in ("standard", "inverted", "parallel"):
                 config = _config(input_dim=3, variant=variant, ordering=ordering)
