@@ -58,9 +58,9 @@ def attend_over_plan(target_feats: Tensor, values: Tensor, block: BlockPlan,
                      attns, gains, biases, slope: float):
     """Edge attention + normalized aggregation over one relation block.
 
-    Returns the [K*n, d] block (zero rows where a relation reaches no
-    edge) and the per-edge attention column, or None when the block has
-    no edge at all.
+    Returns the [K*n, d] block (zero rows for the nodes a relation does
+    not reach) and the per-edge attention column, or None when the block
+    has no edge at all.
     """
     n_rows = block.mask.size
     if block.n_edges == 0:

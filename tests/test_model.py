@@ -162,6 +162,17 @@ class TestRecords:
         assert ("intra" in {s for _, _, s in stages}
                 and "inter" in {s for _, _, s in stages})
 
+    def test_records_slice_each_relation_from_its_block(self):
+        # two within-class relations per class and two cross relations per block
+        graph = random_bigraph(rng_for(2, "g"), dim=3, extra_intra=1, n_inter=2)
+        config = _config(input_dim=3, num_layers=1)
+        _, records = forward(graph, config, build_params(graph, config, []), collect=True)
+        assert len({r.relation for r in records.attention}) > 2
+        for rec in records.attention:
+            assert rec.alpha.size == rec.sources.size == rec.offsets[-1]
+            np.testing.assert_allclose(np.add.reduceat(rec.alpha, rec.offsets[:-1]), 1.0,
+                                       atol=1e-12)
+
     def test_no_collect_returns_none(self, tiny_graph):
         config = _config()
         ps = build_params(tiny_graph, config, [])
