@@ -37,10 +37,16 @@ def _tiny_problem():
 
 
 class TestForwardVariants:
-    @pytest.mark.parametrize("n_inter", [2, 0])
-    def test_all_variants_and_orderings_finite(self, n_inter):
+    def test_all_variants_and_orderings_finite(self):
+        self._check_all_variants_and_orderings(random_bigraph(rng_for(0, "g"), dim=3))
+
+    def test_all_variants_and_orderings_finite_without_cross_relations(self):
         # without cross relations the no-dual block holds within-class relations only
-        graph = random_bigraph(rng_for(0, "g"), dim=3, n_inter=n_inter)
+        self._check_all_variants_and_orderings(
+            random_bigraph(rng_for(0, "g"), dim=3, n_inter=0))
+
+    @staticmethod
+    def _check_all_variants_and_orderings(graph):
         for variant in ("full", "no-dual", "no-hier", "no-global"):
             for ordering in ("standard", "inverted", "parallel"):
                 config = _config(input_dim=3, variant=variant, ordering=ordering)
