@@ -95,47 +95,23 @@ class CsrAdjacency:
 
 
 @dataclass(frozen=True)
-class MessagePlan:
-    """Edge layout for attention toward one side of a relation.
-
-    Rows with no sources are dropped: `targets` lists only nodes that
-    receive at least one message, `offsets` segments `sources` by target,
-    and `edge_targets` repeats the target id once per incoming edge.
-    """
-
-    targets: np.ndarray
-    offsets: np.ndarray
-    sources: np.ndarray
-    edge_targets: np.ndarray
-    n_targets_total: int
-
-    @property
-    def n_edges(self) -> int:
-        return int(self.sources.size)
-
-    @property
-    def covers_all(self) -> bool:
-        return self.targets.size == self.n_targets_total
-
-
-@dataclass(frozen=True)
 class BlockPlan:
-    """The message plans of K relations toward one node class, stacked.
+    """The edges of K relations toward one node class, stacked.
 
-    Block row k*n + i is node i under relation k (n target nodes). The K
-    plans are concatenated relation by relation, so the edges and the
-    segments of relation k form the runs `edge_runs[k]` and `row_runs[k]`.
-    `offsets`, `sources` and `layout` read like one message plan whose
-    segments are the reached block rows `rows`. Sources index the value
-    rows: the target class for within-class relations, the other class
-    for cross-class ones, or, when `stacked` (a block mixing both), the
-    target rows over the other class's rows, with cross sources offset by
-    n. `target_index` and `source_index` are each edge's flat index into
-    the row-major [n,K] target and [n_v,K] source score matrices, and
-    `mask` is the [n,K] table of the nodes each relation reaches.
+    Block row k*n + i is node i under relation k (n target nodes); K = 1
+    is one relation's message plan. Segments are the reached block rows
+    `rows`: `offsets` segments `sources` by row, so a node with no
+    incoming edge has no segment, and the edges and segments of relation
+    k form the runs `edge_runs[k]` and `row_runs[k]`. Sources index the
+    value rows: the target class for within-class relations, the other
+    class for cross-class ones, or, when `stacked` (a block mixing both),
+    the target rows over the other class's rows, with cross sources
+    offset by n. `target_index` and `source_index` are each edge's flat
+    index into the row-major [n,K] target and [n_v,K] source score
+    matrices, and `mask` is the [n,K] table of the nodes each relation
+    reaches.
     """
 
-    plans: tuple
     stacked: bool
     rows: np.ndarray
     offsets: np.ndarray
@@ -154,6 +130,12 @@ class BlockPlan:
     def covers_all(self) -> bool:
         return self.rows.size == self.mask.size
 
+    @property
+    def edge_targets(self) -> np.ndarray:
+        """The target node of each edge."""
+        n_k = self.mask.shape[1]
+        return self.target_index if n_k == 1 else self.target_index // n_k
+
     @cached_property
     def layout(self) -> ops.DegreeLayout:
         """Built on first use, then kept with the block."""
@@ -163,6 +145,42 @@ class BlockPlan:
 def _runs(sizes) -> tuple:
     ends = np.cumsum(sizes).tolist()
     return tuple(slice(lo, hi) for lo, hi in zip([0, *ends[:-1]], ends))
+
+
+def _relation_plan(edge_targets: np.ndarray, sources: np.ndarray, n: int) -> BlockPlan:
+    """One relation's block of target-sorted edges: its flat score indices are node ids."""
+    counts = np.bincount(edge_targets, minlength=n)
+    rows = np.flatnonzero(counts)
+    offsets = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(counts[rows], out=offsets[1:])
+    mask = (counts > 0).reshape(n, 1)
+    mask.flags.writeable = False  # fusion records share it across forwards
+    return BlockPlan(stacked=False, rows=rows, offsets=offsets, sources=sources,
+                     target_index=edge_targets, source_index=sources,
+                     edge_runs=_runs([sources.size]), row_runs=_runs([rows.size]), mask=mask)
+
+
+def _stack_plans(plans: list, within: list, n: int) -> BlockPlan:
+    """One block of the one-relation `plans` toward n nodes, relation by relation."""
+    if len(plans) == 1:
+        return plans[0]
+    n_k = len(plans)
+    stacked = any(within) and not all(within)
+    mask = np.concatenate([p.mask for p in plans], axis=1)
+    mask.flags.writeable = False
+    edge_k = np.repeat(np.arange(n_k), [p.n_edges for p in plans])
+    sources = np.concatenate([p.sources + (n if stacked and not w else 0)
+                              for p, w in zip(plans, within)])
+    seg_sizes = np.concatenate([np.diff(p.offsets) for p in plans])
+    offsets = np.zeros(seg_sizes.size + 1, dtype=np.int64)
+    np.cumsum(seg_sizes, out=offsets[1:])
+    edge_targets = np.concatenate([p.target_index for p in plans])
+    return BlockPlan(
+        stacked=stacked, rows=np.concatenate([k * n + p.rows for k, p in enumerate(plans)]),
+        offsets=offsets, sources=sources,
+        target_index=edge_targets * n_k + edge_k, source_index=sources * n_k + edge_k,
+        edge_runs=_runs([p.n_edges for p in plans]),
+        row_runs=_runs([p.rows.size for p in plans]), mask=mask)
 
 
 def _csr_from_pairs(src: np.ndarray, dst: np.ndarray, n_rows: int, n_cols: int) -> CsrAdjacency:
@@ -185,7 +203,6 @@ class BiGraph:
         self.relations = dict(relations)
         self._csr = csr
         self._csr_rev = csr_rev
-        self._plans: dict[tuple[str, NodeType, bool], MessagePlan] = {}
         self._blocks: dict[tuple[tuple, NodeType], BlockPlan] = {}
 
     # introspection
@@ -231,20 +248,17 @@ class BiGraph:
 
     # attention-side views
 
-    def message_plan(self, name: str, target_type: NodeType) -> MessagePlan:
-        """Edge layout for messages flowing into `target_type` nodes.
+    def message_plan(self, name: str, target_type: NodeType) -> BlockPlan:
+        """The one-relation block of messages flowing into `target_type` nodes.
 
         Within-class relations include a self-loop on every node, so each
         node always receives its own signal. Cross-class relations carry
         only stored edges; nodes with none are absent from the plan.
         """
-        spec = self.spec(name)
-        with_loops = spec.is_intra
-        key = (name, target_type, with_loops)
-        plan = self._plans.get(key)
+        key = ((name,), target_type)
+        plan = self._blocks.get(key)
         if plan is None:
-            plan = self._build_plan(spec, target_type, with_loops)
-            self._plans[key] = plan
+            plan = self._blocks[key] = self._build_plan(self.spec(name), target_type)
         return plan
 
     def block_plan(self, relations, target_type: NodeType) -> BlockPlan:
@@ -252,37 +266,14 @@ class BiGraph:
         key = (tuple(relations), target_type)
         block = self._blocks.get(key)
         if block is None:
-            block = self._build_block(*key)
-            self._blocks[key] = block
+            if not key[0]:
+                raise NoRelations(f"a block toward {target_type.label} needs a relation")
+            plans = [self.message_plan(rel, target_type) for rel in key[0]]
+            within = [self.spec(rel).is_intra for rel in key[0]]
+            block = self._blocks[key] = _stack_plans(plans, within, self.counts[target_type])
         return block
 
-    def _build_block(self, relations: tuple, target_type: NodeType) -> BlockPlan:
-        if not relations:
-            raise NoRelations(f"a block toward {target_type.label} needs a relation")
-        n, n_k = self.counts[target_type], len(relations)
-        plans = tuple(self.message_plan(rel, target_type) for rel in relations)
-        within = [self.spec(rel).is_intra for rel in relations]
-        stacked = any(within) and not all(within)
-        mask = np.zeros((n, n_k), dtype=bool)
-        for k, plan in enumerate(plans):
-            mask[plan.targets, k] = True
-        mask.flags.writeable = False  # fusion records share it across forwards
-        edge_k = np.repeat(np.arange(n_k), [p.n_edges for p in plans])
-        sources = np.concatenate([p.sources + (n if stacked and not w else 0)
-                                  for p, w in zip(plans, within)])
-        seg_sizes = np.concatenate([np.diff(p.offsets) for p in plans])
-        offsets = np.zeros(seg_sizes.size + 1, dtype=np.int64)
-        np.cumsum(seg_sizes, out=offsets[1:])
-        edge_targets = np.concatenate([p.edge_targets for p in plans])
-        return BlockPlan(
-            plans=plans, stacked=stacked,
-            rows=np.concatenate([k * n + p.targets for k, p in enumerate(plans)]),
-            offsets=offsets, sources=sources,
-            target_index=edge_targets * n_k + edge_k, source_index=sources * n_k + edge_k,
-            edge_runs=_runs([p.n_edges for p in plans]),
-            row_runs=_runs([p.targets.size for p in plans]), mask=mask)
-
-    def _build_plan(self, spec: RelationSpec, target_type: NodeType, with_loops: bool) -> MessagePlan:
+    def _build_plan(self, spec: RelationSpec, target_type: NodeType) -> BlockPlan:
         if target_type is spec.src_type:
             adj = self._csr[spec.name]
         elif target_type is spec.dst_type:
@@ -291,27 +282,15 @@ class BiGraph:
             raise DirectionInvalid(
                 f"relation {spec.name!r} has no {target_type.label} endpoint")
         n_t = self.counts[target_type]
-        offsets, cols = adj.offsets, adj.cols
-        if with_loops:
+        edge_targets = np.repeat(np.arange(n_t, dtype=np.int64), np.diff(adj.offsets))
+        sources = adj.cols
+        if spec.is_intra:
             # add a self-loop to each row unless one is already stored; the
             # flat row * n_t + col keys sort by row, then by source
-            rows = np.repeat(np.arange(n_t, dtype=np.int64), np.diff(offsets))
             diag = np.arange(n_t, dtype=np.int64) * (n_t + 1)
-            keys = np.unique(np.concatenate([rows * n_t + cols, diag]))
-            edge_targets, new_cols = np.divmod(keys, n_t)
-            new_offsets = np.zeros(n_t + 1, dtype=np.int64)
-            np.cumsum(np.bincount(edge_targets, minlength=n_t), out=new_offsets[1:])
-            return MessagePlan(targets=np.arange(n_t, dtype=np.int64), offsets=new_offsets,
-                               sources=new_cols, edge_targets=edge_targets, n_targets_total=n_t)
-        counts = np.diff(offsets)
-        live = np.nonzero(counts > 0)[0]
-        live_counts = counts[live]
-        live_offsets = np.zeros(live.size + 1, dtype=np.int64)
-        np.cumsum(live_counts, out=live_offsets[1:])
-        sources = cols.copy()
-        edge_targets = np.repeat(live, live_counts)
-        return MessagePlan(targets=live.astype(np.int64), offsets=live_offsets,
-                           sources=sources, edge_targets=edge_targets, n_targets_total=n_t)
+            keys = np.unique(np.concatenate([edge_targets * n_t + sources, diag]))
+            edge_targets, sources = np.divmod(keys, n_t)
+        return _relation_plan(edge_targets, sources, n_t)
 
     def with_features(self, node_type: NodeType, feats: np.ndarray) -> "BiGraph":
         """New graph sharing all adjacency, with one feature matrix replaced."""
@@ -432,19 +411,18 @@ def mean_neighbor_features(graph: BiGraph, relation_names: list[str],
     neighbor under any listed relation; their feature row is zero.
     """
     n = graph.n_nodes(target_type)
-    dim = graph.feature_dim
-    total = np.zeros((n, dim))
+    total = np.zeros((n, graph.feature_dim))
     deg = np.zeros(n)
-    source_feats = graph.features[target_type.other]
     for name in relation_names:
-        spec = graph.spec(name)
-        if spec.is_intra:
+        if graph.spec(name).is_intra:
             raise TypeMismatch(f"relation {name!r} is not cross-class")
-        plan = graph.message_plan(name, target_type)
-        if plan.n_edges == 0:
-            continue
-        np.add.at(total, plan.edge_targets, source_feats[plan.sources])
-        np.add.at(deg, plan.edge_targets, 1.0)
+    if relation_names:
+        # one add.at over the block's edges, relation by relation: the
+        # same additions in the same order as one add.at per relation
+        block = graph.block_plan(relation_names, target_type)
+        targets = block.edge_targets
+        np.add.at(total, targets, graph.features[target_type.other][block.sources])
+        np.add.at(deg, targets, 1.0)
     isolated = deg == 0
     out = np.divide(total, deg[:, None], out=np.zeros_like(total), where=deg[:, None] > 0)
     return out, isolated

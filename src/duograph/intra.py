@@ -92,43 +92,37 @@ def node_aggregate(h: Tensor, graph: BiGraph, relations, node_type: NodeType,
 
 
 def relation_fuse(base: Tensor, reps: Tensor, mask, score_vec: Tensor | None,
-                  global_logits: Tensor | None, mix_logit: Tensor | None,
-                  mean_fusion: bool = False):
+                  global_logits: Tensor | None, mix_logit: Tensor | None):
     """Fuse the K runs of a [K*n, d] relation block into one row per node.
 
     `mask[:, k]` flags the nodes relation k actually reached; weights are
     renormalized over the reaching relations per node, and a node reached
     by none gets the zero row. With every mask true this reduces to plain
-    softmax weighting. Returns (fused, local, global_row, mix, coeff, mask).
+    softmax weighting; with no `score_vec` every reaching relation scores
+    0, so the weights are the plain mean. Returns (fused, local,
+    global_row, mix, coeff, mask).
     """
     mask = np.asarray(mask, dtype=bool)
     n, n_k = mask.shape
     if n_k == 0:
         raise NoRelations("fusion needs at least one relation summary")
-    if mean_fusion:
-        counts = mask.sum(axis=1, keepdims=True)
-        coeff_np = np.divide(mask.astype(np.float64), counts,
-                             out=np.zeros(mask.shape), where=counts > 0)
-        coeff = ops.constant(coeff_np)
-        local_np, global_row, mix_val = coeff_np, None, None
+    if score_vec is None:
+        local = ops.masked_softmax_rows(ops.constant(np.zeros(mask.shape)), mask)
     else:
         # node i's score for relation k: [base_i || reps[k*n + i]] @ score_vec
         rows = np.arange(n)[:, None] + n * np.arange(n_k)
         scores = ops.reshape(ops.edge_scores(base, reps, score_vec, np.repeat(np.arange(n), n_k),
                                              rows.ravel()), n, n_k)
         local = ops.masked_softmax_rows(scores, mask)
-        if global_logits is not None:
-            tiled = ops.mul(ops.constant(np.ones((n, 1))), global_logits)
-            glob = ops.masked_softmax_rows(tiled, mask)
-            mix = ops.sigmoid(mix_logit)
-            inv_mix = ops.add(ops.constant(np.ones((1, 1))), ops.scalar_mul(mix, -1.0))
-            coeff = ops.add(ops.mul(mix, glob), ops.mul(inv_mix, local))
-            gl = global_logits.data[0]
-            e = np.exp(gl - gl.max())
-            global_row = e / e.sum()
-            mix_val = float(mix.data[0, 0])
-        else:
-            coeff = local
-            global_row, mix_val = None, None
-        local_np = local.data
-    return ops.combine_blocks(coeff, reps), local_np, global_row, mix_val, coeff.data, mask
+    coeff, global_row, mix_val = local, None, None
+    if global_logits is not None:
+        tiled = ops.mul(ops.constant(np.ones((n, 1))), global_logits)
+        glob = ops.masked_softmax_rows(tiled, mask)
+        mix = ops.sigmoid(mix_logit)
+        inv_mix = ops.add(ops.constant(np.ones((1, 1))), ops.scalar_mul(mix, -1.0))
+        coeff = ops.add(ops.mul(mix, glob), ops.mul(inv_mix, local))
+        gl = global_logits.data[0]
+        e = np.exp(gl - gl.max())
+        global_row = e / e.sum()
+        mix_val = float(mix.data[0, 0])
+    return ops.combine_blocks(coeff, reps), local.data, global_row, mix_val, coeff.data, mask

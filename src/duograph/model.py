@@ -179,14 +179,14 @@ def _stage(stage: Stage, graph: BiGraph, inputs: dict, ps: ParamSet, layer: int,
             score, glb, mix = (None if n is None else ps.get(n)
                                for n in stage.fusion_names(layer, t, config.variant))
             fused, local_np, global_row, mix_val, coeff, mask = intra.relation_fuse(
-                inputs[t], reps, block.mask, score, glb, mix,
-                mean_fusion=config.variant == "no-hier")
+                inputs[t], reps, block.mask, score, glb, mix)
             if records is not None:
+                plans = [graph.message_plan(rel, t) for rel in rels]
                 records.attention.extend(AttentionRecord(
                     layer=layer, relation=rel, target_type=t, stage=stage.label,
                     edge_targets=plan.edge_targets, sources=plan.sources, offsets=plan.offsets,
                     alpha=alpha.data[run, 0].copy())
-                    for rel, plan, run in zip(rels, block.plans, block.edge_runs)
+                    for rel, plan, run in zip(rels, plans, block.edge_runs)
                     if plan.n_edges)
                 records.fusion.append(FusionRecord(
                     layer=layer, target_type=t, stage=stage.label, relations=rels, mask=mask,
@@ -311,7 +311,7 @@ def _softmax_xent(logits: Tensor, y: Tensor, config: ModelConfig) -> Tensor:
     """
     literal = config.literal_temperature
     z = logits if literal else ops.scalar_mul(logits, 1.0 / config.temperature)
-    p = ops.softmax_rows(z)
+    p = ops.masked_softmax_rows(z, np.ones(z.shape, dtype=bool))
     loss = ops.scalar_mul(ops.sum_all(ops.mul(ops.log(p), y)), -1.0 / logits.shape[0])
     return ops.add(loss, ops.constant(np.log(config.temperature))) if literal else loss
 

@@ -218,13 +218,18 @@ def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
     return _result(np.where(keep, x.data, slope * x.data), (x,), bw)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    xd = x.data
+def _logistic(xd: Array) -> Array:
+    """1 / (1 + exp(-x)) without overflow: exp(x) / (1 + exp(x)) where x < 0."""
     pos = xd >= 0
     val = np.empty_like(xd)
     val[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
     ex = np.exp(xd[~pos])
     val[~pos] = ex / (1.0 + ex)
+    return val
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    val = _logistic(x.data)
 
     def bw(g: Array):
         return (g * val * (1.0 - val),)
@@ -234,18 +239,12 @@ def sigmoid(x: Tensor) -> Tensor:
 
 def softplus(x: Tensor) -> Tensor:
     """log(1 + exp(x)), computed stably."""
-    val = np.logaddexp(0.0, x.data)
     xd = x.data
 
     def bw(g: Array):
-        pos = xd >= 0
-        sig = np.empty_like(xd)
-        sig[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
-        ex = np.exp(xd[~pos])
-        sig[~pos] = ex / (1.0 + ex)
-        return (g * sig,)
+        return (g * _logistic(xd),)
 
-    return _result(val, (x,), bw)
+    return _result(np.logaddexp(0.0, xd), (x,), bw)
 
 
 def log(x: Tensor) -> Tensor:
@@ -517,18 +516,6 @@ def combine_blocks(coeff: Tensor, blocks: Tensor) -> Tensor:
         return gc, gb
 
     return _result(out, (coeff, blocks), bw)
-
-
-def softmax_rows(x: Tensor) -> Tensor:
-    xd = x.data
-    e = np.exp(xd - xd.max(axis=1, keepdims=True))
-    y = e / e.sum(axis=1, keepdims=True)
-
-    def bw(g: Array):
-        dot = (g * y).sum(axis=1, keepdims=True)
-        return (y * (g - dot),)
-
-    return _result(y, (x,), bw)
 
 
 def masked_softmax_rows(x: Tensor, mask) -> Tensor:

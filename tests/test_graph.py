@@ -204,16 +204,16 @@ class TestMessagePlans:
                     assert plan.sources.tolist() == np.concatenate(rows).tolist()
                     assert plan.offsets.tolist() == np.cumsum([0] + sizes).tolist()
                     assert plan.edge_targets.tolist() == np.repeat(np.arange(n), sizes).tolist()
-                    assert plan.targets.tolist() == list(range(n)) and plan.covers_all
+                    assert plan.rows.tolist() == list(range(n)) and plan.covers_all
         assert stored_loops > 0
 
     def test_inter_plan_drops_isolated_targets(self, tiny_graph):
         # toward A: a0 wrote p0; a1 wrote p0, p1 -- both live
         plan_a = tiny_graph.message_plan("wrote", NodeType.A)
-        np.testing.assert_array_equal(plan_a.targets, [0, 1])
+        np.testing.assert_array_equal(plan_a.rows, [0, 1])
         # toward B with only a0->p0 edge removed leaves p1 with one writer
         plan_b = tiny_graph.message_plan("wrote", NodeType.B)
-        np.testing.assert_array_equal(plan_b.targets, [0, 1])
+        np.testing.assert_array_equal(plan_b.rows, [0, 1])
         np.testing.assert_array_equal(plan_b.sources[plan_b.offsets[0]:plan_b.offsets[1]], [0, 1])
 
     def test_inter_plan_isolated_target_absent(self):
@@ -221,7 +221,7 @@ class TestMessagePlans:
         rel = _spec("w", RelationClass.INTER)
         g = build_graph({NodeType.A: 2, NodeType.B: 3}, feats, [rel], [("w", 0, 2)])
         plan = g.message_plan("w", NodeType.B)
-        np.testing.assert_array_equal(plan.targets, [2])
+        np.testing.assert_array_equal(plan.rows, [2])
         assert not plan.covers_all
 
     def test_block_stacks_plans_relation_by_relation(self, tiny_graph):
@@ -229,7 +229,7 @@ class TestMessagePlans:
         block = tiny_graph.block_plan(["cite", "wrote"], NodeType.B)
         assert tiny_graph.block_plan(("cite", "wrote"), NodeType.B) is block
         cite, wrote = (tiny_graph.message_plan(r, NodeType.B) for r in ("cite", "wrote"))
-        assert block.plans == (cite, wrote) and block.stacked
+        assert block.stacked
         assert block.rows.tolist() == [0, 1, 2, 3]
         assert block.edge_runs == (slice(0, cite.n_edges), slice(cite.n_edges, block.n_edges))
         assert block.row_runs == (slice(0, 2), slice(2, 4))
@@ -241,6 +241,31 @@ class TestMessagePlans:
         assert block.target_index.tolist() == (edge_targets * 2 + k).tolist()
         assert block.source_index.tolist() == (block.sources * 2 + k).tolist()
         assert block.mask.all() and block.covers_all
+        assert block.edge_targets.tolist() == edge_targets.tolist()
+
+    def test_block_runs_equal_the_relation_plans(self):
+        graph = random_bigraph(rng_for(5, "block-runs"), n_a=7, n_b=6, extra_intra=1)
+        for t in (NodeType.A, NodeType.B):
+            rels = graph.intra_relations(t) + graph.inter_relations()
+            block, n = graph.block_plan(rels, t), graph.n_nodes(t)
+            for k, rel in enumerate(rels):
+                plan = graph.message_plan(rel, t)
+                edges, segs = block.edge_runs[k], block.row_runs[k]
+                shift = n if block.stacked and not graph.spec(rel).is_intra else 0
+                assert block.sources[edges].tolist() == (plan.sources + shift).tolist()
+                assert block.edge_targets[edges].tolist() == plan.edge_targets.tolist()
+                assert (block.rows[segs] - k * n).tolist() == plan.rows.tolist()
+                sizes = np.diff(block.offsets)[segs]
+                assert sizes.tolist() == np.diff(plan.offsets).tolist()
+                assert block.mask[:, k].tolist() == plan.mask[:, 0].tolist()
+
+    def test_one_relation_block_is_the_message_plan(self, tiny_graph):
+        for rel, t in (("colleague", NodeType.A), ("wrote", NodeType.A), ("wrote", NodeType.B)):
+            plan = tiny_graph.message_plan(rel, t)
+            assert tiny_graph.block_plan([rel], t) is plan
+            assert plan.target_index is plan.edge_targets
+            assert plan.source_index is plan.sources
+            assert plan.mask.shape == (tiny_graph.n_nodes(t), 1)
 
     def test_block_of_cross_relations_reads_the_other_class(self, tiny_graph):
         block = tiny_graph.block_plan(["wrote"], NodeType.A)
@@ -249,7 +274,7 @@ class TestMessagePlans:
 
     def test_wrong_direction_rejected(self, tiny_graph):
         with pytest.raises(DirectionInvalid):
-            tiny_graph._build_plan(tiny_graph.spec("colleague"), NodeType.B, False)
+            tiny_graph.message_plan("colleague", NodeType.B)
 
     def test_plan_cached(self, tiny_graph):
         assert tiny_graph.message_plan("cite", NodeType.B) is tiny_graph.message_plan("cite", NodeType.B)
@@ -274,6 +299,29 @@ class TestMeanNeighborFeatures:
     def test_intra_relation_rejected(self, tiny_graph):
         with pytest.raises(TypeMismatch):
             mean_neighbor_features(tiny_graph, ["colleague"], NodeType.A)
+
+    def test_two_relations_match_per_relation_add_at(self):
+        rng = rng_for(8, "mean-neighbors")
+        for _ in range(10):
+            graph = random_bigraph(rng, n_a=int(rng.integers(2, 9)), n_b=int(rng.integers(2, 9)))
+            rels = graph.inter_relations()
+            assert len(rels) >= 2
+            n = graph.n_nodes(NodeType.A)
+            total, deg = np.zeros((n, graph.feature_dim)), np.zeros(n)
+            for rel in rels:
+                plan = graph.message_plan(rel, NodeType.A)
+                np.add.at(total, plan.edge_targets, graph.features[NodeType.B][plan.sources])
+                np.add.at(deg, plan.edge_targets, 1.0)
+            want = np.divide(total, deg[:, None], out=np.zeros_like(total),
+                             where=deg[:, None] > 0)
+            got, isolated = mean_neighbor_features(graph, rels, NodeType.A)
+            assert np.array_equal(got, want)
+            assert isolated.tolist() == (deg == 0).tolist()
+
+    def test_no_relations_mark_every_node_isolated(self, tiny_graph):
+        out, isolated = mean_neighbor_features(tiny_graph, [], NodeType.A)
+        assert isolated.all() and not out.any()
+        assert out.shape == (tiny_graph.n_nodes(NodeType.A), tiny_graph.feature_dim)
 
     def test_with_features_returns_new_graph(self, tiny_graph):
         new_feats = np.ones((2, 2))

@@ -174,7 +174,7 @@ def _per_relation(graph, rels, t, h, attns, gains, biases):
         layout = ops.degree_layout(plan.offsets, plan.sources)
         agg = ops.weighted_sum_rows(alpha, src, plan.sources, layout)
         rep = ops.leaky_relu(ops.layer_norm(agg, gain, bias), 0.2)
-        reps.append(rep if plan.covers_all else ops.scatter_rows(rep, plan.targets, n))
+        reps.append(rep if plan.covers_all else ops.scatter_rows(rep, plan.rows, n))
     return reps
 
 
@@ -219,8 +219,9 @@ class TestRelationBlock:
             assert not block.covers_all and not block.mask[:, rels.index("x1")].any()
         np.testing.assert_allclose(block_rows.data, np.vstack([r.data for r in reps]),
                                    rtol=0.0, atol=1e-12)
-        for k, plan in enumerate(block.plans):
-            assert block.mask[:, k].tolist() == np.isin(np.arange(n), plan.targets).tolist()
+        for k, rel in enumerate(rels):
+            plan = graph.message_plan(rel, t)
+            assert block.mask[:, k].tolist() == np.isin(np.arange(n), plan.rows).tolist()
             assert alpha.data[block.edge_runs[k]].shape == (plan.n_edges, 1)
         for got, leaf in zip(block_grads, leaves):
             np.testing.assert_allclose(got, leaf.grad, rtol=0.0, atol=1e-12)

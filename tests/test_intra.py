@@ -187,10 +187,23 @@ class TestRelationFuse:
                 _tensor([[0.0, 6.0], [8.0, 0.0]])]
         masks = [np.array([True, True]), np.array([True, False])]
         fused, local, grow, mval, coeff, _ = _fuse(
-            base, reps, masks, None, None, None, mean_fusion=True)
+            base, reps, masks, None, None, None)
         assert grow is None and mval is None
         np.testing.assert_allclose(coeff, [[0.5, 0.5], [1.0, 0.0]], atol=1e-15)
         np.testing.assert_allclose(fused.data, [[1.0, 3.0], [4.0, 0.0]], atol=1e-15)
+
+    def test_mean_weights_equal_mask_over_count_bitwise(self):
+        rng = rng_for(11, "mean-fuse")
+        for _ in range(300):
+            n, k = (int(v) for v in rng.integers(1, 7, size=2))
+            mask = rng.random((n, k)) < 0.6
+            _, local, _, _, coeff, _ = relation_fuse(
+                ops.constant(np.zeros((n, 2))), ops.constant(np.zeros((n * k, 2))), mask,
+                None, None, None)
+            counts = mask.sum(axis=1, keepdims=True)
+            want = np.divide(mask.astype(np.float64), counts, out=np.zeros(mask.shape),
+                             where=counts > 0)
+            assert np.array_equal(coeff, want) and np.array_equal(local, want)
 
     def test_coefficients_sum_to_one_or_zero(self):
         rng = rng_for(7, "fuse")
@@ -226,7 +239,7 @@ class TestRelationFuse:
     def test_empty_relation_list_raises(self):
         with pytest.raises(NoRelations):
             relation_fuse(_tensor([[0.0, 0.0]]), ops.constant(np.zeros((0, 2))),
-                          np.zeros((1, 0), dtype=bool), None, None, None, mean_fusion=True)
+                          np.zeros((1, 0), dtype=bool), None, None, None)
 
 
 class TestRelationFuseBlock:
@@ -245,8 +258,7 @@ class TestRelationFuseBlock:
                 "mean": (None, None, None)}[weights]
         fused, _, _, _, coeff, mask = relation_fuse(
             ops.constant(base), ops.constant(np.vstack(reps)), np.column_stack(masks),
-            *(None if a is None else ops.constant(a) for a in args),
-            mean_fusion=weights == "mean")
+            *(None if a is None else ops.constant(a) for a in args))
         want = dense_fuse(base, reps, masks, *args, weights == "mean")
         np.testing.assert_allclose(fused.data, want, rtol=0.0, atol=1e-12)
         assert not mask[:, 2].any() and not coeff[:, 2].any()

@@ -386,15 +386,20 @@ class TestPrimitiveGradients:
             ops.layer_norm(Tensor(np.ones((5, 3))), pairs, pairs, runs)
 
     def test_softmax_rows(self):
+        # the all-true mask is the plain row softmax of the cross-entropy
         x = _param((4, 5))
         coeff = ops.constant(RNG.uniform(-1, 1, (4, 5)))
-        check_op_gradient(lambda t: ops.mul(ops.softmax_rows(t), coeff), [x])
+        every = np.ones((4, 5), dtype=bool)
+        check_op_gradient(lambda t: ops.mul(ops.masked_softmax_rows(t, every), coeff), [x])
 
     def test_softmax_rows_shift_invariant(self):
         x = RNG.uniform(-2, 2, size=(3, 4))
-        a = ops.softmax_rows(Tensor(x)).data
-        b = ops.softmax_rows(Tensor(x + 100.0)).data
+        every = np.ones(x.shape, dtype=bool)
+        a = ops.masked_softmax_rows(Tensor(x), every).data
+        b = ops.masked_softmax_rows(Tensor(x + 100.0), every).data
         np.testing.assert_allclose(a, b, atol=1e-12)
+        e = np.exp(x - x.max(axis=1, keepdims=True))
+        np.testing.assert_allclose(a, e / e.sum(axis=1, keepdims=True), atol=1e-15)
 
     def test_masked_softmax_rows(self):
         x = _param((4, 3))
