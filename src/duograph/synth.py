@@ -306,8 +306,19 @@ def export_dataset(graph: BiGraph, tasks, directory) -> None:
     write_lines(os.path.join(directory, "splits.tsv"), lines)
 
 
+def _reject(path, lines, ids, bad, message: str) -> None:
+    """ParseError at the first row `bad` flags; `message` names its id as {}."""
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ParseError(path, int(lines[k]), message.format(int(ids[k])))
+
+
 def import_dataset(directory):
-    """Read a dataset written by export_dataset; returns (graph, tasks)."""
+    """Read a dataset written by export_dataset; returns (graph, tasks).
+
+    Every id in the task files must fit the graph and the task: a
+    ParseError names the file and line of the first one that does not.
+    """
     graph = load_graph_tsv(directory)
     tasks_path = os.path.join(directory, "tasks.tsv")
     tasks: dict[str, TaskSpec] = {}
@@ -320,10 +331,13 @@ def import_dataset(directory):
                             n_classes=int(n_classes))
         except ValueError as exc:
             raise ParseError(tasks_path, lineno, str(exc)) from exc
+        if spec.kind is not TaskKind.LINK_RANKING and spec.n_classes < 1:
+            raise ParseError(tasks_path, lineno, f"task {name!r} needs at least one class")
         tasks[name] = spec
         task_order.append(name)
 
     labels_path = os.path.join(directory, "labels.tsv")
+    rows = {n: ([], [], [], []) for n in tasks}  # lines, nodes, id lines, ids
     for lineno, parts in _read_rows(labels_path, 3, "node\ttask\tlabels"):
         node_txt, task_name, label_txt = parts
         task = tasks.get(task_name)
@@ -336,17 +350,35 @@ def import_dataset(directory):
             raise ParseError(labels_path, lineno, str(exc)) from exc
         if not values:
             raise ParseError(labels_path, lineno, "empty label list")
+        lines, nodes, id_lines, ids = rows[task_name]
+        lines.append(lineno)
+        nodes.append(node)
+        id_lines.extend([lineno] * len(values))
+        ids.extend(values)
         if task.kind is TaskKind.LINK_RANKING:
             task.instances.append(RankInstance.make(node, values[0], values[1:]))
         else:
             task.labels[node] = tuple(sorted(values))
 
     for task in tasks.values():
+        lines, nodes, id_lines, ids = (np.array(x, dtype=np.int64) for x in rows[task.name])
+        n_t = graph.n_nodes(task.target_type)
+        _reject(labels_path, lines, nodes, (nodes < 0) | (nodes >= n_t),
+                f"task {task.name!r}: {task.target_type.label} node {{}} outside [0, {n_t})")
+        again = np.ones(nodes.size, dtype=bool)
+        again[np.unique(nodes, return_index=True)[1]] = False
+        _reject(labels_path, lines, nodes, again,
+                f"task {task.name!r}: node {{}} has a second label row")
         if task.kind is TaskKind.LINK_RANKING:
+            cap, what = graph.n_nodes(task.target_type.other), "candidate"
             task.instances.sort(key=lambda inst: inst.query)
+        else:
+            cap, what = task.n_classes, "class"
+        _reject(labels_path, id_lines, ids, (ids < 0) | (ids >= cap),
+                f"task {task.name!r}: {what} {{}} outside [0, {cap})")
 
     splits_path = os.path.join(directory, "splits.tsv")
-    raw_splits: dict[str, dict[str, list[int]]] = {n: {s: [] for s in SPLITS} for n in tasks}
+    raw_splits = {n: {s: ([], []) for s in SPLITS} for n in tasks}  # nodes, lines
     for lineno, parts in _read_rows(splits_path, 3, "node\ttask\tsplit"):
         node_txt, task_name, split = parts
         if task_name not in tasks:
@@ -354,17 +386,23 @@ def import_dataset(directory):
         if split not in SPLITS:
             raise ParseError(splits_path, lineno, f"unknown split {split!r}")
         try:
-            raw_splits[task_name][split].append(int(node_txt))
+            raw_splits[task_name][split][0].append(int(node_txt))
         except ValueError as exc:
             raise ParseError(splits_path, lineno, str(exc)) from exc
+        raw_splits[task_name][split][1].append(lineno)
 
     for name, task in tasks.items():
+        labeled = np.array(rows[name][1], dtype=np.int64)
+        for s in SPLITS:
+            nodes, lines = (np.array(x, dtype=np.int64) for x in raw_splits[name][s])
+            _reject(splits_path, lines, nodes, ~np.isin(nodes, labeled),
+                    f"task {name!r}: {s} node {{}} has no row in labels.tsv")
         if task.kind is TaskKind.LINK_RANKING:
             index_of = {inst.query: i for i, inst in enumerate(task.instances)}
             task.splits = {
-                s: np.array([index_of[q] for q in sorted(raw_splits[name][s])], dtype=np.int64)
+                s: np.array([index_of[q] for q in sorted(raw_splits[name][s][0])], dtype=np.int64)
                 for s in SPLITS}
         else:
-            task.splits = {s: np.array(sorted(raw_splits[name][s]), dtype=np.int64)
+            task.splits = {s: np.array(sorted(raw_splits[name][s][0]), dtype=np.int64)
                            for s in SPLITS}
     return graph, [tasks[n] for n in task_order]

@@ -321,6 +321,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "error: ConfigShapeMismatch: hidden_dim must be an integer, got '8'\n"
 
+    def test_label_past_n_classes_is_one_line(self, tmp_path, config_path, capsys):
+        data = str(tmp_path / "data")
+        assert main(["generate", "--config", config_path, "--out", data]) == 0
+        labels = tmp_path / "data" / "labels.tsv"
+        lines = labels.read_text().splitlines()
+        k = next(k for k, line in enumerate(lines) if line.split("\t")[1] == "pv")
+        lines[k] = lines[k].rsplit("\t", 1)[0] + "\t2"  # pv has 2 classes
+        labels.write_text("\n".join(lines) + "\n")
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps({"data": data, "model": CONFIG["model"]}))
+        capsys.readouterr()
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: ParseError: {labels}:{k + 1}: "
+                       "task 'pv': class 2 outside [0, 2)\n")
+
     def test_missing_checkpoint_is_one(self, tmp_path, config_path):
         assert main(["eval", "--config", config_path,
                      "--out", str(tmp_path / "empty")]) == 1

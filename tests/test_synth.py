@@ -175,6 +175,51 @@ class TestConfigValidation:
         assert SynthConfig.from_dict(cfg.to_dict()) == cfg
 
 
+def _edit(directory, name, match, replace):
+    """Swap the first data row of a task file whose cells `match` for the rows
+    `replace` makes of them; returns the file name and the row's line."""
+    path = directory / name
+    lines = path.read_text().splitlines()
+    k = next(k for k, line in enumerate(lines) if k and match(line.split("\t")))
+    lines[k:k + 1] = ["\t".join(cells) for cells in replace(lines[k].split("\t"))]
+    path.write_text("\n".join(lines) + "\n")
+    return name, k + 1
+
+
+def _of(task):
+    return lambda cells: cells[1] == task
+
+
+def _duplicate_label_row(directory):
+    name, line = _edit(directory, "labels.tsv", _of("pv"), lambda c: [c, c])
+    return name, line + 1
+
+
+def _unlabel_first_split_node(directory, task):
+    """Delete the label row of the first split node of `task`; the split row is at fault."""
+    name, line = _edit(directory, "splits.tsv", _of(task), lambda c: [c])
+    node = (directory / name).read_text().splitlines()[line - 1].split("\t")[0]
+    _edit(directory, "labels.tsv", lambda c: c[:2] == [node, task], lambda c: [])
+    return name, line
+
+
+# each edit of an exported 40/20 dataset and the (file, line) it must be reported at
+TASK_FILE_EDITS = {
+    "class id past n_classes": lambda d: _edit(d, "labels.tsv", _of("pv"),
+                                               lambda c: [[*c[:2], "3"]]),
+    "class id -1": lambda d: _edit(d, "labels.tsv", _of("pv"), lambda c: [[*c[:2], "-1"]]),
+    "candidate past the paper count": lambda d: _edit(d, "labels.tsv", _of("ad"),
+                                                      lambda c: [[*c[:2], c[2] + ",40"]]),
+    "node past its class": lambda d: _edit(d, "labels.tsv", _of("pv"),
+                                           lambda c: [["40", *c[1:]]]),
+    "duplicated label row": _duplicate_label_row,
+    "no classes": lambda d: _edit(d, "tasks.tsv", lambda c: c[0] == "pv",
+                                  lambda c: [[*c[:3], "0"]]),
+    "split node without a label row": lambda d: _unlabel_first_split_node(d, "pv"),
+    "split query without an instance": lambda d: _unlabel_first_split_node(d, "ad"),
+}
+
+
 class TestInterchange:
     def test_export_import_export_is_identity(self, tmp_path):
         graph, tasks = generate(_small())
@@ -212,6 +257,15 @@ class TestInterchange:
         path.write_text(path.read_text() + "0\tmystery\t1\n")
         with pytest.raises(ParseError):
             import_dataset(str(tmp_path))
+
+    @pytest.mark.parametrize("edit", sorted(TASK_FILE_EDITS))
+    def test_task_file_that_disagrees_with_graph_names_file_and_line(self, tmp_path, edit):
+        graph, tasks = generate(_small(n_papers=40, n_authors=20))
+        export_dataset(graph, tasks, str(tmp_path))
+        name, line = TASK_FILE_EDITS[edit](tmp_path)
+        with pytest.raises(ParseError) as err:
+            import_dataset(str(tmp_path))
+        assert (os.path.basename(err.value.path), err.value.line) == (name, line)
 
     def test_bad_split_name_rejected(self, tmp_path):
         graph, tasks = generate(_small())
