@@ -1,0 +1,79 @@
+"""Print the SHA-256 of every artifact the duograph CLI writes at a tiny size.
+
+Runs `generate`, then `train`, `eval`, `export-attn` and `export-emb` on
+the generated dataset for every variant and ordering, and `ablate` once,
+in a temporary directory, and prints one `<sha256>  <artifact>` line per
+file. Two source trees that print the same lines write the same bytes:
+
+    python scripts/artifact_digest.py --src src > after.txt
+    python scripts/artifact_digest.py --src ../parent/src > before.txt
+    diff before.txt after.txt
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+SYNTH = {"n_papers": 40, "n_authors": 20, "n_venues": 2, "n_fields_l1": 2, "n_fields_l2": 3,
+         "feature_dim": 6, "name_group_size": 3, "ad_distractors": 3, "seed": 5}
+MODEL = {"hidden_dim": 6, "num_layers": 2, "epochs": 3, "seed": 5}
+
+
+def _digests(directory: str) -> list[str]:
+    lines = []
+    for root, _, files in sorted(os.walk(directory)):
+        for name in sorted(files):
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                lines.append(f"{hashlib.sha256(fh.read()).hexdigest()}  {path}")
+    return lines
+
+
+def _write_config(path: str, payload: dict) -> str:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    return path
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", required=True, help="directory that holds the duograph package")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, os.path.abspath(args.src))
+    from duograph.cli import main as cli
+    from duograph.model import ORDERINGS, VARIANTS
+
+    def run(*cli_args):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli(list(cli_args))
+        if code != 0:
+            raise SystemExit(f"duograph {' '.join(cli_args)} exited with {code}")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # artifacts name the dataset by this relative path
+        run("generate", "--config", _write_config("synth.json", {"synth": SYNTH}),
+            "--out", "data")
+        config = _write_config("model.json", {"data": "data", "model": MODEL})
+        runs = []
+        for variant in VARIANTS:
+            for ordering in ORDERINGS:
+                out = os.path.join("runs", f"{variant}-{ordering}")
+                for command in ("train", "eval", "export-attn", "export-emb"):
+                    run(command, "--config", config, "--out", out,
+                        "--variant", variant, "--ordering", ordering)
+                runs.append(out)
+        run("ablate", "--config", _write_config(
+            "ablate.json", {"synth": SYNTH, "model": MODEL, "seeds": [0, 1]}), "--out", "ablate")
+        for directory in ("data", *runs, "ablate"):
+            print("\n".join(_digests(directory)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
