@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, asdict
+from itertools import chain
 
 import numpy as np
 
@@ -337,7 +338,8 @@ def import_dataset(directory):
         task_order.append(name)
 
     labels_path = os.path.join(directory, "labels.tsv")
-    rows = {n: ([], [], [], []) for n in tasks}  # lines, nodes, id lines, ids
+    label_lines = {n: {} for n in tasks}  # node -> line of its label row, in file order
+    label_ids = {n: [] for n in tasks}    # the ids of each row, in file order
     for lineno, parts in _read_rows(labels_path, 3, "node\ttask\tlabels"):
         node_txt, task_name, label_txt = parts
         task = tasks.get(task_name)
@@ -350,35 +352,34 @@ def import_dataset(directory):
             raise ParseError(labels_path, lineno, str(exc)) from exc
         if not values:
             raise ParseError(labels_path, lineno, "empty label list")
-        lines, nodes, id_lines, ids = rows[task_name]
-        lines.append(lineno)
-        nodes.append(node)
-        id_lines.extend([lineno] * len(values))
-        ids.extend(values)
+        if node in label_lines[task_name]:
+            raise ParseError(labels_path, lineno,
+                             f"task {task_name!r}: node {node} has a second label row")
+        label_lines[task_name][node] = lineno
+        label_ids[task_name].append(values)
         if task.kind is TaskKind.LINK_RANKING:
             task.instances.append(RankInstance.make(node, values[0], values[1:]))
         else:
             task.labels[node] = tuple(sorted(values))
 
     for task in tasks.values():
-        lines, nodes, id_lines, ids = (np.array(x, dtype=np.int64) for x in rows[task.name])
+        rows, per_row = label_lines[task.name], label_ids[task.name]
+        nodes = np.fromiter(rows, dtype=np.int64, count=len(rows))
+        lines = np.fromiter(rows.values(), dtype=np.int64, count=len(rows))
         n_t = graph.n_nodes(task.target_type)
         _reject(labels_path, lines, nodes, (nodes < 0) | (nodes >= n_t),
                 f"task {task.name!r}: {task.target_type.label} node {{}} outside [0, {n_t})")
-        again = np.ones(nodes.size, dtype=bool)
-        again[np.unique(nodes, return_index=True)[1]] = False
-        _reject(labels_path, lines, nodes, again,
-                f"task {task.name!r}: node {{}} has a second label row")
         if task.kind is TaskKind.LINK_RANKING:
             cap, what = graph.n_nodes(task.target_type.other), "candidate"
             task.instances.sort(key=lambda inst: inst.query)
         else:
             cap, what = task.n_classes, "class"
-        _reject(labels_path, id_lines, ids, (ids < 0) | (ids >= cap),
-                f"task {task.name!r}: {what} {{}} outside [0, {cap})")
+        ids = np.fromiter(chain.from_iterable(per_row), dtype=np.int64)
+        _reject(labels_path, np.repeat(lines, list(map(len, per_row))), ids,
+                (ids < 0) | (ids >= cap), f"task {task.name!r}: {what} {{}} outside [0, {cap})")
 
     splits_path = os.path.join(directory, "splits.tsv")
-    raw_splits = {n: {s: ([], []) for s in SPLITS} for n in tasks}  # nodes, lines
+    raw_splits: dict[str, dict[str, list[int]]] = {n: {s: [] for s in SPLITS} for n in tasks}
     for lineno, parts in _read_rows(splits_path, 3, "node\ttask\tsplit"):
         node_txt, task_name, split = parts
         if task_name not in tasks:
@@ -386,23 +387,21 @@ def import_dataset(directory):
         if split not in SPLITS:
             raise ParseError(splits_path, lineno, f"unknown split {split!r}")
         try:
-            raw_splits[task_name][split][0].append(int(node_txt))
+            node = int(node_txt)
         except ValueError as exc:
             raise ParseError(splits_path, lineno, str(exc)) from exc
-        raw_splits[task_name][split][1].append(lineno)
+        if node not in label_lines[task_name]:
+            raise ParseError(splits_path, lineno,
+                             f"task {task_name!r}: {split} node {node} has no row in labels.tsv")
+        raw_splits[task_name][split].append(node)
 
     for name, task in tasks.items():
-        labeled = np.array(rows[name][1], dtype=np.int64)
-        for s in SPLITS:
-            nodes, lines = (np.array(x, dtype=np.int64) for x in raw_splits[name][s])
-            _reject(splits_path, lines, nodes, ~np.isin(nodes, labeled),
-                    f"task {name!r}: {s} node {{}} has no row in labels.tsv")
         if task.kind is TaskKind.LINK_RANKING:
             index_of = {inst.query: i for i, inst in enumerate(task.instances)}
             task.splits = {
-                s: np.array([index_of[q] for q in sorted(raw_splits[name][s][0])], dtype=np.int64)
+                s: np.array([index_of[q] for q in sorted(raw_splits[name][s])], dtype=np.int64)
                 for s in SPLITS}
         else:
-            task.splits = {s: np.array(sorted(raw_splits[name][s][0]), dtype=np.int64)
+            task.splits = {s: np.array(sorted(raw_splits[name][s]), dtype=np.int64)
                            for s in SPLITS}
     return graph, [tasks[n] for n in task_order]
