@@ -12,12 +12,11 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from .errors import ConfigShapeMismatch, Error, InfeasibleConfig, IoFailure
-from .graph import BiGraph, NodeType, format_float, write_lines
+from .graph import BiGraph, NodeType, format_float, write_lines, write_node_table
 from .gradcheck import gradcheck
 from .model import VARIANTS, ORDERINGS, ModelConfig, TaskKind, forward
 from .params import ParamSet, build_params
@@ -167,64 +166,30 @@ def _cmd_eval(cfg, args) -> int:
     return 0
 
 
-def _ablate_cell(payload: dict) -> tuple[dict, list]:
-    """One variant x seed run and the table columns of its tasks; module
-    level so worker pools can pickle it.
-
-    The dataset is fixed by the config (cell seeds steer only model
-    randomness), so every cell compares on identical data.
-    """
-    cfg = dict(payload["cfg"])
-    ns_data = argparse.Namespace(seed=None, variant=None, ordering=None,
-                                 compat_literal_temperature=False)
-    ns_model = argparse.Namespace(seed=payload["seed"], variant=payload["variant"],
-                                  ordering=None, compat_literal_temperature=False)
-    (graph, tasks), _ = _resolve_dataset(cfg, ns_data)
-    config = _model_config(cfg, ns_model, graph)
-    ps, _ = train(graph, tasks, config)
-    report = evaluate(graph, tasks, ps, config)
-    row = {"variant": payload["variant"], "seed": payload["seed"], "report": report}
-    return row, _ablation_columns(tasks)
-
-
-def _ablation_columns(tasks) -> list[tuple[str, str, str]]:
-    """(header, report entry, metric) of each ablation column after variant and seed."""
-    columns = []
-    for task in tasks:
-        metrics = ("ndcg", "mrr") if task.kind is TaskKind.LINK_RANKING else ("acc",)
-        columns += [(f"{task.name}_{m}", task.name, m) for m in metrics]
-    return columns + [(key, "clustering", key) for key in ("nmi_mean", "ari_mean")]
-
-
 def _cmd_ablate(cfg, args) -> int:
-    if args.seed is not None:
-        # the command seed picks the world; cell seeds vary training only
-        cfg = dict(cfg)
-        cfg["synth"] = dict(cfg.get("synth", {}), seed=args.seed)
+    """Train and evaluate every variant for every seed of `seeds` on one dataset:
+    the cell seeds steer only model randomness."""
     seeds = cfg.get("seeds")
     if seeds is None:
         seeds = [args.seed if args.seed is not None else 0]
     if not seeds or not all(isinstance(s, int) and s >= 0 for s in seeds):
         raise InfeasibleConfig("seeds must be a non-empty list of non-negative ints")
-    jobs = [{"cfg": cfg, "variant": v, "seed": s} for s in seeds for v in VARIANTS]
-    threads = int(os.environ.get("DHAN_THREADS", "1"))
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            cells = list(pool.map(_ablate_cell, jobs))
-    else:
-        cells = [_ablate_cell(job) for job in jobs]
-    rows = [row for row, _ in cells]
-
-    done = {(r["variant"], r["seed"]) for r in rows}
-    expected = {(v, s) for s in seeds for v in VARIANTS}
-    if done != expected:
-        missing = sorted(expected - done)
-        raise InfeasibleConfig(f"ablation incomplete, missing cells: {missing}")
+    (graph, tasks), _ = _resolve_dataset(cfg, args)
+    model = {"input_dim": graph.feature_dim, **cfg.get("model", {})}
+    rows = []
+    for seed in seeds:
+        for variant in VARIANTS:
+            config = ModelConfig.from_dict({**model, "seed": seed, "variant": variant})
+            ps, _ = train(graph, tasks, config)
+            rows.append({"variant": variant, "seed": seed,
+                         "report": evaluate(graph, tasks, ps, config)})
 
     os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "ablation.json"),
                 {"seeds": list(seeds), "variants": list(VARIANTS), "rows": rows})
-    columns = cells[0][1]  # every cell reads the same dataset
+    columns = [(f"{task.name}_{m}", task.name, m) for task in tasks
+               for m in (("ndcg", "mrr") if task.kind is TaskKind.LINK_RANKING else ("acc",))]
+    columns += [(key, "clustering", key) for key in ("nmi_mean", "ari_mean")]
     lines = ["\t".join(["variant", "seed"] + [header for header, _, _ in columns])]
     for row in rows:
         values = [row["report"].get(entry, {}).get(key) for _, entry, key in columns]
@@ -303,27 +268,12 @@ def _cmd_export_emb(cfg, args) -> int:
     embs, _ = forward(graph, config, ps, training=False)
     os.makedirs(args.out, exist_ok=True)
 
-    dim = embs[NodeType.A].data.shape[1]
-    header = "node_id\ttype\t" + "\t".join(f"emb_{j}" for j in range(dim))
-    lines = [header]
-    stacked = []
-    for t in (NodeType.A, NodeType.B):
-        data = embs[t].data
-        stacked.append(data)
-        for i in range(data.shape[0]):
-            vals = "\t".join(format_float(v) for v in data[i])
-            lines.append(f"{i}\t{t.label}\t{vals}")
-    write_lines(os.path.join(args.out, "embeddings.tsv"), lines)
-
-    proj = _pca_2d(np.vstack(stacked))
-    lines = ["node_id\ttype\tpc_0\tpc_1"]
-    row = 0
-    for t in (NodeType.A, NodeType.B):
-        for i in range(graph.n_nodes(t)):
-            lines.append(f"{i}\t{t.label}\t{format_float(proj[row, 0])}"
-                         f"\t{format_float(proj[row, 1])}")
-            row += 1
-    write_lines(os.path.join(args.out, "embeddings_pca.tsv"), lines)
+    values = {t: embs[t].data for t in NodeType}
+    write_node_table(os.path.join(args.out, "embeddings.tsv"), "emb", values)
+    proj = _pca_2d(np.vstack([values[NodeType.A], values[NodeType.B]]))
+    n_a = graph.n_nodes(NodeType.A)
+    write_node_table(os.path.join(args.out, "embeddings_pca.tsv"), "pc",
+                     {NodeType.A: proj[:n_a], NodeType.B: proj[n_a:]})
     print(f"embedding exports written to {args.out}")
     return 0
 

@@ -8,16 +8,16 @@ says so, and kept in per-relation CSR form sorted by (src, dst).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import cached_property
-from itertools import repeat
+from itertools import compress, repeat
 
 import numpy as np
 
 from . import ops
-from .errors import (DanglingNode, DimensionMismatch, DirectionInvalid, IoFailure,
-                     NodeOutOfRange, NoRelations, ParseError, TypeMismatch,
+from .errors import (DanglingNode, DimensionMismatch, DirectionInvalid, Error,
+                     IoFailure, NodeOutOfRange, NoRelations, ParseError, TypeMismatch,
                      UnknownRelation)
 
 
@@ -28,14 +28,6 @@ class NodeType(IntEnum):
     @property
     def label(self) -> str:
         return "A" if self is NodeType.A else "B"
-
-    @staticmethod
-    def from_label(text: str) -> "NodeType":
-        if text == "A":
-            return NodeType.A
-        if text == "B":
-            return NodeType.B
-        raise ValueError(f"unknown node type {text!r}")
 
     @property
     def other(self) -> "NodeType":
@@ -303,34 +295,41 @@ class BiGraph:
         return BiGraph(self.counts, features, self.relations, self._csr, self._csr_rev)
 
 
-def _check_edge(spec_map: dict, sizes: dict, edge) -> None:
-    """Raise what is wrong with one (relation_name, src_id, dst_id) edge, if anything."""
+def _edge_error(spec_map: dict, sizes: dict, edge) -> Error | None:
+    """What is wrong with one (relation_name, src_id, dst_id) edge, if anything."""
     rel_name, src, dst = edge
     spec = spec_map.get(rel_name)
     if spec is None:
-        raise UnknownRelation(f"edge references undeclared relation {rel_name!r}")
+        return UnknownRelation(f"edge references undeclared relation {rel_name!r}")
     src, dst = int(src), int(dst)
     if not 0 <= src < sizes[spec.src_type]:
-        raise DanglingNode(
+        return DanglingNode(
             f"edge {rel_name!r}({src}, {dst}): src outside [0, {sizes[spec.src_type]})")
     if not 0 <= dst < sizes[spec.dst_type]:
-        raise DanglingNode(
+        return DanglingNode(
             f"edge {rel_name!r}({src}, {dst}): dst outside [0, {sizes[spec.dst_type]})")
+    return None
+
+
+def _bad_edges(spec_map: dict, sizes: dict, codes, src, dst) -> np.ndarray:
+    """Which edges `_edge_error` rejects, from their relation code and id columns."""
+    # an undeclared relation (code -1) reads the trailing 0: no id fits [0, 0)
+    specs = list(spec_map.values())
+    src_cap = np.array([sizes[s.src_type] for s in specs] + [0])[codes]
+    dst_cap = np.array([sizes[s.dst_type] for s in specs] + [0])[codes]
+    return ~((src >= 0) & (src < src_cap) & (dst >= 0) & (dst < dst_cap))
 
 
 def _validated_edges(spec_map: dict, sizes: dict, edges):
     """Relation codes (declaration order) and int64 src, dst columns of `edges`.
 
     All edges are checked at once; the first invalid one in iteration
-    order raises exactly what `_check_edge` raises for it.
+    order raises exactly what `_edge_error` returns for it.
     """
     edges = list(edges)
-    if not edges:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, empty
     code_of = {name: k for k, name in enumerate(spec_map)}
     try:
-        names, srcs, dsts = zip(*edges, strict=True)
+        names, srcs, dsts = zip(*edges, strict=True) if edges else ((), (), ())
         codes = np.fromiter(map(code_of.get, names, repeat(-1)), dtype=np.int64,
                             count=len(edges))
         src = np.array(list(map(int, srcs)))
@@ -338,28 +337,20 @@ def _validated_edges(spec_map: dict, sizes: dict, edges):
     except (TypeError, ValueError):
         # a malformed edge: replay the per-edge checks so the first bad edge raises
         for edge in edges:
-            _check_edge(spec_map, sizes, edge)
+            error = _edge_error(spec_map, sizes, edge)
+            if error is not None:
+                raise error
         raise
-    # an undeclared relation (code -1) reads the trailing 0: no id fits [0, 0)
-    specs = list(spec_map.values())
-    src_cap = np.array([sizes[s.src_type] for s in specs] + [0])[codes]
-    dst_cap = np.array([sizes[s.dst_type] for s in specs] + [0])[codes]
-    bad = ~((src >= 0) & (src < src_cap) & (dst >= 0) & (dst < dst_cap))
+    bad = _bad_edges(spec_map, sizes, codes, src, dst)
     if bad.any():
-        _check_edge(spec_map, sizes, edges[int(np.argmax(bad))])
+        raise _edge_error(spec_map, sizes, edges[int(np.argmax(bad))])
     return codes, src.astype(np.int64), dst.astype(np.int64)
 
 
-def build_graph(counts: dict[NodeType, int], features: dict[NodeType, np.ndarray],
-                relations: list[RelationSpec], edges) -> BiGraph:
-    """Validate, deduplicate, symmetrize, and freeze a graph.
-
-    `edges` is an iterable of (relation_name, src_id, dst_id). Duplicate
-    edges collapse to one; symmetric relations store both directions.
-    """
-    n_a = int(counts[NodeType.A])
-    n_b = int(counts[NodeType.B])
-    if n_a <= 0 or n_b <= 0:
+def _checked_parts(counts: dict, features: dict, relations) -> tuple[dict, dict, dict]:
+    """Node counts, float64 features and the relation table, each validated."""
+    sizes = {t: int(counts[t]) for t in NodeType}
+    if min(sizes.values()) <= 0:
         raise DimensionMismatch("both node classes need at least one node")
     spec_map: dict[str, RelationSpec] = {}
     for spec in relations:
@@ -383,10 +374,11 @@ def build_graph(counts: dict[NodeType, int], features: dict[NodeType, np.ndarray
         feat[t] = f
     if dim == 0:
         raise DimensionMismatch("feature dimension must be positive")
+    return sizes, feat, spec_map
 
-    sizes = {NodeType.A: n_a, NodeType.B: n_b}
-    codes, all_src, all_dst = _validated_edges(spec_map, sizes, edges)
 
+def _frozen_graph(sizes: dict, feat: dict, spec_map: dict, codes, all_src, all_dst) -> BiGraph:
+    """The graph of valid edge columns: deduplicated, symmetrized, in CSR form."""
     csr: dict[str, CsrAdjacency] = {}
     csr_rev: dict[str, CsrAdjacency] = {}
     for k, (name, spec) in enumerate(spec_map.items()):
@@ -399,8 +391,18 @@ def build_graph(counts: dict[NodeType, int], features: dict[NodeType, np.ndarray
         dst = flat % sizes[spec.dst_type]
         csr[name] = _csr_from_pairs(src, dst, sizes[spec.src_type], sizes[spec.dst_type])
         csr_rev[name] = _csr_from_pairs(dst, src, sizes[spec.dst_type], sizes[spec.src_type])
+    return BiGraph(sizes, feat, spec_map, csr, csr_rev)
 
-    return BiGraph({NodeType.A: n_a, NodeType.B: n_b}, feat, spec_map, csr, csr_rev)
+
+def build_graph(counts: dict[NodeType, int], features: dict[NodeType, np.ndarray],
+                relations: list[RelationSpec], edges) -> BiGraph:
+    """Validate, deduplicate, symmetrize, and freeze a graph.
+
+    `edges` is an iterable of (relation_name, src_id, dst_id). Duplicate
+    edges collapse to one; symmetric relations store both directions.
+    """
+    sizes, feat, spec_map = _checked_parts(counts, features, relations)
+    return _frozen_graph(sizes, feat, spec_map, *_validated_edges(spec_map, sizes, edges))
 
 
 def mean_neighbor_features(graph: BiGraph, relation_names: list[str],
@@ -431,39 +433,13 @@ def mean_neighbor_features(graph: BiGraph, relation_names: list[str],
 # TSV interchange: nodes.tsv, edges.tsv, relations.tsv
 
 _FLOAT_FMT = "%.9g"
+_NODE_COLUMNS = ("node_id", "type")
+_EDGE_COLUMNS = ("relation_name", "src", "dst")
+_RELATION_COLUMNS = ("name", "klass", "src_type", "dst_type", "symmetric")
 
 
 def format_float(x: float) -> str:
     return _FLOAT_FMT % x
-
-
-def save_graph_tsv(graph: BiGraph, directory) -> None:
-    """Write nodes.tsv, edges.tsv, relations.tsv under `directory`."""
-    os.makedirs(directory, exist_ok=True)
-    dim = graph.feature_dim
-    header = "node_id\ttype\t" + "\t".join(f"feat_{j}" for j in range(dim))
-    lines = [header]
-    for t in (NodeType.A, NodeType.B):
-        feats = graph.features[t]
-        for i in range(graph.n_nodes(t)):
-            vals = "\t".join(format_float(v) for v in feats[i])
-            lines.append(f"{i}\t{t.label}\t{vals}")
-    write_lines(os.path.join(directory, "nodes.tsv"), lines)
-
-    lines = ["relation_name\tsrc\tdst"]
-    for name in graph.relation_names():
-        adj = graph.csr(name)
-        for src in range(adj.n_rows):
-            for dst in adj.row(src):
-                lines.append(f"{name}\t{src}\t{dst}")
-    write_lines(os.path.join(directory, "edges.tsv"), lines)
-
-    lines = ["name\tklass\tsrc_type\tdst_type\tsymmetric"]
-    for name in graph.relation_names():
-        s = graph.spec(name)
-        lines.append(f"{name}\t{s.klass.value}\t{s.src_type.label}\t{s.dst_type.label}"
-                     f"\t{'true' if s.symmetric else 'false'}")
-    write_lines(os.path.join(directory, "relations.tsv"), lines)
 
 
 def write_lines(path, lines: list[str]) -> None:
@@ -475,77 +451,158 @@ def write_lines(path, lines: list[str]) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
-def _read_rows(path, expected_cols: int | None, header: str):
-    if not os.path.exists(path):
-        raise IoFailure(f"missing interchange file {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline().rstrip("\n")
-        if not first.startswith(header.split("\t")[0]):
-            raise ParseError(path, 1, f"expected header starting with {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if expected_cols is not None and len(parts) != expected_cols:
-                raise ParseError(path, lineno, f"expected {expected_cols} columns, got {len(parts)}")
-            yield lineno, parts
+def write_node_table(path, column: str, values: dict[NodeType, np.ndarray]) -> None:
+    """One row per node, A before B: its id, its class, then its `column`_j values."""
+    dim = values[NodeType.A].shape[1]
+    lines = ["\t".join([*_NODE_COLUMNS, *(f"{column}_{j}" for j in range(dim))])]
+    row = "%d\t%s" + ("\t" + _FLOAT_FMT) * dim
+    for t in (NodeType.A, NodeType.B):
+        lines += [row % (i, t.label, *vals) for i, vals in enumerate(values[t].tolist())]
+    write_lines(path, lines)
+
+
+@dataclass(frozen=True)
+class Table:
+    """The data rows of one TSV file, column by column.
+
+    `columns[j]` holds the cells under `header[j]`, and `lines[k]` is the
+    file line of row k, which every ParseError about the row names.
+    """
+
+    path: str
+    header: tuple
+    columns: list
+    lines: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.lines.size)
+
+    def fail(self, k: int, message: str) -> ParseError:
+        return ParseError(self.path, int(self.lines[k]), message)
+
+    def reject(self, bad: np.ndarray, message) -> None:
+        """Raise at the first row `bad` flags; `message(k)` describes row k."""
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise self.fail(k, message(k))
+
+    def reject_repeats(self, message, *keys) -> None:
+        """Raise at the first row whose `keys` columns equal an earlier row's."""
+        keys = [np.asarray(key) for key in keys]
+        order = np.lexsort(keys[::-1])  # stable: a key's rows stay in file order
+        later, earlier = order[1:], order[:-1]
+        repeat = np.zeros(len(self), dtype=bool)
+        repeat[later[np.logical_and.reduce([key[later] == key[earlier] for key in keys])]] = True
+        self.reject(repeat, message)
+
+    def numbers(self, j: int, dtype=np.int64) -> np.ndarray:
+        """Column j parsed as `dtype`; the first cell that is not a number fails."""
+        cells = self.columns[j]
+        try:
+            return np.array(cells, dtype=dtype)
+        except (ValueError, OverflowError):
+            for k, cell in enumerate(cells):
+                try:
+                    np.array([cell], dtype=dtype)
+                except (ValueError, OverflowError) as exc:
+                    raise self.fail(k, f"{self.header[j]}: {exc}") from exc
+            raise
+
+    def codes(self, j: int, names) -> np.ndarray:
+        """Column j as indices into `names`; the first cell not among them fails."""
+        index = {name: k for k, name in enumerate(names)}
+        cells = self.columns[j]
+        codes = np.fromiter(map(index.get, cells, repeat(-1)), dtype=np.int64, count=len(self))
+        self.reject(codes < 0, lambda k: f"{self.header[j]} {cells[k]!r} is not one of "
+                                         f"{', '.join(index)}")
+        return codes
+
+
+def read_table(path, names: tuple, extra: bool = False) -> Table:
+    """Read a TSV whose header row is `names`, followed by any number of
+    further columns when `extra`. Every data row needs one cell per header
+    column; blank lines are skipped.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except FileNotFoundError:
+        raise IoFailure(f"missing interchange file {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    first, *body = text.split("\n")
+    header = tuple(first.split("\t"))
+    if header[:len(names)] != names or (len(header) > len(names) and not extra):
+        expected = "\t".join(names) + ("\t..." if extra else "")
+        raise ParseError(path, 1, f"expected header {expected!r}")
+    filled = np.fromiter(map(bool, body), dtype=bool, count=len(body))
+    rows = list(compress(body, filled))
+    lines = np.flatnonzero(filled) + 2
+    n = len(header)
+    widths = np.fromiter(map(str.count, rows, repeat("\t")), dtype=np.int64, count=len(rows)) + 1
+    if (widths != n).any():
+        k = int(np.argmax(widths != n))
+        raise ParseError(path, int(lines[k]), f"expected {n} columns, got {widths[k]}")
+    cells = "\t".join(rows).split("\t") if rows else []
+    return Table(str(path), header, [cells[j::n] for j in range(n)], lines)
+
+
+def save_graph_tsv(graph: BiGraph, directory) -> None:
+    """Write nodes.tsv, edges.tsv, relations.tsv under `directory`."""
+    os.makedirs(directory, exist_ok=True)
+    write_node_table(os.path.join(directory, "nodes.tsv"), "feat", graph.features)
+
+    lines = ["\t".join(_EDGE_COLUMNS)]
+    for name in graph.relation_names():
+        adj = graph.csr(name)
+        src = np.repeat(np.arange(adj.n_rows), np.diff(adj.offsets))
+        lines += [f"{name}\t{s}\t{d}" for s, d in zip(src.tolist(), adj.cols.tolist())]
+    write_lines(os.path.join(directory, "edges.tsv"), lines)
+
+    lines = ["\t".join(_RELATION_COLUMNS)]
+    for name in graph.relation_names():
+        s = graph.spec(name)
+        lines.append(f"{name}\t{s.klass.value}\t{s.src_type.label}\t{s.dst_type.label}"
+                     f"\t{'true' if s.symmetric else 'false'}")
+    write_lines(os.path.join(directory, "relations.tsv"), lines)
 
 
 def load_graph_tsv(directory) -> BiGraph:
     """Read a graph written by save_graph_tsv."""
-    rel_path = os.path.join(directory, "relations.tsv")
+    table = read_table(os.path.join(directory, "relations.tsv"), _RELATION_COLUMNS)
+    table.reject_repeats(lambda k: f"relation {table.columns[0][k]!r} declared twice",
+                         table.columns[0])
+    klasses, labels = list(RelationClass), [t.label for t in NodeType]
     relations = []
-    for lineno, parts in _read_rows(rel_path, 5, "name\tklass\tsrc_type\tdst_type\tsymmetric"):
-        name, klass, src_t, dst_t, sym = parts
+    for k, (name, klass, src_t, dst_t, sym) in enumerate(zip(
+            table.columns[0], table.codes(1, [c.value for c in klasses]).tolist(),
+            table.codes(2, labels).tolist(), table.codes(3, labels).tolist(),
+            table.codes(4, ("false", "true")).tolist())):
         try:
-            spec = RelationSpec(name=name, klass=RelationClass(klass),
-                                src_type=NodeType.from_label(src_t),
-                                dst_type=NodeType.from_label(dst_t),
-                                symmetric=sym == "true")
-        except (ValueError, TypeMismatch) as exc:
-            raise ParseError(rel_path, lineno, str(exc)) from exc
-        relations.append(spec)
+            relations.append(RelationSpec(name, klasses[klass], NodeType(src_t),
+                                          NodeType(dst_t), bool(sym)))
+        except TypeMismatch as exc:
+            raise table.fail(k, str(exc)) from exc
 
-    node_path = os.path.join(directory, "nodes.tsv")
-    feats: dict[NodeType, list[tuple[int, np.ndarray]]] = {NodeType.A: [], NodeType.B: []}
-    dim = None
-    for lineno, parts in _read_rows(node_path, None, "node_id\ttype"):
-        if len(parts) < 3:
-            raise ParseError(node_path, lineno, "node row needs id, type, and features")
-        if dim is None:
-            dim = len(parts) - 2
-        elif len(parts) - 2 != dim:
-            raise ParseError(node_path, lineno, f"expected {dim} feature columns")
-        try:
-            node_id = int(parts[0])
-            node_type = NodeType.from_label(parts[1])
-            row = np.array([float(v) for v in parts[2:]])
-        except ValueError as exc:
-            raise ParseError(node_path, lineno, str(exc)) from exc
-        feats[node_type].append((node_id, row))
-
-    counts = {}
-    features = {}
-    for t in (NodeType.A, NodeType.B):
-        rows = feats[t]
-        if not rows:
-            raise ParseError(node_path, 1, f"no nodes of type {t.label}")
-        ids = sorted(i for i, _ in rows)
-        if ids != list(range(len(rows))):
-            raise ParseError(node_path, 1, f"type {t.label} ids are not dense 0-based")
-        mat = np.zeros((len(rows), dim))
-        for i, row in rows:
-            mat[i] = row
-        counts[t] = len(rows)
-        features[t] = mat
-
-    edge_path = os.path.join(directory, "edges.tsv")
-    edges = []
-    for lineno, parts in _read_rows(edge_path, 3, "relation_name\tsrc\tdst"):
-        try:
-            edges.append((parts[0], int(parts[1]), int(parts[2])))
-        except ValueError as exc:
-            raise ParseError(edge_path, lineno, str(exc)) from exc
-
-    return build_graph(counts, features, relations, edges)
+    nodes = read_table(os.path.join(directory, "nodes.tsv"), _NODE_COLUMNS, extra=True)
+    ids, types = nodes.numbers(0), nodes.codes(1, labels)
+    counts = np.bincount(types, minlength=2)
+    if not counts.all():
+        raise ParseError(nodes.path, 1, f"no nodes of type {labels[int(np.argmin(counts))]}")
+    nodes.reject_repeats(lambda k: f"{labels[types[k]]} node {ids[k]} has a second row",
+                         types, ids)
+    nodes.reject((ids < 0) | (ids >= counts[types]),
+                 lambda k: f"{labels[types[k]]} node {ids[k]} outside [0, {counts[types[k]]}):"
+                           " ids of a type must be dense and 0-based")
+    values = np.empty((len(nodes), len(nodes.header) - 2))
+    for j in range(values.shape[1]):
+        values[:, j] = nodes.numbers(j + 2, np.float64)
+    values = values[np.lexsort((ids, types))]  # the A rows by id, then the B rows
+    features = {NodeType.A: values[:counts[0]], NodeType.B: values[counts[0]:]}
+    sizes, feat, spec_map = _checked_parts(
+        {t: int(counts[t]) for t in NodeType}, features, relations)
+    edges = read_table(os.path.join(directory, "edges.tsv"), _EDGE_COLUMNS)
+    codes, src, dst = edges.codes(0, spec_map), edges.numbers(1), edges.numbers(2)
+    edges.reject(_bad_edges(spec_map, sizes, codes, src, dst), lambda k: str(_edge_error(
+        spec_map, sizes, (edges.columns[0][k], src[k], dst[k]))))
+    return _frozen_graph(sizes, feat, spec_map, codes, src, dst)

@@ -17,10 +17,10 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import InfeasibleConfig, IoFailure, ParseError, check_fields
-from .graph import (BiGraph, NodeType, RelationClass, RelationSpec, build_graph,
-                    load_graph_tsv, mean_neighbor_features, save_graph_tsv, write_lines,
-                    _read_rows)
+from .errors import InfeasibleConfig, check_fields
+from .graph import (BiGraph, NodeType, RelationClass, RelationSpec, Table, build_graph,
+                    load_graph_tsv, mean_neighbor_features, read_table, save_graph_tsv,
+                    write_lines)
 from .model import RankInstance, TaskKind, TaskSpec
 from .rand import rng_for
 
@@ -277,14 +277,19 @@ def _build_tasks(cfg: SynthConfig, venue, fields, parent, year, papers_of) -> li
 
 # dataset interchange: graph TSVs + tasks.tsv + labels.tsv + splits.tsv
 
+_TASK_COLUMNS = ("name", "kind", "target_type", "n_classes")
+_LABEL_COLUMNS = ("node", "task", "labels")
+_SPLIT_COLUMNS = ("node", "task", "split")
+
+
 def export_dataset(graph: BiGraph, tasks, directory) -> None:
     save_graph_tsv(graph, directory)
-    lines = ["name\tkind\ttarget_type\tn_classes"]
+    lines = ["\t".join(_TASK_COLUMNS)]
     for task in tasks:
         lines.append(f"{task.name}\t{task.kind.value}\t{task.target_type.label}\t{task.n_classes}")
     write_lines(os.path.join(directory, "tasks.tsv"), lines)
 
-    lines = ["node\ttask\tlabels"]
+    lines = ["\t".join(_LABEL_COLUMNS)]
     for task in tasks:
         if task.kind is TaskKind.LINK_RANKING:
             for inst in task.instances:
@@ -296,7 +301,7 @@ def export_dataset(graph: BiGraph, tasks, directory) -> None:
                 lines.append(f"{node}\t{task.name}\t{lab}")
     write_lines(os.path.join(directory, "labels.tsv"), lines)
 
-    lines = ["node\ttask\tsplit"]
+    lines = ["\t".join(_SPLIT_COLUMNS)]
     for task in tasks:
         for split in SPLITS:
             ids = task.split_ids(split)
@@ -307,13 +312,6 @@ def export_dataset(graph: BiGraph, tasks, directory) -> None:
     write_lines(os.path.join(directory, "splits.tsv"), lines)
 
 
-def _reject(path, lines, ids, bad, message: str) -> None:
-    """ParseError at the first row `bad` flags; `message` names its id as {}."""
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ParseError(path, int(lines[k]), message.format(int(ids[k])))
-
-
 def import_dataset(directory):
     """Read a dataset written by export_dataset; returns (graph, tasks).
 
@@ -321,87 +319,70 @@ def import_dataset(directory):
     ParseError names the file and line of the first one that does not.
     """
     graph = load_graph_tsv(directory)
-    tasks_path = os.path.join(directory, "tasks.tsv")
-    tasks: dict[str, TaskSpec] = {}
-    task_order = []
-    for lineno, parts in _read_rows(tasks_path, 4, "name\tkind\ttarget_type\tn_classes"):
-        name, kind, target, n_classes = parts
-        try:
-            spec = TaskSpec(name=name, kind=TaskKind(kind),
-                            target_type=NodeType.from_label(target),
-                            n_classes=int(n_classes))
-        except ValueError as exc:
-            raise ParseError(tasks_path, lineno, str(exc)) from exc
-        if spec.kind is not TaskKind.LINK_RANKING and spec.n_classes < 1:
-            raise ParseError(tasks_path, lineno, f"task {name!r} needs at least one class")
-        tasks[name] = spec
-        task_order.append(name)
+    table = read_table(os.path.join(directory, "tasks.tsv"), _TASK_COLUMNS)
+    task_names = table.columns[0]
+    table.reject_repeats(lambda k: f"task {task_names[k]!r} declared twice", task_names)
+    kinds = list(TaskKind)
+    kind = table.codes(1, [k.value for k in kinds])
+    target, n_classes = table.codes(2, [t.label for t in NodeType]), table.numbers(3)
+    ranking = kind == kinds.index(TaskKind.LINK_RANKING)
+    table.reject(~ranking & (n_classes < 1),
+                 lambda k: f"task {task_names[k]!r} needs at least one class")
+    tasks = [TaskSpec(name=name, kind=kinds[k], target_type=NodeType(t), n_classes=n)
+             for name, k, t, n in zip(task_names, kind.tolist(), target.tolist(),
+                                      n_classes.tolist())]
 
-    labels_path = os.path.join(directory, "labels.tsv")
-    label_lines = {n: {} for n in tasks}  # node -> line of its label row, in file order
-    label_ids = {n: [] for n in tasks}    # the ids of each row, in file order
-    for lineno, parts in _read_rows(labels_path, 3, "node\ttask\tlabels"):
-        node_txt, task_name, label_txt = parts
-        task = tasks.get(task_name)
-        if task is None:
-            raise ParseError(labels_path, lineno, f"unknown task {task_name!r}")
-        try:
-            node = int(node_txt)
-            values = [int(v) for v in label_txt.split(",") if v != ""]
-        except ValueError as exc:
-            raise ParseError(labels_path, lineno, str(exc)) from exc
-        if not values:
-            raise ParseError(labels_path, lineno, "empty label list")
-        if node in label_lines[task_name]:
-            raise ParseError(labels_path, lineno,
-                             f"task {task_name!r}: node {node} has a second label row")
-        label_lines[task_name][node] = lineno
-        label_ids[task_name].append(values)
-        if task.kind is TaskKind.LINK_RANKING:
-            task.instances.append(RankInstance.make(node, values[0], values[1:]))
+    # labels.tsv: one row per labelled node or ranking query
+    table = read_table(os.path.join(directory, "labels.tsv"), _LABEL_COLUMNS)
+    owner, nodes = table.codes(1, task_names), table.numbers(0)
+    cells = [[v for v in cell.split(",") if v] for cell in table.columns[2]]
+    sizes = np.fromiter(map(len, cells), dtype=np.int64, count=len(table))
+    table.reject(sizes == 0, lambda k: "empty label list")
+    row_of = np.repeat(np.arange(len(table)), sizes)
+    id_table = Table(table.path, ("labels",), [list(chain.from_iterable(cells))],
+                     table.lines[row_of])
+    ids = id_table.numbers(0)
+    table.reject_repeats(lambda k: f"task {task_names[owner[k]]!r}: node {nodes[k]} "
+                                   "has a second label row", owner, nodes)
+    n_target = np.array([graph.n_nodes(t.target_type) for t in tasks], dtype=np.int64)[owner]
+    table.reject((nodes < 0) | (nodes >= n_target),
+                 lambda k: f"task {task_names[owner[k]]!r}: "
+                           f"{tasks[owner[k]].target_type.label} node {nodes[k]} "
+                           f"outside [0, {n_target[k]})")
+    cap = np.array([graph.n_nodes(t.target_type.other) if r else t.n_classes
+                    for t, r in zip(tasks, ranking)], dtype=np.int64)[owner[row_of]]
+    id_table.reject((ids < 0) | (ids >= cap),
+                    lambda k: f"task {task_names[owner[row_of[k]]]!r}: "
+                              f"{'candidate' if ranking[owner[row_of[k]]] else 'class'} "
+                              f"{ids[k]} outside [0, {cap[k]})")
+    values, ends = ids.tolist(), np.cumsum(sizes).tolist()
+    for k, node, end, size in zip(owner.tolist(), nodes.tolist(), ends, sizes.tolist()):
+        row = values[end - size:end]
+        if ranking[k]:
+            tasks[k].instances.append(RankInstance.make(node, row[0], row[1:]))
         else:
-            task.labels[node] = tuple(sorted(values))
+            tasks[k].labels[node] = tuple(sorted(row))
+    for task in tasks:
+        task.instances.sort(key=lambda inst: inst.query)
 
-    for task in tasks.values():
-        rows, per_row = label_lines[task.name], label_ids[task.name]
-        nodes = np.fromiter(rows, dtype=np.int64, count=len(rows))
-        lines = np.fromiter(rows.values(), dtype=np.int64, count=len(rows))
-        n_t = graph.n_nodes(task.target_type)
-        _reject(labels_path, lines, nodes, (nodes < 0) | (nodes >= n_t),
-                f"task {task.name!r}: {task.target_type.label} node {{}} outside [0, {n_t})")
-        if task.kind is TaskKind.LINK_RANKING:
-            cap, what = graph.n_nodes(task.target_type.other), "candidate"
-            task.instances.sort(key=lambda inst: inst.query)
-        else:
-            cap, what = task.n_classes, "class"
-        ids = np.fromiter(chain.from_iterable(per_row), dtype=np.int64)
-        _reject(labels_path, np.repeat(lines, list(map(len, per_row))), ids,
-                (ids < 0) | (ids >= cap), f"task {task.name!r}: {what} {{}} outside [0, {cap})")
-
-    splits_path = os.path.join(directory, "splits.tsv")
-    raw_splits: dict[str, dict[str, list[int]]] = {n: {s: [] for s in SPLITS} for n in tasks}
-    for lineno, parts in _read_rows(splits_path, 3, "node\ttask\tsplit"):
-        node_txt, task_name, split = parts
-        if task_name not in tasks:
-            raise ParseError(splits_path, lineno, f"unknown task {task_name!r}")
-        if split not in SPLITS:
-            raise ParseError(splits_path, lineno, f"unknown split {split!r}")
-        try:
-            node = int(node_txt)
-        except ValueError as exc:
-            raise ParseError(splits_path, lineno, str(exc)) from exc
-        if node not in label_lines[task_name]:
-            raise ParseError(splits_path, lineno,
-                             f"task {task_name!r}: {split} node {node} has no row in labels.tsv")
-        raw_splits[task_name][split].append(node)
-
-    for name, task in tasks.items():
-        if task.kind is TaskKind.LINK_RANKING:
-            index_of = {inst.query: i for i, inst in enumerate(task.instances)}
-            task.splits = {
-                s: np.array([index_of[q] for q in sorted(raw_splits[name][s])], dtype=np.int64)
-                for s in SPLITS}
-        else:
-            task.splits = {s: np.array(sorted(raw_splits[name][s]), dtype=np.int64)
-                           for s in SPLITS}
-    return graph, [tasks[n] for n in task_order]
+    # splits.tsv: one row per split member; a ranking member names its query
+    table = read_table(os.path.join(directory, "splits.tsv"), _SPLIT_COLUMNS)
+    member_of, split_of = table.codes(1, task_names), table.codes(2, SPLITS)
+    members = table.numbers(0)
+    labelled = np.zeros(len(table), dtype=bool)
+    for k in range(len(tasks)):
+        mine = member_of == k
+        labelled[mine] = np.isin(members[mine], nodes[owner == k])
+    table.reject(~labelled, lambda k: f"task {task_names[member_of[k]]!r}: "
+                                      f"{SPLITS[split_of[k]]} node {members[k]} "
+                                      "has no row in labels.tsv")
+    table.reject_repeats(lambda k: f"task {task_names[member_of[k]]!r}: node {members[k]} "
+                                   "has a second split row", member_of, members)
+    for k, task in enumerate(tasks):
+        split_ids = {s: np.sort(members[(member_of == k) & (split_of == j)])
+                     for j, s in enumerate(SPLITS)}
+        if ranking[k]:
+            queries = np.array([inst.query for inst in task.instances], dtype=np.int64)
+            split_ids = {s: np.searchsorted(queries, q) for s, q in split_ids.items()}
+        task.splits = split_ids
+    return graph, tasks

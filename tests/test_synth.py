@@ -176,8 +176,8 @@ class TestConfigValidation:
 
 
 def _edit(directory, name, match, replace):
-    """Swap the first data row of a task file whose cells `match` for the rows
-    `replace` makes of them; returns the file name and the row's line."""
+    """Swap the first data row of an interchange file whose cells `match` for
+    the rows `replace` makes of them; returns the file name and the row's line."""
     path = directory / name
     lines = path.read_text().splitlines()
     k = next(k for k, line in enumerate(lines) if k and match(line.split("\t")))
@@ -190,8 +190,9 @@ def _of(task):
     return lambda cells: cells[1] == task
 
 
-def _duplicate_label_row(directory):
-    name, line = _edit(directory, "labels.tsv", _of("pv"), lambda c: [c, c])
+def _duplicate(directory, name, match):
+    """Repeat a row right after itself; the repeat is at fault."""
+    name, line = _edit(directory, name, match, lambda c: [c, c])
     return name, line + 1
 
 
@@ -212,12 +213,65 @@ TASK_FILE_EDITS = {
                                                       lambda c: [[*c[:2], c[2] + ",40"]]),
     "node past its class": lambda d: _edit(d, "labels.tsv", _of("pv"),
                                            lambda c: [["40", *c[1:]]]),
-    "duplicated label row": _duplicate_label_row,
+    "duplicated label row": lambda d: _duplicate(d, "labels.tsv", _of("pv")),
     "no classes": lambda d: _edit(d, "tasks.tsv", lambda c: c[0] == "pv",
                                   lambda c: [[*c[:3], "0"]]),
     "split node without a label row": lambda d: _unlabel_first_split_node(d, "pv"),
     "split query without an instance": lambda d: _unlabel_first_split_node(d, "ad"),
 }
+
+
+def _first_row(name, replace):
+    return lambda d: _edit(d, name, lambda c: True, lambda c: [replace(c)])
+
+
+def _set(j, value):
+    def edit(cells):
+        cells = list(cells)
+        cells[j] = value
+        return cells
+    return edit
+
+
+def _node(label, node_id, replace):
+    return lambda d: _edit(d, "nodes.tsv", lambda c: c[:2] == [node_id, label],
+                           lambda c: [replace(c)])
+
+
+def _malformed_rows():
+    """Rows that break each of the six files' formats, by file."""
+    edits = {}
+    for name in ("nodes.tsv", "edges.tsv", "relations.tsv", "tasks.tsv", "labels.tsv",
+                 "splits.tsv"):
+        edits[f"{name}: truncated row"] = _first_row(name, lambda c: c[:-1])
+        edits[f"{name}: extra cell"] = _first_row(name, lambda c: [*c, "0"])
+    for name, column in (("nodes.tsv", 0), ("nodes.tsv", 2), ("nodes.tsv", -1),
+                         ("edges.tsv", 1), ("edges.tsv", 2), ("tasks.tsv", 3),
+                         ("labels.tsv", 0), ("labels.tsv", 2), ("splits.tsv", 0)):
+        edits[f"{name}: column {column} not a number"] = _first_row(name, _set(column, "x1"))
+    edits.update({
+        "nodes.tsv: unknown type": _first_row("nodes.tsv", _set(1, "C")),
+        "nodes.tsv: duplicate id": _node("A", "1", _set(0, "0")),
+        "nodes.tsv: id gap": _node("B", "7", _set(0, "40")),
+        "edges.tsv: undeclared relation": _first_row("edges.tsv", _set(0, "cites")),
+        "edges.tsv: src past its class": _first_row("edges.tsv", _set(1, "40")),
+        "relations.tsv: duplicate name": lambda d: _edit(
+            d, "relations.tsv", lambda c: c[0] == "cited_by", lambda c: [_set(0, "cite")(c)]),
+        "relations.tsv: symmetric True": _first_row("relations.tsv", _set(4, "True")),
+        "relations.tsv: symmetric yes": _first_row("relations.tsv", _set(4, "yes")),
+        "relations.tsv: unknown class": _first_row("relations.tsv", _set(1, "intra_c")),
+        "relations.tsv: class clashes with types": _first_row("relations.tsv", _set(2, "A")),
+        "tasks.tsv: duplicate name": lambda d: _edit(
+            d, "tasks.tsv", lambda c: c[0] == "pf_l1", lambda c: [_set(0, "pv")(c)]),
+        "tasks.tsv: unknown kind": _first_row("tasks.tsv", _set(1, "regression")),
+        "labels.tsv: empty label list": _first_row("labels.tsv", _set(2, "")),
+        "splits.tsv: unknown split": _first_row("splits.tsv", _set(2, "holdout")),
+        "splits.tsv: duplicate row": lambda d: _duplicate(d, "splits.tsv", _of("pv")),
+    })
+    return edits
+
+
+MALFORMED_ROWS = _malformed_rows()
 
 
 class TestInterchange:
@@ -266,6 +320,25 @@ class TestInterchange:
         with pytest.raises(ParseError) as err:
             import_dataset(str(tmp_path))
         assert (os.path.basename(err.value.path), err.value.line) == (name, line)
+
+    @pytest.mark.parametrize("edit", sorted(MALFORMED_ROWS))
+    def test_malformed_row_names_file_and_line(self, tmp_path, edit):
+        graph, tasks = generate(_small(n_papers=40, n_authors=20))
+        export_dataset(graph, tasks, str(tmp_path))
+        name, line = MALFORMED_ROWS[edit](tmp_path)
+        with pytest.raises(ParseError) as err:
+            import_dataset(str(tmp_path))
+        assert (os.path.basename(err.value.path), err.value.line) == (name, line)
+
+    def test_crlf_line_endings_read_like_lf(self, tmp_path):
+        graph, tasks = generate(_small())
+        first, crlf, second = tmp_path / "one", tmp_path / "crlf", tmp_path / "two"
+        export_dataset(graph, tasks, str(first))
+        crlf.mkdir()
+        for name, data in _dir_bytes(first).items():
+            (crlf / name).write_bytes(data.replace(b"\n", b"\r\n"))
+        export_dataset(*import_dataset(str(crlf)), str(second))
+        assert _dir_bytes(second) == _dir_bytes(first)
 
     def test_bad_split_name_rejected(self, tmp_path):
         graph, tasks = generate(_small())

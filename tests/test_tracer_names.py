@@ -1,0 +1,82 @@
+"""The package names that perfbench's tracer patches and its workloads read.
+
+`perfbench/tracer.py` looks every traced function and method up by name
+when it installs, and `perfbench/workloads.py` reads a few graph
+attributes. A change that deletes or renames one of them fails here
+instead of breaking `perfbench/run.py --trace 1`. The test only reads
+`perfbench/`.
+"""
+import importlib
+import importlib.util
+import inspect
+import os
+import sys
+
+import pytest
+
+from duograph import model
+from duograph.graph import BiGraph
+from duograph.tensor import Tape, Tensor
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", os.path.join(ROOT, "perfbench", "tracer.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TRACER = _load_tracer()
+
+
+@pytest.mark.parametrize("module, attr, label", TRACER.FUNCTIONS)
+def test_traced_function_resolves(module, attr, label):
+    assert callable(getattr(importlib.import_module(module), attr, None)), label
+
+
+@pytest.mark.parametrize("module, cls, attr, label", TRACER.METHODS)
+def test_traced_method_resolves(module, cls, attr, label):
+    owner = getattr(importlib.import_module(module), cls, None)
+    assert callable(getattr(owner, attr, None)), label
+
+
+@pytest.mark.parametrize("owner, attr, arity", [
+    (BiGraph, "message_plan", 3),   # traced_plan(graph, name, target_type)
+    (Tape, "record", 4),            # traced_record(tape, out, inputs, backward_fn)
+    (Tensor, "accumulate_grad", 2),  # counted(tensor, g)
+    (model, "forward", None),
+])
+def test_wrapped_hook_keeps_its_signature(owner, attr, arity):
+    fn = getattr(owner, attr, None)
+    assert callable(fn)
+    if arity is not None:
+        assert len(inspect.signature(fn).parameters) == arity
+
+
+def test_install_then_uninstall_restores_every_name():
+    modules = {name: dict(vars(m)) for name, m in sys.modules.items()
+               if name == "duograph" or name.startswith("duograph.")}
+    hooks = [(BiGraph, "message_plan"), (Tape, "record"), (Tensor, "accumulate_grad")]
+    before = [vars(owner)[attr] for owner, attr in hooks]
+    tracer = TRACER.Tracer()
+    try:
+        tracer.install()
+        assert vars(BiGraph)["message_plan"] is not before[0]
+    finally:
+        tracer.uninstall()
+    assert [vars(owner)[attr] for owner, attr in hooks] == before
+    for name, saved in modules.items():
+        current = vars(sys.modules[name])
+        assert all(current[attr] is value for attr, value in saved.items()), name
+
+
+def test_workload_reads_resolve(tiny_graph):
+    for name in tiny_graph.relation_names():
+        adj = tiny_graph.csr(name)
+        assert adj.offsets.size == adj.n_rows + 1 and adj.cols.size == adj.offsets[-1]
+        spec = tiny_graph.spec(name)
+        for target in {spec.src_type, spec.dst_type}:
+            assert tiny_graph.message_plan(name, target).n_edges >= 0
