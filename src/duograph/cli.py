@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -169,17 +170,19 @@ def _cmd_eval(cfg, args) -> int:
 def _cmd_ablate(cfg, args) -> int:
     """Train and evaluate every variant for every seed of `seeds` on one dataset:
     the cell seeds steer only model randomness."""
+    if args.variant is not None:
+        raise InfeasibleConfig("ablate runs every variant; --variant does not apply")
     seeds = cfg.get("seeds")
     if seeds is None:
         seeds = [args.seed if args.seed is not None else 0]
     if not seeds or not all(isinstance(s, int) and s >= 0 for s in seeds):
         raise InfeasibleConfig("seeds must be a non-empty list of non-negative ints")
     (graph, tasks), _ = _resolve_dataset(cfg, args)
-    model = {"input_dim": graph.feature_dim, **cfg.get("model", {})}
+    base = _model_config(cfg, args, graph)
     rows = []
     for seed in seeds:
         for variant in VARIANTS:
-            config = ModelConfig.from_dict({**model, "seed": seed, "variant": variant})
+            config = replace(base, seed=seed, variant=variant)
             ps, _ = train(graph, tasks, config)
             rows.append({"variant": variant, "seed": seed,
                          "report": evaluate(graph, tasks, ps, config)})

@@ -147,6 +147,54 @@ def ari(labels_a, labels_b) -> float:
 
 # k-means
 
+def _sq_dists(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """[n, k] squared distances, summed coordinate by coordinate."""
+    return ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+
+
+def _has_distinct(pts: np.ndarray, k: int) -> bool:
+    """Whether `pts` holds k pairwise-distinct rows, counted as
+    `np.unique(pts, axis=0)` counts them: -0.0 equals 0.0 and a row holding
+    NaN equals no row. Picks distinct rows greedily, each pick clearing
+    every row equal to it."""
+    left = np.ones(pts.shape[0], dtype=bool)
+    for _ in range(k):
+        if not left.any():
+            return False
+        i = int(np.argmax(left))
+        left &= (pts != pts[i]).any(axis=1)
+        left[i] = False
+    return True
+
+
+def _nearest(pts: np.ndarray, sq: np.ndarray, norms: np.ndarray,
+             centers: np.ndarray) -> np.ndarray:
+    """Each point's nearest center, equal to `_sq_dists(pts, centers).argmin(axis=1)`.
+
+    One matrix product estimates every squared distance as
+    `|x|^2 - 2 x.c + |c|^2`. Both that estimate and the exact sum lie within
+    `gamma * ((|x| + |c|)^2 + tiny)` of the true distance, the `tiny` term
+    covering underflow. A point whose smallest estimate plus its slack lies
+    strictly below every other estimate minus its slack has that center as
+    its exact argmin too; the other points, near ties and NaN comparisons
+    among them, get the exact distances and their lowest-index tie rule.
+    """
+    finfo = np.finfo(np.float64)
+    gamma = 8 * (pts.shape[1] + 4) * finfo.eps
+    csq = np.einsum("ij,ij->i", centers, centers)
+    approx = sq[:, None] - 2.0 * (pts @ centers.T) + csq
+    slack = gamma * ((norms[:, None] + np.sqrt(csq)) ** 2 + finfo.tiny)
+    nearest = approx.argmin(axis=1)
+    rows = np.arange(pts.shape[0])
+    best = approx[rows, nearest] + slack[rows, nearest]
+    others = approx - slack
+    others[rows, nearest] = np.inf
+    undecided = ~(others > best[:, None]).all(axis=1)
+    if undecided.any():
+        nearest[undecided] = _sq_dists(pts[undecided], centers).argmin(axis=1)
+    return nearest
+
+
 def kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
            max_iter: int = 300):
     """Greedy k-means++ seeding plus Lloyd iterations.
@@ -157,7 +205,9 @@ def kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
     """
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[0]
-    if np.unique(pts, axis=0).shape[0] < k:
+    if not np.isfinite(pts).all():
+        raise DegenerateData("k-means points are not finite")
+    if not _has_distinct(pts, k):
         raise DegenerateData(f"need at least {k} distinct points")
     centers = np.empty((k, pts.shape[1]))
     centers[0] = pts[int(rng.integers(n))]
@@ -166,15 +216,20 @@ def kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
         probs = d2 / d2.sum() if d2.sum() > 0 else np.full(n, 1.0 / n)
         centers[j] = pts[int(rng.choice(n, p=probs))]
         d2 = np.minimum(d2, np.sum((pts - centers[j]) ** 2, axis=1))
+    sq = np.einsum("ij,ij->i", pts, pts)
+    norms = np.sqrt(sq)
     assign = np.full(n, -1, dtype=np.int64)
     for _ in range(max_iter):
-        dists = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_assign = dists.argmin(axis=1)
+        start = centers.copy()
+        new_assign = _nearest(pts, sq, norms, start)
+        dists = None
         for j in range(k):
             members = new_assign == j
             if members.any():
                 centers[j] = pts[members].mean(axis=0)
             else:
+                if dists is None:
+                    dists = _sq_dists(pts, start)
                 far = int(dists[np.arange(n), new_assign].argmax())
                 centers[j] = pts[far]
                 new_assign[far] = j

@@ -244,8 +244,12 @@ def forward(graph: BiGraph, config: ModelConfig, ps: ParamSet, *,
 # task losses
 
 def task_loss(task: TaskSpec, embs: dict, ps: ParamSet, config: ModelConfig,
-              split: str = "train", rng=None) -> Tensor:
-    """Scalar loss for one task on one split."""
+              split: str = "train", rng=None, labels: np.ndarray | None = None) -> Tensor:
+    """Scalar loss for one task on one split.
+
+    A classification task reads `labels`, its `label_matrix` of the split's
+    ids, when the caller already holds it.
+    """
     if task.kind is TaskKind.LINK_RANKING:
         return _ranking_loss(task, embs, ps, config, split, rng)
     ids = task.split_ids(split)
@@ -254,7 +258,7 @@ def task_loss(task: TaskSpec, embs: dict, ps: ParamSet, config: ModelConfig,
     m = ids.size
     logits = ops.matmul(ops.gather_rows(embs[task.target_type], ids),
                         ps.get(task_param(task, "weight")))
-    y = ops.constant(task.label_matrix(ids))
+    y = ops.constant(task.label_matrix(ids) if labels is None else labels)
     if task.kind is TaskKind.SINGLE_LABEL:
         return _softmax_xent(logits, y, config)
     # multi-label: per-class binary cross-entropy via the softplus identity
@@ -285,13 +289,8 @@ def _ranking_loss(task: TaskSpec, embs: dict, ps: ParamSet, config: ModelConfig,
     k = config.num_negatives
     queries = np.array([inst.query for inst in instances], dtype=np.int64)
     cols = np.zeros((m, 1 + k), dtype=np.int64)
-    for row, inst in enumerate(instances):
-        cols[row, 0] = inst.true_id
-        for j in range(k):
-            neg = int(rng.integers(n_cand))
-            while neg == inst.true_id:
-                neg = int(rng.integers(n_cand))
-            cols[row, 1 + j] = neg
+    cols[:, 0] = [inst.true_id for inst in instances]
+    cols[:, 1:] = _draw_negatives(rng, n_cand, np.repeat(cols[:, 0], k)).reshape(m, k)
     q = ops.matmul(ops.gather_rows(embs[task.target_type], queries),
                    ps.get(task_param(task, "query")))
     c = ops.matmul(ops.gather_rows(embs[cand_type], cols.reshape(-1)),
@@ -302,6 +301,28 @@ def _ranking_loss(task: TaskSpec, embs: dict, ps: ParamSet, config: ModelConfig,
     first = np.zeros((m, 1 + k))
     first[:, 0] = 1.0
     return _softmax_xent(scores, ops.constant(first), config)
+
+
+def _draw_negatives(rng, n_cand: int, owners: np.ndarray) -> np.ndarray:
+    """One draw from [0, n_cand) per slot, redrawn while it equals the slot's
+    `owners` entry.
+
+    Consumes `rng` exactly as one scalar `rng.integers(n_cand)` call per draw,
+    slot after slot, would: a batch covers every open slot, its draws fill
+    slots up to the first reject, and the draws after a reject move on to
+    the next slots; a second batch redraws only as many as were rejected.
+    """
+    out = np.empty(owners.size, dtype=np.int64)
+    filled = 0
+    while filled < owners.size:
+        draws = rng.integers(n_cand, size=owners.size - filled)
+        while draws.size:
+            hit = draws == owners[filled:filled + draws.size]
+            keep = int(hit.argmax()) if hit.any() else draws.size
+            out[filled:filled + keep] = draws[:keep]
+            filled += keep
+            draws = draws[keep + 1:]
+    return out
 
 
 def _softmax_xent(logits: Tensor, y: Tensor, config: ModelConfig) -> Tensor:

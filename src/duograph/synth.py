@@ -335,9 +335,11 @@ def import_dataset(directory):
     # labels.tsv: one row per labelled node or ranking query
     table = read_table(os.path.join(directory, "labels.tsv"), _LABEL_COLUMNS)
     owner, nodes = table.codes(1, task_names), table.numbers(0)
-    cells = [[v for v in cell.split(",") if v] for cell in table.columns[2]]
+    cells = [cell.split(",") if cell else [] for cell in table.columns[2]]
     sizes = np.fromiter(map(len, cells), dtype=np.int64, count=len(table))
     table.reject(sizes == 0, lambda k: "empty label list")
+    table.reject(np.array(["" in row for row in cells], dtype=bool),
+                 lambda k: f"empty piece in label list {table.columns[2][k]!r}")
     row_of = np.repeat(np.arange(len(table)), sizes)
     id_table = Table(table.path, ("labels",), [list(chain.from_iterable(cells))],
                      table.lines[row_of])

@@ -43,12 +43,19 @@ def _mean_val_ndcg(tasks, ps: ParamSet, embs_data: dict, split: str) -> float:
     return float(np.mean(vals))
 
 
-def _total_loss(tasks, embs, ps, config, split, neg_rng):
+def _label_matrices(tasks, split) -> list:
+    """Each classification task's `label_matrix` on `split`, None for a ranking
+    task; aligned with `tasks`."""
+    return [None if task.kind is TaskKind.LINK_RANKING
+            else task.label_matrix(task.split_ids(split)) for task in tasks]
+
+
+def _total_loss(tasks, embs, ps, config, split, neg_rng, labels=None):
     total = None
-    for task in tasks:
+    for task, y in zip(tasks, labels or [None] * len(tasks)):
         if task.split_ids(split).size == 0:
             continue
-        loss = task_loss(task, embs, ps, config, split=split, rng=neg_rng)
+        loss = task_loss(task, embs, ps, config, split=split, rng=neg_rng, labels=y)
         total = loss if total is None else ops.add(total, loss)
     if total is None:
         raise NoLabeledNodes(f"no task has data in split {split!r}")
@@ -76,6 +83,7 @@ def train(graph: BiGraph, tasks, config: ModelConfig, ps: ParamSet | None = None
     # reused by the next epoch's step: one forward per parameter state.
     reuse = config.dropout == 0.0
     tape, embs = Tape(), None
+    train_labels, val_labels = _label_matrices(tasks, "train"), _label_matrices(tasks, "val")
     for epoch in range(config.epochs):
         lr = cosine_lr(epoch, config.epochs, config.lr_max, config.lr_min)
         drop_rng = rng_for(config.seed, "dropout", epoch)
@@ -84,7 +92,7 @@ def train(graph: BiGraph, tasks, config: ModelConfig, ps: ParamSet | None = None
         with tape:
             if embs is None:
                 embs, _ = forward(graph, config, ps, training=True, rng=drop_rng)
-            loss = _total_loss(tasks, embs, ps, config, "train", neg_rng)
+            loss = _total_loss(tasks, embs, ps, config, "train", neg_rng, train_labels)
         train_loss = float(loss.data[0, 0])
         if not np.isfinite(train_loss):
             raise DivergedLoss(f"train loss became {train_loss} at epoch {epoch + 1}")
@@ -97,7 +105,8 @@ def train(graph: BiGraph, tasks, config: ModelConfig, ps: ParamSet | None = None
             val_embs, _ = forward(graph, config, ps, training=False)
         embs = val_embs if reuse else None
         val_neg_rng = rng_for(config.seed, "val-negatives")
-        val_loss = float(_total_loss(tasks, val_embs, ps, config, "val", val_neg_rng).data[0, 0])
+        val_loss = float(_total_loss(tasks, val_embs, ps, config, "val", val_neg_rng,
+                                     val_labels).data[0, 0])
         embs_data = {t: val_embs[t].data for t in val_embs}
         val_ndcg = _mean_val_ndcg(tasks, ps, embs_data, "val")
         result.log.append({"epoch": epoch + 1, "train_loss": train_loss,

@@ -1,13 +1,18 @@
-"""Dense masked-attention reference model.
+"""Dense masked-attention reference model, and the k-means oracle.
 
 An independent re-implementation of the forward pass using full [n, m]
 adjacency matrices and masked row softmaxes in plain numpy. It shares no
 aggregation code with the package (no CSR rows, no segment ops, no
 autodiff), reads the same parameter names, and exists purely as an
 oracle for equivalence testing.
+
+`kmeans` is the package's k-means as it was before its assignment step
+used a matrix product: every round sums all `[n, k, d]` squared
+differences. `metrics.kmeans` must match it bit for bit.
 """
 import numpy as np
 
+from duograph.errors import DegenerateData
 from duograph.graph import BiGraph, NodeType
 from duograph.model import ModelConfig
 from duograph.params import ParamSet
@@ -206,3 +211,41 @@ def dense_forward(graph: BiGraph, config: ModelConfig, ps: ParamSet) -> dict:
             current = {t: np.hstack([z[t], v[t]])
                        @ _p(ps, f"layer{layer}.{t.label}.merge") for t in TYPES}
     return current
+
+
+def kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
+           max_iter: int = 300):
+    """Greedy k-means++ seeding plus Lloyd iterations.
+
+    Stops when assignments are stable or after `max_iter` rounds. An
+    emptied cluster is re-seeded with the point farthest from its center.
+    Returns (centers, assignments, inertia).
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    n = pts.shape[0]
+    if np.unique(pts, axis=0).shape[0] < k:
+        raise DegenerateData(f"need at least {k} distinct points")
+    centers = np.empty((k, pts.shape[1]))
+    centers[0] = pts[int(rng.integers(n))]
+    d2 = np.sum((pts - centers[0]) ** 2, axis=1)
+    for j in range(1, k):
+        probs = d2 / d2.sum() if d2.sum() > 0 else np.full(n, 1.0 / n)
+        centers[j] = pts[int(rng.choice(n, p=probs))]
+        d2 = np.minimum(d2, np.sum((pts - centers[j]) ** 2, axis=1))
+    assign = np.full(n, -1, dtype=np.int64)
+    for _ in range(max_iter):
+        dists = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_assign = dists.argmin(axis=1)
+        for j in range(k):
+            members = new_assign == j
+            if members.any():
+                centers[j] = pts[members].mean(axis=0)
+            else:
+                far = int(dists[np.arange(n), new_assign].argmax())
+                centers[j] = pts[far]
+                new_assign[far] = j
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+    inertia = float(((pts - centers[assign]) ** 2).sum())
+    return centers, assign, inertia

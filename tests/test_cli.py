@@ -143,6 +143,36 @@ class TestAblate:
         rows = json.loads(_read(os.path.join(out, "ablation.json")))["rows"]
         assert all(set(row) == {"variant", "seed", "report"} for row in rows)
 
+    def _ablate(self, tmp_path, name, model, *flags):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(dict(CONFIG, model=dict(CONFIG["model"], epochs=2, **model),
+                                        seeds=[0])))
+        out = str(tmp_path / name)
+        assert main(["ablate", "--config", str(path), "--out", out, *flags]) == 0
+        return json.loads(_read(os.path.join(out, "ablation.json")))["rows"]
+
+    def test_ordering_flag_equals_config_ordering(self, tmp_path):
+        flagged = self._ablate(tmp_path, "flag", {}, "--ordering", "inverted")
+        configured = self._ablate(tmp_path, "cfg", {"ordering": "inverted"})
+        standard = self._ablate(tmp_path, "std", {})
+        assert flagged == configured
+        assert flagged != standard
+
+    def test_literal_temperature_flag_equals_config_field(self, tmp_path):
+        flagged = self._ablate(tmp_path, "flag", {"temperature": 2.0},
+                               "--compat-literal-temperature")
+        configured = self._ablate(tmp_path, "cfg", {"temperature": 2.0,
+                                                    "literal_temperature": True})
+        assert flagged == configured
+
+    def test_variant_flag_is_an_error(self, tmp_path, config_path, capsys):
+        out = str(tmp_path / "ab")
+        assert main(["ablate", "--config", config_path, "--out", out,
+                     "--variant", "no-hier"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: InfeasibleConfig: ") and err.count("\n") == 1
+        assert not os.path.exists(out)
+
 
 class TestGradcheck:
     def test_passes_and_exits_zero(self, capsys):

@@ -2,7 +2,10 @@
 an independent closed-form expression, then frozen."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference
+from duograph import metrics
 from duograph.errors import DegenerateData, EmptySet, NoRelevant
 from duograph.metrics import (accuracy, ari, cluster_eval, kmeans, mrr, mrr_rows, ndcg,
                               ndcg_rows, nmi, ranked_order)
@@ -193,3 +196,132 @@ class TestKmeans:
         b = cluster_eval(pts, labels, k=3, repeats=3, seed=2)
         assert a.nmi_mean == b.nmi_mean and a.ari_mean == b.ari_mean
         assert np.array_equal(a.assignments, b.assignments)
+
+
+def _outcome(fn, points, k, seed):
+    """(centers, assignments, inertia) of one run, or the type of its error.
+
+    Finite points whose squared distances overflow still fail in the
+    seeding with numpy's ValueError, in both versions."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fn(points, k, np.random.default_rng(seed))
+    except (DegenerateData, ValueError) as exc:
+        return type(exc)
+
+
+def _assert_same_kmeans(points, k, seed):
+    """The package's k-means equals the all-pairs oracle bit for bit."""
+    want = _outcome(reference.kmeans, points, k, seed)
+    got = _outcome(kmeans, points, k, seed)
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert not isinstance(got, type), got
+    (wc, wa, wi), (gc, ga, gi) = want, got
+    assert np.array_equal(gc, wc) and np.array_equal(ga, wa) and ga.dtype == wa.dtype
+    assert gi == wi
+
+
+def _blobs(n, d, k, scale, offset=0.0, seed=0):
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(scale=scale, size=(k, d))
+    return centers[rng.integers(k, size=n)] + rng.normal(size=(n, d)) + offset
+
+
+# Points whose second Lloyd round empties a cluster, found by search over
+# small integer grids; k=3 and rng seed 30009 reach the re-seed branch.
+RESEED_POINTS = np.array([[2.0, 0.0], [2.0, 1.0], [2.0, 4.0], [1.0, 0.0],
+                          [5.0, 2.0], [3.0, 5.0], [1.0, 4.0], [1.0, 0.0]])
+
+KMEANS_CASES = {
+    "separated blobs": (_blobs(200, 8, 4, 10.0), 4, 0),
+    "overlapping blobs": (_blobs(300, 16, 5, 0.5, seed=1), 5, 1),
+    "integer grid with exact ties": (
+        np.random.default_rng(2).integers(-2, 3, size=(60, 3)).astype(float), 4, 2),
+    "common offset 1e7": (_blobs(80, 4, 3, 1.0, offset=1e7, seed=3), 3, 3),
+    "signed zeros": (np.random.default_rng(4).choice([0.0, -0.0, 1.0], size=(30, 2)), 3, 4),
+    "every point a cluster": (np.arange(12.0).reshape(6, 2), 6, 5),
+    "repeated rows": (np.repeat(_blobs(10, 3, 2, 3.0, seed=6), 4, axis=0), 5, 6),
+    "tiny magnitudes": (np.random.default_rng(7).integers(0, 3, size=(40, 3)) * 1e-160, 3, 7),
+    "huge magnitudes": (np.random.default_rng(8).integers(0, 3, size=(40, 3)) * 1e150, 3, 8),
+    "subnormal squares": (np.array([[3], [24], [23], [35], [11], [36], [26], [35], [7],
+                                    [30], [37]]) * 1e-162, 4, 7),
+    "overflowing squares": (np.array([[2e154], [2e154], [3e154]]), 2, 705),
+    "emptied cluster": (RESEED_POINTS, 3, 30009),
+    "emptied cluster, farthest point moves with the update": (
+        np.array([[2.0, 1.0], [0.0, 5.0], [4.0, 3.0], [4.0, 2.0], [2.0, 3.0], [5.0, 3.0],
+                  [2.0, 4.0]]), 3, 43941),
+    "fewer distinct rows than k": (np.repeat([[1.0, -0.0], [1.0, 0.0], [2.0, 2.0]], 3, axis=0),
+                                   3, 9),
+    "no points": (np.empty((0, 2)), 1, 10),
+}
+
+
+class TestKmeansMatchesOracle:
+    @pytest.mark.parametrize("case", sorted(KMEANS_CASES))
+    def test_table(self, case):
+        points, k, seed = KMEANS_CASES[case]
+        _assert_same_kmeans(points, k, seed)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(1, 25), st.integers(1, 4), st.integers(1, 5),
+           st.sampled_from([1.0, 0.5, 1e-3, 1e7, 1e-161, 1e154]), st.sampled_from([0.0, -3.0, 1e7]),
+           st.integers(0, 2**16), st.data())
+    def test_random_inputs(self, n, d, k, step, offset, seed, data):
+        grid = data.draw(st.lists(st.integers(-3, 3), min_size=n * d, max_size=n * d))
+        points = np.array(grid, dtype=float).reshape(n, d) * step + offset
+        _assert_same_kmeans(points, k, seed)
+
+    def test_emptied_cluster_is_reseeded_from_exact_distances(self, monkeypatch):
+        # the re-seed branch hands the points array itself to `_sq_dists`;
+        # undecided assignments hand it a row subset
+        reseeds = []
+        exact = metrics._sq_dists
+
+        def spy(pts, centers):
+            reseeds.append(pts is RESEED_POINTS)
+            return exact(pts, centers)
+
+        monkeypatch.setattr(metrics, "_sq_dists", spy)
+        _assert_same_kmeans(RESEED_POINTS, 3, 30009)
+        assert any(reseeds)
+
+    def test_blob_assignments_need_no_exact_distances(self, monkeypatch):
+        monkeypatch.setattr(metrics, "_sq_dists", None)
+        kmeans(_blobs(500, 32, 4, 3.0, seed=11), 4, np.random.default_rng(0))
+
+
+DISTINCT_CASES = {
+    "signed zeros are equal": np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0]]),
+    "nan rows equal nothing": np.array([[np.nan, 1.0], [np.nan, 1.0], [2.0, 2.0]]),
+    "nan next to signed zeros": np.array([[np.nan, -0.0], [np.nan, 0.0], [-0.0, 0.0],
+                                          [0.0, 0.0], [0.0, 0.0]]),
+    "all equal": np.ones((4, 3)),
+    "no rows": np.empty((0, 2)),
+    "integer grid": np.random.default_rng(12).integers(0, 2, size=(20, 3)).astype(float),
+}
+
+
+class TestDistinctRows:
+    @pytest.mark.parametrize("case", sorted(DISTINCT_CASES))
+    @pytest.mark.parametrize("k", range(7))
+    def test_counts_as_unique_does(self, case, k):
+        pts = DISTINCT_CASES[case]
+        assert metrics._has_distinct(pts, k) == (np.unique(pts, axis=0).shape[0] >= k)
+
+
+class TestNonFinitePoints:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_kmeans_rejects(self, bad):
+        pts = np.arange(12.0).reshape(6, 2)
+        pts[3, 1] = bad
+        with pytest.raises(DegenerateData, match="not finite"):
+            kmeans(pts, 2, rng_for(0, "fit"))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_cluster_eval_rejects(self, bad):
+        pts = np.arange(12.0).reshape(6, 2)
+        pts[0, 0] = bad
+        with pytest.raises(DegenerateData, match="not finite"):
+            cluster_eval(pts, np.array([0, 0, 0, 1, 1, 1]), k=2, repeats=2)

@@ -9,7 +9,7 @@ import pytest
 from duograph import ops
 from duograph.errors import ConfigShapeMismatch, NoLabeledNodes
 from duograph.graph import NodeType
-from duograph.model import (ModelConfig, RankInstance, TaskKind, TaskSpec,
+from duograph.model import (ModelConfig, RankInstance, TaskKind, TaskSpec, _draw_negatives,
                             classification_scores, forward, ranking_scores,
                             task_loss, task_scores)
 from duograph.params import ParamSet, build_params
@@ -318,6 +318,31 @@ class TestLossOracles:
         ps.add("head.ad.cand", np.zeros((4, 4)))
         with pytest.raises(NoLabeledNodes, match="at least 2 B nodes"):
             task_loss(task, _zero_embs(1, 1, 4), ps, _config(hidden_dim=4), rng=rng_for(0, "n"))
+
+
+def _negatives_loop(rng, n_cand, true_ids, k):
+    """The per-draw sampler `_draw_negatives` replaced: one scalar call per draw."""
+    cols = np.zeros((len(true_ids), k), dtype=np.int64)
+    for row, true_id in enumerate(true_ids):
+        for j in range(k):
+            neg = int(rng.integers(n_cand))
+            while neg == true_id:
+                neg = int(rng.integers(n_cand))
+            cols[row, j] = neg
+    return cols
+
+
+class TestDrawNegatives:
+    @pytest.mark.parametrize("n_cand, m, k", [(2, 1, 1), (2, 40, 6), (3, 25, 4),
+                                              (300, 120, 4), (5, 1, 30)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_scalar_draws_and_leaves_the_same_stream(self, n_cand, m, k, seed):
+        true_ids = rng_for(seed, "true").integers(n_cand, size=m)
+        loop_rng, batch_rng = rng_for(seed, "negs"), rng_for(seed, "negs")
+        want = _negatives_loop(loop_rng, n_cand, true_ids, k)
+        got = _draw_negatives(batch_rng, n_cand, np.repeat(true_ids, k)).reshape(m, k)
+        assert np.array_equal(got, want)
+        assert batch_rng.integers(2**62) == loop_rng.integers(2**62)
 
 
 class TestEvalScores:

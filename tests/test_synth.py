@@ -265,6 +265,9 @@ def _malformed_rows():
             d, "tasks.tsv", lambda c: c[0] == "pf_l1", lambda c: [_set(0, "pv")(c)]),
         "tasks.tsv: unknown kind": _first_row("tasks.tsv", _set(1, "regression")),
         "labels.tsv: empty label list": _first_row("labels.tsv", _set(2, "")),
+        "labels.tsv: trailing empty pieces": _first_row("labels.tsv", _set(2, "1,,")),
+        "labels.tsv: leading empty piece": _first_row("labels.tsv", _set(2, ",1")),
+        "labels.tsv: inner empty piece": _first_row("labels.tsv", _set(2, "1,,2")),
         "splits.tsv: unknown split": _first_row("splits.tsv", _set(2, "holdout")),
         "splits.tsv: duplicate row": lambda d: _duplicate(d, "splits.tsv", _of("pv")),
     })
