@@ -201,7 +201,9 @@ def kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
 
     Stops when assignments are stable or after `max_iter` rounds. An
     emptied cluster is re-seeded with the point farthest from its center.
-    Returns (centers, assignments, inertia).
+    Returns (centers, assignments, inertia). Raises DegenerateData for
+    non-finite points, fewer than k distinct points, or finite points
+    whose squared distances overflow the seeding weights.
     """
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[0]
@@ -213,7 +215,10 @@ def kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
     centers[0] = pts[int(rng.integers(n))]
     d2 = np.sum((pts - centers[0]) ** 2, axis=1)
     for j in range(1, k):
-        probs = d2 / d2.sum() if d2.sum() > 0 else np.full(n, 1.0 / n)
+        total = d2.sum()
+        if not np.isfinite(total):
+            raise DegenerateData("k-means seeding weights are not finite")
+        probs = d2 / total if total > 0 else np.full(n, 1.0 / n)
         centers[j] = pts[int(rng.choice(n, p=probs))]
         d2 = np.minimum(d2, np.sum((pts - centers[j]) ** 2, axis=1))
     sq = np.einsum("ij,ij->i", pts, pts)

@@ -379,13 +379,26 @@ def degree_layout(offsets, sources) -> DegreeLayout:
                         source_segments=edge_segments[source_perm])
 
 
+# Most edges per piece of a degree group: a piece's gathered rows (4 MB
+# at d=64) stay near cache size and are dropped before the next piece.
+CHUNK_EDGES = 8192
+
+
 def _runs(groups):
-    """(ids, run slice, n_k, k) for each degree group, in layout order."""
+    """(ids, run slice, n, k) for each piece of each degree group, in layout order.
+
+    A piece holds n ids with k edges each, at most CHUNK_EDGES edges unless
+    one id alone has more. Splitting a group between whole ids keeps every
+    id's batched matmul as it was.
+    """
     start = 0
     for k, ids in groups:
-        stop = start + ids.size * k
-        yield ids, slice(start, stop), ids.size, k
-        start = stop
+        step = max(1, CHUNK_EDGES // k)
+        for lo in range(0, ids.size, step):
+            piece = ids[lo:lo + step]
+            stop = start + piece.size * k
+            yield piece, slice(start, stop), piece.size, k
+            start = stop
 
 
 def weighted_sum_rows(weights: Tensor, values: Tensor, sources,
@@ -393,12 +406,14 @@ def weighted_sum_rows(weights: Tensor, values: Tensor, sources,
     """Per segment s: sum of weights[e] * values[sources[e]] over its edges e.
 
     Returns [n_segments, d]. The source gather is fused into the sum.
-    `layout` is `degree_layout(offsets, sources)`; each group of n_k
-    segments with k edges is one batched [1,k] @ [k,d] matmul. The gathered [E,d] source
-    rows are kept only for the backward, which takes each edge's weight
-    gradient as a batched dot of its segment's output gradient with its
-    row, and the values gradient as batched matmuls over the groups of
-    source nodes with equal out-degree (values no edge reads get 0).
+    `layout` is `degree_layout(offsets, sources)`; each piece of a group of
+    segments with k edges (see `_runs`) gathers its source rows and sums
+    them in one batched [1,k] @ [k,d] matmul, so no [E,d] block of rows is
+    ever built or kept. The backward gathers each piece's rows again and
+    takes each edge's weight gradient as a batched dot of its segment's
+    output gradient with its row. It takes the values gradient as batched
+    matmuls over pieces of the groups of source nodes with equal
+    out-degree (values no edge reads get 0).
     """
     n_edges, d = layout.n_edges, values.shape[1]
     if weights.shape != (n_edges, 1):
@@ -406,27 +421,28 @@ def weighted_sum_rows(weights: Tensor, values: Tensor, sources,
     src = _row_index(sources, values.shape[0], "weighted_sum_rows sources")
     if src.size != n_edges:
         raise ShapeMismatch(f"weighted_sum_rows {src.size} sources vs {n_edges} edges")
+    vd = values.data
     w = weights.data[:, 0]
     w_t = w[layout.target_perm]
-    rows = np.take(values.data, src[layout.target_perm], axis=0)
+    src_t = src[layout.target_perm]
     out = np.empty((layout.n_segments, d))
     for segs, run, n, k in _runs(layout.target_groups):
-        out[segs] = np.matmul(w_t[run].reshape(n, 1, k), rows[run].reshape(n, k, d))[:, 0, :]
+        rows = np.take(vd, src_t[run], axis=0).reshape(n, k, d)
+        out[segs] = np.matmul(w_t[run].reshape(n, 1, k), rows)[:, 0, :]
 
     def bw(g: Array):
         gw = gv = None
         if weights.requires_grad:
-            gw_t = np.empty(n_edges)
-            for segs, run, n, k in _runs(layout.target_groups):
-                gw_t[run] = np.matmul(rows[run].reshape(n, k, d), g[segs][:, :, None]).ravel()
             gw = np.empty((n_edges, 1))
-            gw[layout.target_perm, 0] = gw_t
+            for segs, run, n, k in _runs(layout.target_groups):
+                rows = np.take(vd, src_t[run], axis=0).reshape(n, k, d)
+                gw[layout.target_perm[run], 0] = np.matmul(rows, g[segs][:, :, None]).ravel()
         if values.requires_grad:
             gv = np.zeros(values.shape)
-            w_s = w[layout.source_perm]
             for nodes, run, n, k in _runs(layout.source_groups):
                 g_rows = np.take(g, layout.source_segments[run], axis=0).reshape(n, k, d)
-                gv[nodes] = np.matmul(w_s[run].reshape(n, 1, k), g_rows)[:, 0, :]
+                w_s = w[layout.source_perm[run]].reshape(n, 1, k)
+                gv[nodes] = np.matmul(w_s, g_rows)[:, 0, :]
         return gw, gv
 
     return _result(out, (weights, values), bw)

@@ -51,7 +51,11 @@ class Tensor:
 
     @property
     def grad(self) -> Array:
-        """Accumulated gradient; zero until backward reaches this tensor."""
+        """Accumulated gradient; zero until backward reaches this tensor.
+
+        `backward` leaves a gradient only on leaf tensors; a recorded
+        output's gradient is gone once its closure has consumed it.
+        """
         if self._grad is None:
             return np.zeros_like(self.data)
         return self._grad
@@ -102,9 +106,12 @@ class Tape:
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
-    """Accumulate d(loss)/d(input) into every recorded tensor's grad.
+    """Accumulate d(loss)/d(input) into every leaf tensor's grad.
 
-    `loss` must be 1x1. Tensors never visited keep a zero gradient.
+    `loss` must be 1x1. Each recorded output's gradient is dropped as soon
+    as its backward closure has read it, so afterwards only leaf tensors
+    (parameters and other inputs no record produced) hold a gradient.
+    Tensors never visited keep a zero gradient.
     """
     if loss.data.shape != (1, 1):
         raise NonScalarLoss(f"loss has shape {loss.data.shape}, expected (1, 1)")
@@ -113,11 +120,10 @@ def backward(tape: Tape, loss: Tensor) -> None:
     tape._consumed = True
     loss.accumulate_grad(np.ones((1, 1)))
     for out, inputs, backward_fn in reversed(tape._records):
-        g = out._grad
+        g, out._grad = out._grad, None
         if g is None:
             continue
-        grads = backward_fn(g)
-        for tensor, grad in zip(inputs, grads):
+        for tensor, grad in zip(inputs, backward_fn(g)):
             if tensor is None or grad is None:
                 continue
             if tensor.requires_grad:

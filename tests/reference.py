@@ -9,10 +9,17 @@ oracle for equivalence testing.
 `kmeans` is the package's k-means as it was before its assignment step
 used a matrix product: every round sums all `[n, k, d]` squared
 differences. `metrics.kmeans` must match it bit for bit.
+
+`weighted_sum_rows` is the edge reduction as it was before it streamed
+its degree groups in pieces: it gathers the whole [E, d] block of source
+rows once and keeps it for the backward. `backward` is the tape walk as
+it was before it dropped spent gradients. The package's versions must
+match both bit for bit.
 """
 import numpy as np
 
-from duograph.errors import DegenerateData
+from duograph import ops
+from duograph.errors import DegenerateData, NonScalarLoss, ShapeMismatch, TapeConsumed
 from duograph.graph import BiGraph, NodeType
 from duograph.model import ModelConfig
 from duograph.params import ParamSet
@@ -249,3 +256,69 @@ def kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
         assign = new_assign
     inertia = float(((pts - centers[assign]) ** 2).sum())
     return centers, assign, inertia
+
+
+def _group_runs(groups):
+    """(ids, run slice, n_k, k) for each whole degree group, in layout order."""
+    start = 0
+    for k, ids in groups:
+        stop = start + ids.size * k
+        yield ids, slice(start, stop), ids.size, k
+        start = stop
+
+
+def weighted_sum_rows(weights, values, sources, layout):
+    """Per segment s: sum of weights[e] * values[sources[e]] over its edges e."""
+    n_edges, d = layout.n_edges, values.shape[1]
+    if weights.shape != (n_edges, 1):
+        raise ShapeMismatch(f"weights {weights.shape} vs {n_edges} edges")
+    src = ops._row_index(sources, values.shape[0], "weighted_sum_rows sources")
+    if src.size != n_edges:
+        raise ShapeMismatch(f"weighted_sum_rows {src.size} sources vs {n_edges} edges")
+    w = weights.data[:, 0]
+    w_t = w[layout.target_perm]
+    rows = np.take(values.data, src[layout.target_perm], axis=0)
+    out = np.empty((layout.n_segments, d))
+    for segs, run, n, k in _group_runs(layout.target_groups):
+        out[segs] = np.matmul(w_t[run].reshape(n, 1, k), rows[run].reshape(n, k, d))[:, 0, :]
+
+    def bw(g):
+        gw = gv = None
+        if weights.requires_grad:
+            gw_t = np.empty(n_edges)
+            for segs, run, n, k in _group_runs(layout.target_groups):
+                gw_t[run] = np.matmul(rows[run].reshape(n, k, d), g[segs][:, :, None]).ravel()
+            gw = np.empty((n_edges, 1))
+            gw[layout.target_perm, 0] = gw_t
+        if values.requires_grad:
+            gv = np.zeros(values.shape)
+            w_s = w[layout.source_perm]
+            for nodes, run, n, k in _group_runs(layout.source_groups):
+                g_rows = np.take(g, layout.source_segments[run], axis=0).reshape(n, k, d)
+                gv[nodes] = np.matmul(w_s[run].reshape(n, 1, k), g_rows)[:, 0, :]
+        return gw, gv
+
+    return ops._result(out, (weights, values), bw)
+
+
+def backward(tape, loss) -> None:
+    """Accumulate d(loss)/d(input) into every recorded tensor's grad.
+
+    `loss` must be 1x1. Tensors never visited keep a zero gradient.
+    """
+    if loss.data.shape != (1, 1):
+        raise NonScalarLoss(f"loss has shape {loss.data.shape}, expected (1, 1)")
+    if tape._consumed:
+        raise TapeConsumed("backward was already run on this tape")
+    tape._consumed = True
+    loss.accumulate_grad(np.ones((1, 1)))
+    for out, inputs, backward_fn in reversed(tape._records):
+        g = out._grad
+        if g is None:
+            continue
+        grads = backward_fn(g)
+        for tensor, grad in zip(inputs, grads):
+            if tensor is None or grad is None:
+                continue
+            if tensor.requires_grad:
+                tensor.accumulate_grad(grad)

@@ -198,21 +198,25 @@ class TestKmeans:
         assert np.array_equal(a.assignments, b.assignments)
 
 
-def _outcome(fn, points, k, seed):
-    """(centers, assignments, inertia) of one run, or the type of its error.
-
-    Finite points whose squared distances overflow still fail in the
-    seeding with numpy's ValueError, in both versions."""
+def _outcome(fn, points, k, seed, errors=(DegenerateData,)):
+    """(centers, assignments, inertia) of one run, or the type of its error."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             return fn(points, k, np.random.default_rng(seed))
-    except (DegenerateData, ValueError) as exc:
+    except errors as exc:
         return type(exc)
 
 
 def _assert_same_kmeans(points, k, seed):
-    """The package's k-means equals the all-pairs oracle bit for bit."""
-    want = _outcome(reference.kmeans, points, k, seed)
+    """The package's k-means equals the all-pairs oracle bit for bit.
+
+    Finite points whose squared distances overflow make the oracle's
+    seeding fail with numpy's ValueError ("Probabilities contain NaN" or
+    "do not sum to 1"); the package raises DegenerateData there instead.
+    """
+    want = _outcome(reference.kmeans, points, k, seed, (DegenerateData, ValueError))
+    if want is ValueError:
+        want = DegenerateData
     got = _outcome(kmeans, points, k, seed)
     if isinstance(want, type):
         assert got is want
@@ -248,6 +252,7 @@ KMEANS_CASES = {
     "subnormal squares": (np.array([[3], [24], [23], [35], [11], [36], [26], [35], [7],
                                     [30], [37]]) * 1e-162, 4, 7),
     "overflowing squares": (np.array([[2e154], [2e154], [3e154]]), 2, 705),
+    "points near 1e154": (np.random.default_rng(13).integers(-3, 4, size=(30, 2)) * 1e154, 3, 13),
     "emptied cluster": (RESEED_POINTS, 3, 30009),
     "emptied cluster, farthest point moves with the update": (
         np.array([[2.0, 1.0], [0.0, 5.0], [4.0, 3.0], [4.0, 2.0], [2.0, 3.0], [5.0, 3.0],
@@ -325,3 +330,11 @@ class TestNonFinitePoints:
         pts[0, 0] = bad
         with pytest.raises(DegenerateData, match="not finite"):
             cluster_eval(pts, np.array([0, 0, 0, 1, 1, 1]), k=2, repeats=2)
+
+    def test_overflowing_seeding_weights_raise_degenerate_data(self):
+        # finite points whose squared distances sum past the float range
+        pts = np.array([[-1e154, 0.0], [1e154, 0.0], [0.0, 1e154], [0.0, -1e154]])
+        with np.errstate(over="ignore"), pytest.raises(DegenerateData, match="seeding"):
+            kmeans(pts, 3, rng_for(0, "fit"))
+        with np.errstate(over="ignore"), pytest.raises(DegenerateData, match="seeding"):
+            cluster_eval(pts, np.array([0, 0, 1, 1]), k=2, repeats=2)

@@ -17,6 +17,7 @@ from duograph.rand import rng_for
 from duograph.synth import SynthConfig, generate
 from duograph.tensor import Tape, backward
 
+import reference
 from conftest import random_bigraph
 from test_acceptance import ACCEPT_MODEL, ACCEPT_SYNTH
 
@@ -117,6 +118,29 @@ class TestOpBudget:
         with Tape() as tape:
             forward(graph, config, ps)
         assert len(tape) <= 170
+
+
+class TestBackwardWalk:
+    def test_spent_gradients_are_freed_and_parameter_gradients_unchanged(self):
+        from duograph.train import _total_loss
+        graph, tasks = generate(SynthConfig(**ACCEPT_SYNTH))
+        config = ModelConfig(seed=0, **ACCEPT_MODEL)
+        ps = build_params(graph, config, tasks)
+        grads, held = [], []
+        for walk in (reference.backward, backward):
+            for name in ps.names():
+                ps.get(name).zero_grad()
+            with Tape() as tape:
+                embs, _ = forward(graph, config, ps, training=True, rng=rng_for(0, "dropout"))
+                loss = _total_loss(tasks, embs, ps, config, "train", neg_rng=rng_for(0, "neg"))
+            walk(tape, loss)
+            grads.append({name: ps.get(name).grad for name in ps.names()})
+            held.append(sum(out._grad is not None for out, _, _ in tape._records))
+        old, new = grads
+        assert held[0] > 0 and held[1] == 0
+        assert any(g.any() for g in new.values())
+        for name in old:
+            assert new[name].tobytes() == old[name].tobytes(), name
 
 
 class TestDropout:

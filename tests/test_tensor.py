@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from duograph.errors import (EmptySegment, IoFailure, NonScalarLoss, ShapeMismat
 from duograph.graph import NodeType, RelationClass, RelationSpec, build_graph
 from duograph.tensor import Tape, Tensor, backward, load_tensors, save_tensors
 
+import reference
 from fd import fd_gradient, rel_err
 
 RNG = np.random.default_rng(20240817)
@@ -453,18 +456,24 @@ def _weighted_sum_oracle(w, h, sources, offsets, g):
     return out, (g_rows * rows).sum(axis=1, keepdims=True), gh
 
 
-def _check_against_oracle(offsets, sources, n_sources, d=4, seed=0):
+def _run_weighted_sum(fn, offsets, sources, n_sources, d=4, seed=0):
+    """Random weights, values and output gradient; fn's output and both gradients."""
     rng = np.random.default_rng(seed)
     w = Tensor(rng.uniform(-1.0, 1.0, size=(sources.size, 1)), requires_grad=True)
     h = Tensor(rng.standard_normal((n_sources, d)), requires_grad=True)
     g = rng.standard_normal((offsets.size - 1, d))
     layout = ops.degree_layout(offsets, sources)
     with Tape() as tape:
-        out = ops.weighted_sum_rows(w, h, sources, layout)
+        out = fn(w, h, sources, layout)
         loss = ops.sum_all(ops.mul(out, ops.constant(g)))
     backward(tape, loss)
-    want_out, want_gw, want_gh = _weighted_sum_oracle(w.data, h.data, sources, offsets, g)
-    for got, want in ((out.data, want_out), (w.grad, want_gw), (h.grad, want_gh)):
+    return (w.data, h.data, g), (out.data, w.grad, h.grad)
+
+
+def _check_against_oracle(offsets, sources, n_sources, d=4, seed=0):
+    (w, h, g), results = _run_weighted_sum(ops.weighted_sum_rows, offsets, sources,
+                                           n_sources, d, seed)
+    for got, want in zip(results, _weighted_sum_oracle(w, h, sources, offsets, g)):
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
@@ -523,6 +532,59 @@ class TestWeightedSumRows:
             _check_against_oracle(offsets, sources, n_sources)
             return
         _check_against_oracle(offsets, sources, int(sources.max()) + 3)
+
+    @pytest.mark.parametrize("case", ["10k one-edge segments", "k=3 group of 3000 segments",
+                                      "hub segment over CHUNK_EDGES"])
+    def test_pieces_match_unchunked_kernel_bitwise(self, case):
+        rng = np.random.default_rng(17)
+        if case == "10k one-edge segments":
+            offsets, sources = _segments(np.ones(10_000), 2000, rng)
+        elif case == "k=3 group of 3000 segments":
+            # every source is read 3 times, so the source side is one k=3 group too
+            offsets = np.arange(0, 9001, 3)
+            sources = rng.permutation(np.arange(9000) % 3000)
+        else:
+            offsets, sources = _segments([2, 9000, 1, 5], 5, rng)
+            sources[2:9002] = 0  # node 0 is a source hub as well
+        layout = ops.degree_layout(offsets, sources)
+        # a degree group spans more than CHUNK_EDGES edges (on the source side too,
+        # except where 10k edges spread over 2000 sources)
+        widest = [max(k * ids.size for k, ids in groups)
+                  for groups in (layout.target_groups, layout.source_groups)]
+        assert widest[0] > ops.CHUNK_EDGES
+        assert widest[1] > ops.CHUNK_EDGES or case.startswith("10k")
+        n_sources = int(sources.max()) + 1
+        _, want = _run_weighted_sum(reference.weighted_sum_rows, offsets, sources, n_sources)
+        _, got = _run_weighted_sum(ops.weighted_sum_rows, offsets, sources, n_sources)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    def test_forward_and_backward_peak_stays_below_half_the_source_rows(self):
+        # about 100k edges at d=32: the [E, d] block of gathered rows would be
+        # 25.6 MB, and the 80k edges of the k=20 group alone 20 MB
+        rng = np.random.default_rng(5)
+        d = 32
+        lengths = np.where(rng.random(5000) < 0.8, 20, rng.integers(1, 40, size=5000))
+        offsets, sources = _segments(lengths, 5000, rng)
+        w = Tensor(rng.uniform(-1.0, 1.0, size=(sources.size, 1)), requires_grad=True)
+        h = Tensor(rng.standard_normal((5000, d)), requires_grad=True)
+        layout = ops.degree_layout(offsets, sources)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            with Tape() as tape:
+                out = ops.weighted_sum_rows(w, h, sources, layout)
+                loss = ops.sum_all(out)
+            backward(tape, loss)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert 90_000 < sources.size < 110_000
+        assert peak < sources.size * d * 8 / 2
 
     def test_layout_groups_cover_every_edge_once(self):
         offsets = np.array([0, 3, 4, 7, 9])
