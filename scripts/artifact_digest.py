@@ -2,8 +2,12 @@
 
 Runs `generate`, then `train`, `eval`, `export-attn` and `export-emb` on
 the generated dataset for every variant and ordering, and `ablate` once,
-in a temporary directory, and prints one `<sha256>  <artifact>` line per
-file. Two source trees that print the same lines write the same bytes:
+in a temporary directory. It also runs `generate` for the acceptance
+gate's dataset (`ACCEPT_SYNTH` in tests/test_acceptance.py, 600 / 300)
+and for 3000 / 1500 papers and authors, both at seed 0, so the bytes of
+the gate's data and of a scale-sized dataset are pinned too. It prints
+one `<sha256>  <artifact>` line per file. Two source trees that print
+the same lines write the same bytes:
 
     python scripts/artifact_digest.py --src src > after.txt
     python scripts/artifact_digest.py --src ../parent/src > before.txt
@@ -23,6 +27,8 @@ import tempfile
 SYNTH = {"n_papers": 40, "n_authors": 20, "n_venues": 2, "n_fields_l1": 2, "n_fields_l2": 3,
          "feature_dim": 6, "name_group_size": 3, "ad_distractors": 3, "seed": 5}
 MODEL = {"hidden_dim": 6, "num_layers": 2, "epochs": 3, "seed": 5}
+SCALE_SYNTH = {"n_papers": 3000, "n_authors": 1500, "seed": 0}
+TESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests")
 
 
 def _digests(directory: str) -> list[str]:
@@ -48,6 +54,8 @@ def main(argv=None) -> int:
     sys.path.insert(0, os.path.abspath(args.src))
     from duograph.cli import main as cli
     from duograph.model import ORDERINGS, VARIANTS
+    sys.path.insert(1, os.path.abspath(TESTS))
+    from test_acceptance import ACCEPT_SYNTH
 
     def run(*cli_args):
         with contextlib.redirect_stdout(io.StringIO()):
@@ -70,7 +78,10 @@ def main(argv=None) -> int:
                 runs.append(out)
         run("ablate", "--config", _write_config(
             "ablate.json", {"synth": SYNTH, "model": MODEL, "seeds": [0, 1]}), "--out", "ablate")
-        for directory in ("data", *runs, "ablate"):
+        for name, synth in (("accept", ACCEPT_SYNTH), ("scale", SCALE_SYNTH)):
+            run("generate", "--config", _write_config(f"{name}.json", {"synth": synth}),
+                "--out", f"{name}-data")
+        for directory in ("data", *runs, "ablate", "accept-data", "scale-data"):
             print("\n".join(_digests(directory)))
     return 0
 

@@ -175,13 +175,23 @@ def _stack_plans(plans: list, within: list, n: int) -> BlockPlan:
         row_runs=_runs([p.rows.size for p in plans]), mask=mask)
 
 
-def _csr_from_pairs(src: np.ndarray, dst: np.ndarray, n_rows: int, n_cols: int) -> CsrAdjacency:
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    counts = np.bincount(src, minlength=n_rows)
+def _unique(keys: np.ndarray) -> np.ndarray:
+    """np.unique(keys) of 1-D integer keys, by one sort and a mask of repeats.
+
+    numpy 2.x's np.unique hashes integer keys before it sorts them: at 300k
+    int64 keys that took 195 ms against 4 ms for this (numpy 2.4.6, 2 vCPUs).
+    """
+    keys = np.sort(keys)
+    fresh = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    return keys[fresh]
+
+
+def _csr(rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int) -> CsrAdjacency:
+    """The CSR of (row, col) pairs already sorted by row, then by col."""
     offsets = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return CsrAdjacency(offsets=offsets, cols=dst, n_rows=n_rows, n_cols=n_cols)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=offsets[1:])
+    return CsrAdjacency(offsets=offsets, cols=cols, n_rows=n_rows, n_cols=n_cols)
 
 
 class BiGraph:
@@ -280,7 +290,7 @@ class BiGraph:
             # add a self-loop to each row unless one is already stored; the
             # flat row * n_t + col keys sort by row, then by source
             diag = np.arange(n_t, dtype=np.int64) * (n_t + 1)
-            keys = np.unique(np.concatenate([edge_targets * n_t + sources, diag]))
+            keys = _unique(np.concatenate([edge_targets * n_t + sources, diag]))
             edge_targets, sources = np.divmod(keys, n_t)
         return _relation_plan(edge_targets, sources, n_t)
 
@@ -386,11 +396,13 @@ def _frozen_graph(sizes: dict, feat: dict, spec_map: dict, codes, all_src, all_d
         src, dst = all_src[mine], all_dst[mine]
         if spec.symmetric:
             src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-        flat = np.unique(src * np.int64(sizes[spec.dst_type]) + dst)
-        src = flat // sizes[spec.dst_type]
-        dst = flat % sizes[spec.dst_type]
-        csr[name] = _csr_from_pairs(src, dst, sizes[spec.src_type], sizes[spec.dst_type])
-        csr_rev[name] = _csr_from_pairs(dst, src, sizes[spec.dst_type], sizes[spec.src_type])
+        n_src, n_dst = sizes[spec.src_type], sizes[spec.dst_type]
+        # the unique keys order the pairs by (src, dst), so a stable sort by
+        # dst orders them by (dst, src)
+        src, dst = np.divmod(_unique(src * np.int64(n_dst) + dst), n_dst)
+        order = ops._stable_order(dst)
+        csr[name] = _csr(src, dst, n_src, n_dst)
+        csr_rev[name] = _csr(dst[order], src[order], n_dst, n_src)
     return BiGraph(sizes, feat, spec_map, csr, csr_rev)
 
 
@@ -403,6 +415,18 @@ def build_graph(counts: dict[NodeType, int], features: dict[NodeType, np.ndarray
     """
     sizes, feat, spec_map = _checked_parts(counts, features, relations)
     return _frozen_graph(sizes, feat, spec_map, *_validated_edges(spec_map, sizes, edges))
+
+
+def graph_from_columns(counts: dict[NodeType, int], features: dict[NodeType, np.ndarray],
+                       relations: list[RelationSpec], codes, src, dst) -> BiGraph:
+    """`build_graph` of edges given as int64 columns: the index of each
+    edge's relation in `relations`, its src id and its dst id."""
+    sizes, feat, spec_map = _checked_parts(counts, features, relations)
+    bad = _bad_edges(spec_map, sizes, codes, src, dst)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise _edge_error(spec_map, sizes, (relations[codes[k]].name, src[k], dst[k]))
+    return _frozen_graph(sizes, feat, spec_map, codes, src, dst)
 
 
 def mean_neighbor_features(graph: BiGraph, relation_names: list[str],

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, asdict
-from itertools import chain
+from itertools import chain, combinations
 
 import numpy as np
 
 from .errors import InfeasibleConfig, check_fields
-from .graph import (BiGraph, NodeType, RelationClass, RelationSpec, Table, build_graph,
+from .graph import (BiGraph, NodeType, RelationClass, RelationSpec, Table, graph_from_columns,
                     load_graph_tsv, mean_neighbor_features, read_table, save_graph_tsv,
                     write_lines)
 from .model import RankInstance, TaskKind, TaskSpec
@@ -107,12 +107,13 @@ RELATIONS = [
 ]
 
 
-def _pairs_within(ids: np.ndarray, p: float, rng) -> list[tuple[int, int]]:
+def _pairs_within(ids: np.ndarray, p: float, rng) -> np.ndarray:
+    """The [2, k] src and dst rows of the pairs of `ids`, each kept with probability p."""
     if ids.size < 2 or p <= 0.0:
-        return []
+        return np.empty((2, 0), dtype=np.int64)
     iu, ju = np.triu_indices(ids.size, k=1)
     keep = rng.random(iu.size) < p
-    return list(zip(ids[iu[keep]], ids[ju[keep]]))
+    return np.stack([ids[iu[keep]], ids[ju[keep]]])
 
 
 def generate(config: SynthConfig):
@@ -138,19 +139,18 @@ def generate(config: SynthConfig):
     rng_feat = rng_for(cfg.seed, "features")
     venue_proto = rng_feat.normal(size=(cfg.n_venues, cfg.feature_dim)) * cfg.venue_scale
     field_proto = rng_feat.normal(size=(cfg.n_fields_l2, cfg.feature_dim)) * cfg.field_scale
-    paper_feats = np.empty((n_p, cfg.feature_dim))
-    for i in range(n_p):
-        topic = np.mean([field_proto[f] for f in fields[i]], axis=0)
-        paper_feats[i] = venue_proto[venue[i]] + topic
+    # np.mean of a paper's field prototypes: x / 1 is x, and (x + y) / 2
+    first, last = (np.array([fs[j] for fs in fields]) for j in (0, -1))
+    topic = np.where((first != last)[:, None],
+                     (field_proto[first] + field_proto[last]) / 2, field_proto[first])
+    paper_feats = venue_proto[venue] + topic
     paper_feats += rng_feat.normal(size=paper_feats.shape) * cfg.noise
 
     # authorship: communities track venues
     rng_auth = rng_for(cfg.seed, "authors")
     community = rng_auth.integers(cfg.n_venues, size=n_a)
     by_comm = [np.nonzero(community == c)[0] for c in range(cfg.n_venues)]
-    edges: list[tuple[str, int, int]] = []
-    lead_of: list[list[int]] = [[] for _ in range(n_a)]
-    support_of: list[list[int]] = [[] for _ in range(n_a)]
+    edges: dict[str, list] = {spec.name: [] for spec in RELATIONS}  # (src, dst) per edge
     papers_of: list[list[int]] = [[] for _ in range(n_a)]
     for i in range(n_p):
         count = int(rng_auth.integers(cfg.min_authors, cfg.max_authors + 1))
@@ -164,31 +164,20 @@ def generate(config: SynthConfig):
             if cand not in chosen:
                 chosen.append(cand)
         leads, supports = chosen[:2], chosen[2:]
-        for a in leads:
-            edges.append(("lead_author_of", a, i))
-            lead_of[a].append(i)
+        edges["lead_author_of"] += [(a, i) for a in leads]
+        edges["support_author_of"] += [(a, i) for a in supports]
+        edges["co_first"] += combinations(leads, 2)
+        edges["co_support"] += combinations(supports, 2)
+        for a in chosen:
             papers_of[a].append(i)
-        for a in supports:
-            edges.append(("support_author_of", a, i))
-            support_of[a].append(i)
-            papers_of[a].append(i)
-        for x in range(len(leads)):
-            for z in range(x + 1, len(leads)):
-                edges.append(("co_first", leads[x], leads[z]))
-        for x in range(len(supports)):
-            for z in range(x + 1, len(supports)):
-                edges.append(("co_support", supports[x], supports[z]))
 
     rng_intra = rng_for(cfg.seed, "intra")
-    for c in range(cfg.n_venues):
-        edges.extend(("colleague", u, v) for u, v in _pairs_within(by_comm[c], cfg.p_colleague, rng_intra))
-    for v in range(cfg.n_venues):
-        ids = np.nonzero(venue == v)[0]
-        edges.extend(("same_venue", a, b) for a, b in _pairs_within(ids, cfg.p_same_venue, rng_intra))
-    for f in range(cfg.n_fields_l2):
-        ids = np.nonzero(primary == f)[0]
-        edges.extend(("same_field", a, b) for a, b in _pairs_within(ids, cfg.p_same_field, rng_intra))
+    by_venue = [np.nonzero(venue == v)[0] for v in range(cfg.n_venues)]
     by_field = [np.nonzero(primary == f)[0] for f in range(cfg.n_fields_l2)]
+    columns = {name: np.concatenate([_pairs_within(ids, p, rng_intra) for ids in groups], axis=1)
+               for name, groups, p in (("colleague", by_comm, cfg.p_colleague),
+                                       ("same_venue", by_venue, cfg.p_same_venue),
+                                       ("same_field", by_field, cfg.p_same_field))}
     for i in range(n_p):
         n_cites = int(rng_intra.integers(0, cfg.max_cites + 1))
         for _ in range(n_cites):
@@ -199,12 +188,16 @@ def generate(config: SynthConfig):
             j = int(pool[rng_intra.integers(pool.size)]) if pool is not None \
                 else int(rng_intra.integers(n_p))
             if j != i:
-                edges.append(("cite", i, j))
-                edges.append(("cited_by", j, i))
+                edges["cite"].append((i, j))
+                edges["cited_by"].append((j, i))
 
+    blocks = [columns[s.name] if s.name in columns
+              else np.array(edges[s.name], dtype=np.int64).reshape(-1, 2).T for s in RELATIONS]
+    codes = np.repeat(np.arange(len(RELATIONS)), [b.shape[1] for b in blocks])
+    src, dst = np.concatenate(blocks, axis=1)
     features = {NodeType.A: np.zeros((n_a, cfg.feature_dim)), NodeType.B: paper_feats}
     sizes = {NodeType.A: n_a, NodeType.B: n_p}
-    graph = build_graph(sizes, features, RELATIONS, edges)
+    graph = graph_from_columns(sizes, features, RELATIONS, codes, src, dst)
     author_feats, _ = mean_neighbor_features(
         graph, ["lead_author_of", "support_author_of"], NodeType.A)
     graph = graph.with_features(NodeType.A, author_feats)

@@ -82,7 +82,7 @@ class Tape:
     _stack: list["Tape"] = []
 
     def __init__(self):
-        self._records: list[tuple[Tensor, tuple, object]] = []
+        self._records: list[tuple[Tensor, tuple, object] | None] = []
         self._consumed = False
 
     def __enter__(self) -> "Tape":
@@ -108,10 +108,12 @@ class Tape:
 def backward(tape: Tape, loss: Tensor) -> None:
     """Accumulate d(loss)/d(input) into every leaf tensor's grad.
 
-    `loss` must be 1x1. Each recorded output's gradient is dropped as soon
-    as its backward closure has read it, so afterwards only leaf tensors
-    (parameters and other inputs no record produced) hold a gradient.
-    Tensors never visited keep a zero gradient.
+    `loss` must be 1x1. The walk drops each record from the tape, with its
+    closure and the forward arrays the closure saved (`len(tape)` still
+    counts them), and each recorded output's gradient once the closure has
+    read it, so afterwards only leaf tensors (parameters and other inputs
+    no record produced) hold a gradient. Tensors never visited keep a zero
+    gradient.
     """
     if loss.data.shape != (1, 1):
         raise NonScalarLoss(f"loss has shape {loss.data.shape}, expected (1, 1)")
@@ -119,7 +121,8 @@ def backward(tape: Tape, loss: Tensor) -> None:
         raise TapeConsumed("backward was already run on this tape")
     tape._consumed = True
     loss.accumulate_grad(np.ones((1, 1)))
-    for out, inputs, backward_fn in reversed(tape._records):
+    for k in reversed(range(len(tape))):
+        (out, inputs, backward_fn), tape._records[k] = tape._records[k], None
         g, out._grad = out._grad, None
         if g is None:
             continue

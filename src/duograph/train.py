@@ -97,10 +97,10 @@ def train(graph: BiGraph, tasks, config: ModelConfig, ps: ParamSet | None = None
         if not np.isfinite(train_loss):
             raise DivergedLoss(f"train loss became {train_loss} at epoch {epoch + 1}")
         backward(tape, loss)
+        tape = Tape()
         _check_gradients(ps, epoch)
         opt.step(lr)
 
-        tape = Tape()
         with tape if reuse else nullcontext():
             val_embs, _ = forward(graph, config, ps, training=False)
         embs = val_embs if reuse else None

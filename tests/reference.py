@@ -13,16 +13,27 @@ differences. `metrics.kmeans` must match it bit for bit.
 `weighted_sum_rows` is the edge reduction as it was before it streamed
 its degree groups in pieces: it gathers the whole [E, d] block of source
 rows once and keeps it for the backward. `backward` is the tape walk as
-it was before it dropped spent gradients. The package's versions must
-match both bit for bit.
+it was before it dropped spent gradients and spent records. The
+package's versions must match both bit for bit.
+
+`frozen_graph`, `build_plan`, `build_graph` and `generate` are graph
+set-up as it was before it sorted instead of hashing: `np.unique` on the
+edge keys, a lexsort for each CSR direction, and a generator that hands
+`build_graph` one (relation, src, dst) tuple per edge and averages each
+paper's field prototypes with `np.mean`. The package's graphs, plans and
+generated datasets must match them bit for bit.
 """
 import numpy as np
 
-from duograph import ops
-from duograph.errors import DegenerateData, NonScalarLoss, ShapeMismatch, TapeConsumed
-from duograph.graph import BiGraph, NodeType
+from duograph import ops, synth
+from duograph.errors import (DegenerateData, DirectionInvalid, NonScalarLoss, ShapeMismatch,
+                             TapeConsumed)
+from duograph.graph import (BiGraph, CsrAdjacency, NodeType,
+                            _checked_parts, _relation_plan, _validated_edges,
+                            mean_neighbor_features)
 from duograph.model import ModelConfig
 from duograph.params import ParamSet
+from duograph.rand import rng_for
 
 TYPES = (NodeType.A, NodeType.B)
 
@@ -322,3 +333,158 @@ def backward(tape, loss) -> None:
                 continue
             if tensor.requires_grad:
                 tensor.accumulate_grad(grad)
+
+
+def _csr_from_pairs(src, dst, n_rows, n_cols) -> CsrAdjacency:
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    counts = np.bincount(src, minlength=n_rows)
+    offsets = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return CsrAdjacency(offsets=offsets, cols=dst, n_rows=n_rows, n_cols=n_cols)
+
+
+def build_plan(graph: BiGraph, spec, target_type: NodeType):
+    """One relation's message plan toward `target_type`, self-loops spliced in by np.unique."""
+    if target_type is spec.src_type:
+        adj = graph.csr(spec.name)
+    elif target_type is spec.dst_type:
+        adj = graph.csr(spec.name, reverse=True)
+    else:
+        raise DirectionInvalid(f"relation {spec.name!r} has no {target_type.label} endpoint")
+    n_t = graph.counts[target_type]
+    edge_targets = np.repeat(np.arange(n_t, dtype=np.int64), np.diff(adj.offsets))
+    sources = adj.cols
+    if spec.is_intra:
+        diag = np.arange(n_t, dtype=np.int64) * (n_t + 1)
+        keys = np.unique(np.concatenate([edge_targets * n_t + sources, diag]))
+        edge_targets, sources = np.divmod(keys, n_t)
+    return _relation_plan(edge_targets, sources, n_t)
+
+
+class _OldPlanGraph(BiGraph):
+    def _build_plan(self, spec, target_type):
+        return build_plan(self, spec, target_type)
+
+
+def frozen_graph(sizes, feat, spec_map, codes, all_src, all_dst) -> BiGraph:
+    """The graph of valid edge columns, whose message plans `build_plan` builds."""
+    csr, csr_rev = {}, {}
+    for k, (name, spec) in enumerate(spec_map.items()):
+        mine = codes == k
+        src, dst = all_src[mine], all_dst[mine]
+        if spec.symmetric:
+            src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+        flat = np.unique(src * np.int64(sizes[spec.dst_type]) + dst)
+        src = flat // sizes[spec.dst_type]
+        dst = flat % sizes[spec.dst_type]
+        csr[name] = _csr_from_pairs(src, dst, sizes[spec.src_type], sizes[spec.dst_type])
+        csr_rev[name] = _csr_from_pairs(dst, src, sizes[spec.dst_type], sizes[spec.src_type])
+    return _OldPlanGraph(sizes, feat, spec_map, csr, csr_rev)
+
+
+def build_graph(counts, features, relations, edges) -> BiGraph:
+    sizes, feat, spec_map = _checked_parts(counts, features, relations)
+    return frozen_graph(sizes, feat, spec_map, *_validated_edges(spec_map, sizes, edges))
+
+
+def _pairs_within(ids, p, rng) -> list:
+    if ids.size < 2 or p <= 0.0:
+        return []
+    iu, ju = np.triu_indices(ids.size, k=1)
+    keep = rng.random(iu.size) < p
+    return list(zip(ids[iu[keep]], ids[ju[keep]]))
+
+
+def generate(config):
+    """(graph, tasks) of `config`, built from one edge tuple at a time."""
+    cfg = config
+    rng_world = rng_for(cfg.seed, "world")
+    n_p, n_a = cfg.n_papers, cfg.n_authors
+
+    parent = np.arange(cfg.n_fields_l2) % cfg.n_fields_l1
+    venue = rng_world.integers(cfg.n_venues, size=n_p)
+    year = rng_world.integers(cfg.year_span, size=n_p)
+    primary = rng_world.integers(cfg.n_fields_l2, size=n_p)
+    fields = []
+    for i in range(n_p):
+        fs = {int(primary[i])}
+        if cfg.n_fields_l2 > 1 and rng_world.random() < 0.4:
+            extra = int(rng_world.integers(cfg.n_fields_l2 - 1))
+            if extra >= primary[i]:
+                extra += 1
+            fs.add(extra)
+        fields.append(tuple(sorted(fs)))
+
+    rng_feat = rng_for(cfg.seed, "features")
+    venue_proto = rng_feat.normal(size=(cfg.n_venues, cfg.feature_dim)) * cfg.venue_scale
+    field_proto = rng_feat.normal(size=(cfg.n_fields_l2, cfg.feature_dim)) * cfg.field_scale
+    paper_feats = np.empty((n_p, cfg.feature_dim))
+    for i in range(n_p):
+        topic = np.mean([field_proto[f] for f in fields[i]], axis=0)
+        paper_feats[i] = venue_proto[venue[i]] + topic
+    paper_feats += rng_feat.normal(size=paper_feats.shape) * cfg.noise
+
+    rng_auth = rng_for(cfg.seed, "authors")
+    community = rng_auth.integers(cfg.n_venues, size=n_a)
+    by_comm = [np.nonzero(community == c)[0] for c in range(cfg.n_venues)]
+    edges = []
+    papers_of = [[] for _ in range(n_a)]
+    for i in range(n_p):
+        count = int(rng_auth.integers(cfg.min_authors, cfg.max_authors + 1))
+        chosen = []
+        pool = by_comm[venue[i]]
+        for _ in range(count):
+            if pool.size and rng_auth.random() < cfg.p_community_author:
+                cand = int(pool[rng_auth.integers(pool.size)])
+            else:
+                cand = int(rng_auth.integers(n_a))
+            if cand not in chosen:
+                chosen.append(cand)
+        leads, supports = chosen[:2], chosen[2:]
+        for a in leads:
+            edges.append(("lead_author_of", a, i))
+            papers_of[a].append(i)
+        for a in supports:
+            edges.append(("support_author_of", a, i))
+            papers_of[a].append(i)
+        for x in range(len(leads)):
+            for z in range(x + 1, len(leads)):
+                edges.append(("co_first", leads[x], leads[z]))
+        for x in range(len(supports)):
+            for z in range(x + 1, len(supports)):
+                edges.append(("co_support", supports[x], supports[z]))
+
+    rng_intra = rng_for(cfg.seed, "intra")
+    for c in range(cfg.n_venues):
+        edges.extend(("colleague", u, v)
+                     for u, v in _pairs_within(by_comm[c], cfg.p_colleague, rng_intra))
+    for v in range(cfg.n_venues):
+        ids = np.nonzero(venue == v)[0]
+        edges.extend(("same_venue", a, b)
+                     for a, b in _pairs_within(ids, cfg.p_same_venue, rng_intra))
+    for f in range(cfg.n_fields_l2):
+        ids = np.nonzero(primary == f)[0]
+        edges.extend(("same_field", a, b)
+                     for a, b in _pairs_within(ids, cfg.p_same_field, rng_intra))
+    by_field = [np.nonzero(primary == f)[0] for f in range(cfg.n_fields_l2)]
+    for i in range(n_p):
+        n_cites = int(rng_intra.integers(0, cfg.max_cites + 1))
+        for _ in range(n_cites):
+            if rng_intra.random() < cfg.p_cite_within_field and by_field[primary[i]].size > 1:
+                pool = by_field[primary[i]]
+            else:
+                pool = None
+            j = int(pool[rng_intra.integers(pool.size)]) if pool is not None \
+                else int(rng_intra.integers(n_p))
+            if j != i:
+                edges.append(("cite", i, j))
+                edges.append(("cited_by", j, i))
+
+    features = {NodeType.A: np.zeros((n_a, cfg.feature_dim)), NodeType.B: paper_feats}
+    graph = build_graph({NodeType.A: n_a, NodeType.B: n_p}, features, synth.RELATIONS, edges)
+    author_feats, _ = mean_neighbor_features(
+        graph, ["lead_author_of", "support_author_of"], NodeType.A)
+    graph = _OldPlanGraph(graph.counts, {NodeType.A: author_feats, NodeType.B: paper_feats},
+                          graph.relations, graph._csr, graph._csr_rev)
+    return graph, synth._build_tasks(cfg, venue, fields, parent, year, papers_of)

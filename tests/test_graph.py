@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from duograph.errors import (DanglingNode, DimensionMismatch, DirectionInvalid,
                              NodeOutOfRange, ParseError, TypeMismatch, UnknownRelation)
-from duograph.graph import (BiGraph, NodeType, RelationClass, RelationSpec, build_graph,
+from duograph.graph import (BiGraph, NodeType, RelationClass, RelationSpec, _checked_parts,
+                            _validated_edges, build_graph, graph_from_columns,
                             load_graph_tsv, mean_neighbor_features, save_graph_tsv,
                             write_lines)
 from duograph.rand import rng_for
 
+import reference
 from conftest import random_bigraph
 
 
@@ -278,6 +281,81 @@ class TestMessagePlans:
 
     def test_plan_cached(self, tiny_graph):
         assert tiny_graph.message_plan("cite", NodeType.B) is tiny_graph.message_plan("cite", NodeType.B)
+
+
+def _assert_same_array(new, old, what):
+    assert (new.dtype, new.shape) == (old.dtype, old.shape), what
+    assert new.tobytes() == old.tobytes(), what
+
+
+def assert_same_graph(new: BiGraph, old: BiGraph) -> None:
+    """Features, both CSR directions and every message plan, byte for byte;
+    `old` is a `reference` graph, whose plans `reference.build_plan` builds."""
+    assert new.counts == old.counts and new.relations == old.relations
+    for t in NodeType:
+        _assert_same_array(new.features[t], old.features[t], f"features[{t.label}]")
+    for name in old.relation_names():
+        for reverse in (False, True):
+            a, b = new.csr(name, reverse), old.csr(name, reverse)
+            assert (a.n_rows, a.n_cols) == (b.n_rows, b.n_cols)
+            _assert_same_array(a.offsets, b.offsets, f"{name} offsets, reverse={reverse}")
+            _assert_same_array(a.cols, b.cols, f"{name} cols, reverse={reverse}")
+        spec = old.spec(name)
+        for t in {spec.src_type, spec.dst_type}:
+            p, q = new.message_plan(name, t), reference.build_plan(old, spec, t)
+            assert (p.stacked, p.edge_runs, p.row_runs) == (q.stacked, q.edge_runs, q.row_runs)
+            for field in ("rows", "offsets", "sources", "target_index", "source_index", "mask"):
+                _assert_same_array(getattr(p, field), getattr(q, field), f"{name}->{t.label} {field}")
+
+
+# class sizes on both sides of 2**16, so reverse CSRs take both branches of
+# ops._stable_order: 16-bit radix keys, and int64 keys past 65535
+_SIZES = st.sampled_from([1, 3, 40, 65537])
+_ORACLE_RELATIONS = [
+    RelationSpec("peer", RelationClass.INTRA_A, NodeType.A, NodeType.A, symmetric=True),
+    RelationSpec("idle", RelationClass.INTRA_A, NodeType.A, NodeType.A),   # never given edges
+    RelationSpec("cites", RelationClass.INTRA_B, NodeType.B, NodeType.B),
+    RelationSpec("near", RelationClass.INTRA_B, NodeType.B, NodeType.B, symmetric=True),
+    RelationSpec("wrote", RelationClass.INTER, NodeType.A, NodeType.B),
+    RelationSpec("read_by", RelationClass.INTER, NodeType.B, NodeType.A),
+]
+
+
+def _ids(n):
+    """Ids near both ends of [0, n): edges repeat and self-loops are common."""
+    return st.one_of(st.integers(0, min(n, 8) - 1), st.integers(max(0, n - 8), n - 1))
+
+
+@st.composite
+def _edge_lists(draw):
+    sizes = {NodeType.A: draw(_SIZES), NodeType.B: draw(_SIZES)}
+    edges = []
+    for spec in _ORACLE_RELATIONS:
+        if spec.name == "idle":
+            continue
+        pairs = st.tuples(_ids(sizes[spec.src_type]), _ids(sizes[spec.dst_type]))
+        edges += [(spec.name, s, d) for s, d in draw(st.lists(pairs, max_size=60))]
+    return sizes, draw(st.permutations(edges))
+
+
+class TestSetUpMatchesOracle:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_edge_lists())
+    def test_random_edge_lists(self, drawn):
+        sizes, edges = drawn
+        feats = {t: np.zeros((n, 1)) for t, n in sizes.items()}
+        old = reference.build_graph(sizes, feats, _ORACLE_RELATIONS, edges)
+        assert_same_graph(build_graph(sizes, feats, _ORACLE_RELATIONS, edges), old)
+        spec_map = _checked_parts(sizes, feats, _ORACLE_RELATIONS)[2]
+        columns = _validated_edges(spec_map, sizes, edges)
+        assert_same_graph(graph_from_columns(sizes, feats, _ORACLE_RELATIONS, *columns), old)
+
+    def test_column_path_rejects_a_dangling_edge(self):
+        sizes = {NodeType.A: 2, NodeType.B: 3}
+        feats = {t: np.zeros((n, 1)) for t, n in sizes.items()}
+        codes, src, dst = (np.array(c) for c in ([0, 4, 4], [1, 0, 1], [0, 2, 3]))
+        with pytest.raises(DanglingNode, match=r"'wrote'\(1, 3\): dst outside \[0, 3\)"):
+            graph_from_columns(sizes, feats, _ORACLE_RELATIONS, codes, src, dst)
 
 
 class TestMeanNeighborFeatures:

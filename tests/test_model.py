@@ -1,6 +1,7 @@
 """Model-level behavior: variant relationships, loss oracles, dropout
 determinism, and an end-to-end finite-difference check through a full
 training loss."""
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -126,18 +127,24 @@ class TestBackwardWalk:
         graph, tasks = generate(SynthConfig(**ACCEPT_SYNTH))
         config = ModelConfig(seed=0, **ACCEPT_MODEL)
         ps = build_params(graph, config, tasks)
-        grads, held = [], []
+        grads, held, live = [], [], []
         for walk in (reference.backward, backward):
             for name in ps.names():
                 ps.get(name).zero_grad()
             with Tape() as tape:
                 embs, _ = forward(graph, config, ps, training=True, rng=rng_for(0, "dropout"))
                 loss = _total_loss(tasks, embs, ps, config, "train", neg_rng=rng_for(0, "neg"))
+            n_records = len(tape)
+            outs = [out for out, _, _ in tape._records]
+            closures = [weakref.ref(fn) for _, _, fn in tape._records]
             walk(tape, loss)
+            assert len(tape) == n_records
             grads.append({name: ps.get(name).grad for name in ps.names()})
-            held.append(sum(out._grad is not None for out, _, _ in tape._records))
+            held.append(sum(out._grad is not None for out in outs))
+            live.append(sum(ref() is not None for ref in closures))
         old, new = grads
         assert held[0] > 0 and held[1] == 0
+        assert live[0] == n_records and live[1] == 0
         assert any(g.any() for g in new.values())
         for name in old:
             assert new[name].tobytes() == old[name].tobytes(), name

@@ -4,11 +4,15 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from duograph.errors import InfeasibleConfig, ParseError
 from duograph.graph import NodeType
 from duograph.model import TaskKind
 from duograph.synth import SynthConfig, export_dataset, generate, import_dataset
+
+import reference
+from test_graph import assert_same_graph
 
 
 def _small(**overrides):
@@ -124,6 +128,64 @@ class TestGenerate:
         val = set(pv.split_ids("val").tolist())
         test = set(pv.split_ids("test").tolist())
         assert not (train & val) and not (train & test) and not (val & test)
+
+
+def _assert_same_tasks(new, old):
+    assert len(new) == len(old)
+    for a, b in zip(new, old):
+        assert (a.name, a.kind, a.target_type, a.n_classes) == \
+               (b.name, b.kind, b.target_type, b.n_classes)
+        assert a.labels == b.labels
+        assert [(i.query, i.true_index, i.candidates.tobytes()) for i in a.instances] == \
+               [(i.query, i.true_index, i.candidates.tobytes()) for i in b.instances]
+        assert a.splits.keys() == b.splits.keys()
+        for split in a.splits:
+            assert a.splits[split].dtype == b.splits[split].dtype
+            assert a.splits[split].tobytes() == b.splits[split].tobytes()
+
+
+_P = st.sampled_from([0.0, 0.3, 1.0])
+
+
+@st.composite
+def _synth_fields(draw):
+    """Small generator configs, a few of them infeasible."""
+    n_papers, n_authors = draw(st.integers(1, 24)), draw(st.integers(1, 10))
+    n_fields_l2 = draw(st.integers(1, 5))
+    return dict(n_papers=n_papers, n_authors=n_authors, n_venues=draw(st.integers(1, 4)),
+                n_fields_l1=draw(st.integers(1, n_fields_l2)), n_fields_l2=n_fields_l2,
+                feature_dim=draw(st.integers(2, 4)), min_authors=draw(st.integers(1, 2)),
+                max_authors=draw(st.integers(1, 4)), p_community_author=draw(_P),
+                p_colleague=draw(_P), p_same_venue=draw(_P), p_same_field=draw(_P),
+                max_cites=draw(st.integers(0, 3)), p_cite_within_field=draw(_P),
+                name_group_size=draw(st.integers(2, 4)),
+                ad_distractors=draw(st.integers(1, max(1, n_papers - 1))),
+                seed=draw(st.integers(0, 1 << 20)))
+
+
+class TestMatchesTuplePathOracle:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_synth_fields())
+    def test_small_configs(self, fields):
+        outcomes = []
+        for gen in (generate, reference.generate):
+            try:
+                outcomes.append(gen(SynthConfig(**fields)))
+            except InfeasibleConfig as exc:
+                outcomes.append(str(exc))
+        new, old = outcomes
+        if isinstance(old, str):
+            assert new == old
+            return
+        assert_same_graph(new[0], old[0])
+        _assert_same_tasks(new[1], old[1])
+
+    def test_scale_config(self):
+        # the generator's scale: 3000 papers, about 140k edge draws
+        cfg = SynthConfig(n_papers=3000, n_authors=1500, seed=3)
+        new, old = generate(cfg), reference.generate(cfg)
+        assert_same_graph(new[0], old[0])
+        _assert_same_tasks(new[1], old[1])
 
 
 class TestConfigValidation:

@@ -217,6 +217,15 @@ class TestPrimitiveGradients:
         with pytest.raises(ShapeMismatch):
             ops.scatter_rows(Tensor(np.ones((2, 2))), np.array([1, 1]), 4)
 
+    @pytest.mark.parametrize("idx", [[0, 3, 0], [5, 1, 2, 5], [2, 0, 1, 0, 2], [0] * 4])
+    def test_scatter_rejects_any_repeated_destination(self, idx):
+        with pytest.raises(ShapeMismatch, match="unique"):
+            ops.scatter_rows(Tensor(np.ones((len(idx), 2))), np.array(idx), 6)
+
+    def test_scatter_of_no_rows_is_zeros(self):
+        out = ops.scatter_rows(Tensor(np.ones((0, 2))), np.array([], dtype=np.int64), 3)
+        np.testing.assert_array_equal(out.data, np.zeros((3, 2)))
+
     def test_concat_cols(self):
         check_op_gradient(ops.concat_cols, [_param((3, 2)), _param((3, 4))])
 
