@@ -5,7 +5,9 @@ the generated dataset for every variant and ordering, and `ablate` once,
 in a temporary directory. It also runs `generate` for the acceptance
 gate's dataset (`ACCEPT_SYNTH` in tests/test_acceptance.py, 600 / 300)
 and for 3000 / 1500 papers and authors, both at seed 0, so the bytes of
-the gate's data and of a scale-sized dataset are pinned too. It prints
+the gate's data and of a scale-sized dataset are pinned too. On that
+dataset it runs one epoch of `train`, then `export-attn`, at d=64, where
+the edge reduction splits its degree groups into several pieces. It prints
 one `<sha256>  <artifact>` line per file. Two source trees that print
 the same lines write the same bytes:
 
@@ -28,6 +30,7 @@ SYNTH = {"n_papers": 40, "n_authors": 20, "n_venues": 2, "n_fields_l1": 2, "n_fi
          "feature_dim": 6, "name_group_size": 3, "ad_distractors": 3, "seed": 5}
 MODEL = {"hidden_dim": 6, "num_layers": 2, "epochs": 3, "seed": 5}
 SCALE_SYNTH = {"n_papers": 3000, "n_authors": 1500, "seed": 0}
+SCALE_MODEL = {"hidden_dim": 64, "num_layers": 2, "epochs": 1, "seed": 5}
 TESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests")
 
 
@@ -81,7 +84,11 @@ def main(argv=None) -> int:
         for name, synth in (("accept", ACCEPT_SYNTH), ("scale", SCALE_SYNTH)):
             run("generate", "--config", _write_config(f"{name}.json", {"synth": synth}),
                 "--out", f"{name}-data")
-        for directory in ("data", *runs, "ablate", "accept-data", "scale-data"):
+        scale = _write_config("scale-model.json", {"data": "scale-data", "model": SCALE_MODEL})
+        for command in ("train", "export-attn"):
+            run(command, "--config", scale, "--out", os.path.join("runs", "scale-d64"))
+        for directory in ("data", *runs, "ablate", "accept-data", "scale-data",
+                          os.path.join("runs", "scale-d64")):
             print("\n".join(_digests(directory)))
     return 0
 

@@ -379,26 +379,34 @@ def degree_layout(offsets, sources) -> DegreeLayout:
                         source_segments=edge_segments[source_perm])
 
 
-# Most edges per piece of a degree group: a piece's gathered rows (4 MB
-# at d=64) stay near cache size and are dropped before the next piece.
-CHUNK_EDGES = 8192
+# Bytes of gathered rows per piece of a degree group (2048 edges at d=64):
+# a pass gathers every piece into one buffer that stays in a core's L2.
+PIECE_BYTES = 1 << 20
 
 
-def _runs(groups):
+def _pieces(groups, edges):
     """(ids, run slice, n, k) for each piece of each degree group, in layout order.
 
-    A piece holds n ids with k edges each, at most CHUNK_EDGES edges unless
-    one id alone has more. Splitting a group between whole ids keeps every
-    id's batched matmul as it was.
+    A piece holds n ids with k edges each, at most `edges` edges unless one
+    id alone has more. Splitting a group between whole ids keeps every id's
+    batched matmul as it was.
     """
     start = 0
     for k, ids in groups:
-        step = max(1, CHUNK_EDGES // k)
+        step = max(1, edges // k)
         for lo in range(0, ids.size, step):
             piece = ids[lo:lo + step]
             stop = start + piece.size * k
             yield piece, slice(start, stop), piece.size, k
             start = stop
+
+
+def _take(table: Array, idx: Array, buf: Array, n: int, k: int) -> Array:
+    """table[idx] as [n, k, d] in the front of `buf`; callers check idx."""
+    d = table.shape[1]
+    rows = buf[:idx.size * d].reshape(idx.size, d)
+    np.take(table, idx, axis=0, mode="clip", out=rows)  # "raise" copies via a temporary
+    return rows.reshape(n, k, d)
 
 
 def weighted_sum_rows(weights: Tensor, values: Tensor, sources,
@@ -407,13 +415,14 @@ def weighted_sum_rows(weights: Tensor, values: Tensor, sources,
 
     Returns [n_segments, d]. The source gather is fused into the sum.
     `layout` is `degree_layout(offsets, sources)`; each piece of a group of
-    segments with k edges (see `_runs`) gathers its source rows and sums
-    them in one batched [1,k] @ [k,d] matmul, so no [E,d] block of rows is
-    ever built or kept. The backward gathers each piece's rows again and
-    takes each edge's weight gradient as a batched dot of its segment's
-    output gradient with its row. It takes the values gradient as batched
-    matmuls over pieces of the groups of source nodes with equal
-    out-degree (values no edge reads get 0).
+    segments with k edges (see `_pieces`) gathers its source rows into one
+    buffer that the pass reuses and sums them in one batched [1,k] @ [k,d]
+    matmul, so no [E,d] block of rows is ever built or kept. The backward,
+    with its own buffer, gathers each piece's rows again and takes each
+    edge's weight gradient as a batched dot of its segment's output
+    gradient with its row. It takes the values gradient as batched matmuls
+    over pieces of the groups of source nodes with equal out-degree (values
+    no edge reads get 0).
     """
     n_edges, d = layout.n_edges, values.shape[1]
     if weights.shape != (n_edges, 1):
@@ -425,22 +434,26 @@ def weighted_sum_rows(weights: Tensor, values: Tensor, sources,
     w = weights.data[:, 0]
     w_t = w[layout.target_perm]
     src_t = src[layout.target_perm]
+    edges = max(1, PIECE_BYTES // (8 * max(d, 1)))
+    hub = max((k for k, _ in layout.target_groups + layout.source_groups), default=0)
+    buf_size = min(max(edges, hub), n_edges) * d  # room for the widest piece
     out = np.empty((layout.n_segments, d))
-    for segs, run, n, k in _runs(layout.target_groups):
-        rows = np.take(vd, src_t[run], axis=0).reshape(n, k, d)
+    buf = np.empty(buf_size)  # last, so its free leaves no heap hole under live arrays
+    for segs, run, n, k in _pieces(layout.target_groups, edges):
+        rows = _take(vd, src_t[run], buf, n, k)
         out[segs] = np.matmul(w_t[run].reshape(n, 1, k), rows)[:, 0, :]
 
     def bw(g: Array):
-        gw = gv = None
-        if weights.requires_grad:
-            gw = np.empty((n_edges, 1))
-            for segs, run, n, k in _runs(layout.target_groups):
-                rows = np.take(vd, src_t[run], axis=0).reshape(n, k, d)
+        gw = np.empty((n_edges, 1)) if weights.requires_grad else None
+        gv = np.zeros(values.shape) if values.requires_grad else None
+        buf = np.empty(buf_size)  # the forward's was freed on return
+        if gw is not None:
+            for segs, run, n, k in _pieces(layout.target_groups, edges):
+                rows = _take(vd, src_t[run], buf, n, k)
                 gw[layout.target_perm[run], 0] = np.matmul(rows, g[segs][:, :, None]).ravel()
-        if values.requires_grad:
-            gv = np.zeros(values.shape)
-            for nodes, run, n, k in _runs(layout.source_groups):
-                g_rows = np.take(g, layout.source_segments[run], axis=0).reshape(n, k, d)
+        if gv is not None:
+            for nodes, run, n, k in _pieces(layout.source_groups, edges):
+                g_rows = _take(g, layout.source_segments[run], buf, n, k)
                 w_s = w[layout.source_perm[run]].reshape(n, 1, k)
                 gv[nodes] = np.matmul(w_s, g_rows)[:, 0, :]
         return gw, gv
