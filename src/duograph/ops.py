@@ -47,11 +47,12 @@ def matmul(x: Tensor, w: Tensor) -> Tensor:
     """Matrix product [n,k] @ [k,m] -> [n,m]."""
     if x.shape[1] != w.shape[0]:
         raise ShapeMismatch(f"matmul {x.shape} @ {w.shape}")
+    need_x, need_w = x.requires_grad, w.requires_grad
     xd, wd = x.data, w.data
 
     def bw(g: Array):
-        gx = g @ wd.T if x.requires_grad else None
-        gw = xd.T @ g if w.requires_grad else None
+        gx = g @ wd.T if need_x else None
+        gw = xd.T @ g if need_w else None
         return gx, gw
 
     return _result(xd @ wd, (x, w), bw)
@@ -73,11 +74,12 @@ def mul(x: Tensor, y: Tensor) -> Tensor:
     """Elementwise product; row, column, and scalar broadcasts allowed."""
     if not _broadcastable(x.shape, y.shape):
         raise ShapeMismatch(f"mul {x.shape} * {y.shape}")
+    need_x, need_y = x.requires_grad, y.requires_grad
     xd, yd = x.data, y.data
 
     def bw(g: Array):
-        gx = _unbroadcast(g * yd, xd.shape) if x.requires_grad else None
-        gy = _unbroadcast(g * xd, yd.shape) if y.requires_grad else None
+        gx = _unbroadcast(g * yd, xd.shape) if need_x else None
+        gy = _unbroadcast(g * xd, yd.shape) if need_y else None
         return gx, gy
 
     return _result(xd * yd, (x, y), bw)
@@ -134,6 +136,8 @@ def edge_scores(h_t: Tensor, h_s: Tensor, attn, targets, sources) -> Tensor:
     s_idx = _row_index(sources, h_s.shape[0] * n_k, "edge_scores sources")
     if t_idx.size != s_idx.size:
         raise ShapeMismatch(f"edge_scores {t_idx.size} targets vs {s_idx.size} sources")
+    need_t, need_s = h_t.requires_grad, h_s.requires_grad
+    need_a = any(a.requires_grad for a in attns)
     td, sd = h_t.data, h_s.data
     a = attns[0].data if n_k == 1 else np.concatenate([a.data for a in attns], axis=1)
     a_t, a_s = a[:d], a[d:]
@@ -143,9 +147,9 @@ def edge_scores(h_t: Tensor, h_s: Tensor, attn, targets, sources) -> Tensor:
         col = g[:, 0]
         g_t = np.bincount(t_idx, weights=col, minlength=td.shape[0] * n_k).reshape(-1, n_k)
         g_s = np.bincount(s_idx, weights=col, minlength=sd.shape[0] * n_k).reshape(-1, n_k)
-        gt = g_t @ a_t.T if h_t.requires_grad else None
-        gs = g_s @ a_s.T if h_s.requires_grad else None
-        if not any(a.requires_grad for a in attns):
+        gt = g_t @ a_t.T if need_t else None
+        gs = g_s @ a_s.T if need_s else None
+        if not need_a:
             return (gt, gs, *(None,) * n_k)
         ga = np.concatenate((td.T @ g_t, sd.T @ g_s))
         return (gt, gs, *(ga[:, k:k + 1] for k in range(n_k)))
@@ -210,12 +214,12 @@ def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
     """max(x, slope*x); the derivative at exactly 0 is defined as 1."""
     if not 0.0 < slope < 1.0:
         raise ShapeMismatch(f"leaky_relu slope must lie in (0, 1), got {slope}")
-    keep = x.data >= 0.0
+    keep = x.data >= 0.0  # a bool per entry, so the closure does not hold x
 
     def bw(g: Array):
-        return (g * np.where(keep, 1.0, slope),)
+        return (g * np.maximum(keep, slope),)
 
-    return _result(np.where(keep, x.data, slope * x.data), (x,), bw)
+    return _result(np.maximum(x.data, slope * x.data), (x,), bw)
 
 
 def _logistic(xd: Array) -> Array:
@@ -430,6 +434,7 @@ def weighted_sum_rows(weights: Tensor, values: Tensor, sources,
     src = _row_index(sources, values.shape[0], "weighted_sum_rows sources")
     if src.size != n_edges:
         raise ShapeMismatch(f"weighted_sum_rows {src.size} sources vs {n_edges} edges")
+    need_w, need_v = weights.requires_grad, values.requires_grad
     vd = values.data
     w = weights.data[:, 0]
     w_t = w[layout.target_perm]
@@ -444,8 +449,8 @@ def weighted_sum_rows(weights: Tensor, values: Tensor, sources,
         out[segs] = np.matmul(w_t[run].reshape(n, 1, k), rows)[:, 0, :]
 
     def bw(g: Array):
-        gw = np.empty((n_edges, 1)) if weights.requires_grad else None
-        gv = np.zeros(values.shape) if values.requires_grad else None
+        gw = np.empty((n_edges, 1)) if need_w else None
+        gv = np.zeros(vd.shape) if need_v else None
         buf = np.empty(buf_size)  # the forward's was freed on return
         if gw is not None:
             for segs, run, n, k in _pieces(layout.target_groups, edges):
@@ -478,6 +483,10 @@ def layer_norm(x: Tensor, gain, bias, runs=None, eps: float = 1e-5) -> Tensor:
         raise ShapeMismatch(f"layer_norm needs one (1, {d}) gain and bias per run")
     if [r.start for r in runs] != [0, *(r.stop for r in runs[:-1])] or runs[-1].stop != n:
         raise ShapeMismatch(f"layer_norm runs must cover the {n} rows in order")
+    need_x = x.requires_grad
+    gain_data = [gn.data for gn in gains]
+    need_gain = [gn.requires_grad for gn in gains]
+    need_bias = [bs.requires_grad for bs in biases]
     xd = x.data
     # sum / d is what ndarray.mean and .var compute, minus their overhead;
     # xhat holds the centered rows until it is scaled in place
@@ -485,23 +494,23 @@ def layer_norm(x: Tensor, gain, bias, runs=None, eps: float = 1e-5) -> Tensor:
     out = np.multiply(xhat, xhat)
     inv = 1.0 / np.sqrt(out.sum(axis=1, keepdims=True) / d + eps)
     xhat *= inv
-    for run, gn, bs in zip(runs, gains, biases):
-        np.multiply(xhat[run], gn.data, out=out[run])
+    for run, gd, bs in zip(runs, gain_data, biases):
+        np.multiply(xhat[run], gd, out=out[run])
         out[run] += bs.data
 
     def bw(g: Array):
         scratch = np.empty_like(g)
-        gy = np.empty_like(g) if x.requires_grad else None
+        gy = np.empty_like(g) if need_x else None
         g_gain, g_bias = [], []
-        for run, gn, bs in zip(runs, gains, biases):
-            g_bias.append(g[run].sum(axis=0, keepdims=True) if bs.requires_grad else None)
-            if gn.requires_grad:
+        for run, gd, ng, nb in zip(runs, gain_data, need_gain, need_bias):
+            g_bias.append(g[run].sum(axis=0, keepdims=True) if nb else None)
+            if ng:
                 np.multiply(g[run], xhat[run], out=scratch[run])
                 g_gain.append(scratch[run].sum(axis=0, keepdims=True))
             else:
                 g_gain.append(None)
             if gy is not None:
-                np.multiply(g[run], gn.data, out=gy[run])
+                np.multiply(g[run], gd, out=gy[run])
         if gy is not None:  # gx = (gy - m1 - xhat * m2) * inv
             m1 = gy.sum(axis=1, keepdims=True) / d
             np.multiply(gy, xhat, out=scratch)
@@ -523,6 +532,7 @@ def combine_blocks(coeff: Tensor, blocks: Tensor) -> Tensor:
     n, n_k = coeff.shape
     if blocks.shape[0] != n * n_k or n_k == 0:
         raise ShapeMismatch(f"combine_blocks {coeff.shape} weights over {blocks.shape} rows")
+    need_c, need_b = coeff.requires_grad, blocks.requires_grad
     cd, bd = coeff.data, blocks.data
     runs = [slice(k * n, (k + 1) * n) for k in range(n_k)]
     out = cd[:, :1] * bd[runs[0]]
@@ -533,12 +543,12 @@ def combine_blocks(coeff: Tensor, blocks: Tensor) -> Tensor:
 
     def bw(g: Array):
         gc = gb = None
-        if coeff.requires_grad:
+        if need_c:
             gc = np.empty((n, n_k))
             term = np.empty_like(g)
             for k, run in enumerate(runs):
                 gc[:, k] = np.multiply(g, bd[run], out=term).sum(axis=1)
-        if blocks.requires_grad:
+        if need_b:
             gb = np.empty_like(bd)
             for k, run in enumerate(runs):
                 np.multiply(g, cd[:, k:k + 1], out=gb[run])

@@ -2,7 +2,9 @@
 
 The tape records every primitive application while active; `backward`
 replays the records in exact reverse order and accumulates gradients
-additively. A tape is one-shot: replaying it twice is an error.
+additively. A record keeps its output's shape, not the output: a forward
+array stays alive only while the caller holds its tensor or a backward
+closure saved it. A tape is one-shot: replaying it twice is an error.
 """
 from __future__ import annotations
 
@@ -26,15 +28,32 @@ def _as_matrix(data) -> Array:
     return arr
 
 
-class Tensor:
-    """A 2-D float64 value; scalars are stored as shape (1, 1)."""
+def _sum_into(held: Array | None, g: Array, shape: tuple[int, int]) -> Array:
+    """`held + g`, reusing `held`; the first gradient is a fresh zeros + g."""
+    if g.shape != shape:
+        raise ShapeMismatch(f"gradient shape {g.shape} != value shape {shape}")
+    if held is None:
+        # a fresh array equal to zeros + g, -0.0 entries included
+        return g + 0.0
+    held += g
+    return held
 
-    __slots__ = ("data", "requires_grad", "_grad")
+
+class Tensor:
+    """A 2-D float64 value; scalars are stored as shape (1, 1).
+
+    `_slot` is None, or (token, index) once a tape records the tensor as
+    the output of its index-th record; the token is the tape's, not the
+    tape, so a kept output does not keep a dropped tape's records.
+    """
+
+    __slots__ = ("data", "requires_grad", "_grad", "_slot")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_matrix(data)
         self.requires_grad = requires_grad
         self._grad = None
+        self._slot = None
 
     @classmethod
     def _wrap(cls, data: Array, requires_grad: bool) -> "Tensor":
@@ -43,6 +62,7 @@ class Tensor:
         out.data = data
         out.requires_grad = requires_grad
         out._grad = None
+        out._slot = None
         return out
 
     @property
@@ -53,21 +73,16 @@ class Tensor:
     def grad(self) -> Array:
         """Accumulated gradient; zero until backward reaches this tensor.
 
-        `backward` leaves a gradient only on leaf tensors; a recorded
-        output's gradient is gone once its closure has consumed it.
+        `backward` leaves a gradient only on leaf tensors. A recorded
+        output's gradient lives in the walk's slot list, never here, so
+        it reads zero.
         """
         if self._grad is None:
             return np.zeros_like(self.data)
         return self._grad
 
     def accumulate_grad(self, g: Array) -> None:
-        if g.shape != self.data.shape:
-            raise ShapeMismatch(f"gradient shape {g.shape} != value shape {self.data.shape}")
-        if self._grad is None:
-            # a fresh array equal to zeros + g, -0.0 entries included
-            self._grad = g + 0.0
-        else:
-            self._grad += g
+        self._grad = _sum_into(self._grad, g, self.data.shape)
 
     def zero_grad(self) -> None:
         self._grad = None
@@ -77,12 +92,21 @@ class Tensor:
 
 
 class Tape:
-    """Records primitive applications for one forward pass."""
+    """Records primitive applications for one forward pass.
+
+    Each record is (output shape, input references, backward closure). An
+    input this tape recorded is referenced by its slot, the index of its
+    record; a leaf that requires grad (a parameter, or an output of
+    another tape) by the tensor itself; any other input by None. Outputs
+    are not held, so a forward array no closure saved is freed as soon as
+    the caller drops its tensor.
+    """
 
     _stack: list["Tape"] = []
 
     def __init__(self):
-        self._records: list[tuple[Tensor, tuple, object] | None] = []
+        self._records: list[tuple[tuple[int, int], tuple, object] | None] = []
+        self._token = object()
         self._consumed = False
 
     def __enter__(self) -> "Tape":
@@ -98,8 +122,21 @@ class Tape:
     def current() -> "Tape | None":
         return Tape._stack[-1] if Tape._stack else None
 
+    def slot(self, t: Tensor) -> int | None:
+        """The index of the record whose output `t` is, or None if this tape did not record it."""
+        link = t._slot
+        return link[1] if link is not None and link[0] is self._token else None
+
+    def _ref(self, t: Tensor) -> "int | Tensor | None":
+        slot = self.slot(t)
+        if slot is not None:
+            return slot
+        return t if t.requires_grad else None
+
     def record(self, out: Tensor, inputs: tuple, backward_fn) -> None:
-        self._records.append((out, inputs, backward_fn))
+        refs = tuple(self._ref(t) for t in inputs)
+        out._slot = (self._token, len(self._records))
+        self._records.append((out.data.shape, refs, backward_fn))
 
     def __len__(self) -> int:
         return len(self._records)
@@ -108,29 +145,38 @@ class Tape:
 def backward(tape: Tape, loss: Tensor) -> None:
     """Accumulate d(loss)/d(input) into every leaf tensor's grad.
 
-    `loss` must be 1x1. The walk drops each record from the tape, with its
-    closure and the forward arrays the closure saved (`len(tape)` still
-    counts them), and each recorded output's gradient once the closure has
-    read it, so afterwards only leaf tensors (parameters and other inputs
-    no record produced) hold a gradient. Tensors never visited keep a zero
-    gradient.
+    `loss` must be 1x1. Gradients of recorded outputs live in a list
+    indexed by slot, summed as `Tensor.accumulate_grad` sums; only leaves
+    get theirs through it. The walk drops each record from the tape, with
+    its closure and the forward arrays the closure saved (`len(tape)`
+    still counts them), and each slot's gradient once the closure has
+    read it, so afterwards only leaf tensors hold a gradient. Tensors
+    never visited keep a zero gradient.
     """
     if loss.data.shape != (1, 1):
         raise NonScalarLoss(f"loss has shape {loss.data.shape}, expected (1, 1)")
     if tape._consumed:
         raise TapeConsumed("backward was already run on this tape")
     tape._consumed = True
-    loss.accumulate_grad(np.ones((1, 1)))
-    for k in reversed(range(len(tape))):
-        (out, inputs, backward_fn), tape._records[k] = tape._records[k], None
-        g, out._grad = out._grad, None
+    records = tape._records
+    grads: list[Array | None] = [None] * len(records)
+    top = tape.slot(loss)
+    if top is None:
+        loss.accumulate_grad(np.ones((1, 1)))
+    else:
+        grads[top] = np.ones((1, 1))
+    for k in reversed(range(len(records))):
+        (_, refs, backward_fn), records[k] = records[k], None
+        g, grads[k] = grads[k], None
         if g is None:
             continue
-        for tensor, grad in zip(inputs, backward_fn(g)):
-            if tensor is None or grad is None:
+        for ref, grad in zip(refs, backward_fn(g)):
+            if ref is None or grad is None:
                 continue
-            if tensor.requires_grad:
-                tensor.accumulate_grad(grad)
+            if type(ref) is int:
+                grads[ref] = _sum_into(grads[ref], grad, records[ref][0])
+            else:
+                ref.accumulate_grad(grad)
 
 
 # checkpoint interchange: one JSON header line, then little-endian float64
@@ -171,14 +217,28 @@ def load_meta(path) -> dict | None:
     return _read_checkpoint(path, payload=False)[0].get("meta")
 
 
+def _header_entries(path, entries) -> list[tuple[str, int, int]]:
+    """(name, rows, cols) of each `[name, [rows, cols]]` entry of a header's tensor list."""
+    if not isinstance(entries, list):
+        raise IoFailure(f"malformed checkpoint header in {path}: tensors must be a list")
+    out = []
+    for i, entry in enumerate(entries):
+        if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+                and isinstance(entry[1], list) and len(entry[1]) == 2
+                and all(type(n) is int and n >= 0 for n in entry[1])):  # no bools
+            raise IoFailure(f"malformed checkpoint header in {path}: tensor entry {i} "
+                            f"{entry!r} is not [name, [rows, cols]]")
+        out.append((entry[0], *entry[1]))
+    return out
+
+
 def load_tensors(path) -> list[tuple[str, Array]]:
     header, payload = _read_checkpoint(path, payload=True)
-    entries = header["tensors"]
+    entries = _header_entries(path, header["tensors"])
     flat = np.frombuffer(payload, dtype="<f8")
     out = []
     offset = 0
-    for name, shape in entries:
-        rows, cols = int(shape[0]), int(shape[1])
+    for name, rows, cols in entries:
         size = rows * cols
         if offset + size > flat.size:
             raise IoFailure(f"checkpoint {path} truncated at tensor {name!r}")

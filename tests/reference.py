@@ -312,27 +312,42 @@ def weighted_sum_rows(weights, values, sources, layout):
     return ops._result(out, (weights, values), bw)
 
 
-def backward(tape, loss) -> None:
-    """Accumulate d(loss)/d(input) into every recorded tensor's grad.
+def backward(tape, loss) -> list:
+    """Accumulate d(loss)/d(input) into every leaf tensor's grad, freeing nothing.
 
-    `loss` must be 1x1. Tensors never visited keep a zero gradient.
+    `loss` must be 1x1. Walks the (shape, input references, closure)
+    records in reverse and keeps every record and every slot's gradient,
+    each slot's a zeros array plus its gradients in arrival order. Returns
+    the slot gradients, None where the walk sent none. Tensors never
+    visited keep a zero gradient.
     """
     if loss.data.shape != (1, 1):
         raise NonScalarLoss(f"loss has shape {loss.data.shape}, expected (1, 1)")
     if tape._consumed:
         raise TapeConsumed("backward was already run on this tape")
     tape._consumed = True
-    loss.accumulate_grad(np.ones((1, 1)))
-    for out, inputs, backward_fn in reversed(tape._records):
-        g = out._grad
-        if g is None:
+    grads = [None] * len(tape._records)
+    top = tape.slot(loss)
+    if top is None:
+        loss.accumulate_grad(np.ones((1, 1)))
+    else:
+        grads[top] = np.ones((1, 1))
+    for k in reversed(range(len(grads))):
+        if grads[k] is None:
             continue
-        grads = backward_fn(g)
-        for tensor, grad in zip(inputs, grads):
-            if tensor is None or grad is None:
+        _, refs, backward_fn = tape._records[k]
+        for ref, grad in zip(refs, backward_fn(grads[k])):
+            if ref is None or grad is None:
                 continue
-            if tensor.requires_grad:
-                tensor.accumulate_grad(grad)
+            if isinstance(ref, int):
+                shape = tape._records[ref][0]
+                if grad.shape != shape:
+                    raise ShapeMismatch(f"gradient shape {grad.shape} != value shape {shape}")
+                held = np.zeros(shape) if grads[ref] is None else grads[ref]
+                grads[ref] = held + grad
+            else:
+                ref.accumulate_grad(grad)
+    return grads
 
 
 def _csr_from_pairs(src, dst, n_rows, n_cols) -> CsrAdjacency:

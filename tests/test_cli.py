@@ -319,6 +319,22 @@ class TestCheckpointFingerprint:
         assert main(["eval", "--config", config_path, "--out", out]) == 1
         assert "has no 'variant' in its fingerprint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", [["w", [2]], ["w", "ab"], ["w", [True, 1]]])
+    def test_malformed_tensor_entry_is_one_line(self, tmp_path, config_path, capsys, entry):
+        out = self._train(tmp_path, config_path)
+        path = os.path.join(out, "checkpoint.bin")
+        header, payload = _read(path).split(b"\n", 1)
+        bad = json.loads(header)
+        bad["tensors"][1] = entry
+        with open(path, "wb") as fh:
+            fh.write(json.dumps(bad).encode("utf-8") + b"\n" + payload)
+        capsys.readouterr()
+        assert main(["eval", "--config", config_path, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: IoFailure: malformed checkpoint header in {path}: "
+                              f"tensor entry 1 {entry!r}")
+        assert err.count("\n") == 1
+
 
 class TestExitCodes:
     def test_unknown_flag_is_two(self, capsys):

@@ -102,7 +102,7 @@ class TestNodeAggregate:
         gain, bias = Tensor(np.ones((1, d))), Tensor(np.zeros((1, d)))
         with Tape() as tape:
             attend_over_plan(h, h, block, [attn], [gain], [bias], 0.2)
-        shapes = [out.shape for out, _, _ in tape._records]
+        shapes = [shape for shape, _, _ in tape._records]
         assert block.n_edges > 6
         assert (block.n_edges, 2 * d) not in shapes
         assert (block.n_edges, d) not in shapes

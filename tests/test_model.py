@@ -16,7 +16,7 @@ from duograph.model import (ModelConfig, RankInstance, TaskKind, TaskSpec, _draw
 from duograph.params import ParamSet, build_params
 from duograph.rand import rng_for
 from duograph.synth import SynthConfig, generate
-from duograph.tensor import Tape, backward
+from duograph.tensor import Tape, Tensor, backward
 
 import reference
 from conftest import random_bigraph
@@ -121,33 +121,73 @@ class TestOpBudget:
         assert len(tape) <= 170
 
 
+def _gate_size_tape(ps, graph, tasks, config):
+    from duograph.train import _total_loss
+    with Tape() as tape:
+        embs, _ = forward(graph, config, ps, training=True, rng=rng_for(0, "dropout"))
+        loss = _total_loss(tasks, embs, ps, config, "train", neg_rng=rng_for(0, "neg"))
+    return tape, loss
+
+
+def _watched(fn, spent, alive):
+    """`fn`, noting a weak reference to each gradient it is handed, and
+    how many gradients handed to earlier closures are still alive."""
+    def watched(g):
+        alive.append(sum(ref() is not None for ref in spent))
+        spent.append(weakref.ref(g))
+        return fn(g)
+    return watched
+
+
 class TestBackwardWalk:
     def test_spent_gradients_are_freed_and_parameter_gradients_unchanged(self):
-        from duograph.train import _total_loss
         graph, tasks = generate(SynthConfig(**ACCEPT_SYNTH))
         config = ModelConfig(seed=0, **ACCEPT_MODEL)
         ps = build_params(graph, config, tasks)
-        grads, held, live = [], [], []
+        grads, held, peak, live = [], [], [], []
         for walk in (reference.backward, backward):
             for name in ps.names():
                 ps.get(name).zero_grad()
-            with Tape() as tape:
-                embs, _ = forward(graph, config, ps, training=True, rng=rng_for(0, "dropout"))
-                loss = _total_loss(tasks, embs, ps, config, "train", neg_rng=rng_for(0, "neg"))
+            tape, loss = _gate_size_tape(ps, graph, tasks, config)
             n_records = len(tape)
-            outs = [out for out, _, _ in tape._records]
             closures = [weakref.ref(fn) for _, _, fn in tape._records]
-            walk(tape, loss)
+            spent, alive = [], []
+            tape._records[:] = [(shape, refs, _watched(fn, spent, alive))
+                                for shape, refs, fn in tape._records]
+            kept = walk(tape, loss)
             assert len(tape) == n_records
             grads.append({name: ps.get(name).grad for name in ps.names()})
-            held.append(sum(out._grad is not None for out in outs))
+            held.append(sum(ref() is not None for ref in spent))
+            peak.append(max(alive))
             live.append(sum(ref() is not None for ref in closures))
+            del kept
         old, new = grads
         assert held[0] > 0 and held[1] == 0
+        # the walk lets go of each gradient once its closure has run
+        assert peak[0] == held[0] - 1 and peak[1] <= 1
         assert live[0] == n_records and live[1] == 0
         assert any(g.any() for g in new.values())
         for name in old:
             assert new[name].tobytes() == old[name].tobytes(), name
+
+    def test_no_closure_holds_a_tensor(self):
+        # a closure keeps the flags and arrays it reads, so a tensor it
+        # would otherwise hold (and that tensor's array) can be freed
+        graph, tasks = generate(SynthConfig(**ACCEPT_SYNTH))
+        config = ModelConfig(seed=0, **ACCEPT_MODEL)
+        ps = build_params(graph, config, tasks)
+        tape, _ = _gate_size_tape(ps, graph, tasks, config)
+
+        def tensors(value):
+            if isinstance(value, (tuple, list)):
+                return [t for v in value for t in tensors(v)]
+            return [value] if isinstance(value, Tensor) else []
+
+        held = [(fn.__qualname__, name) for _, _, fn in tape._records
+                for name, cell in zip(fn.__code__.co_freevars, fn.__closure__ or ())
+                if tensors(cell.cell_contents)]
+        assert len(tape) > 150
+        assert held == []
 
 
 class TestDropout:

@@ -1,4 +1,6 @@
+import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -83,6 +85,48 @@ class TestTapeMechanics:
         g[0, 1] = 99.0
         assert x.grad.tolist() == [[0.0, 3.0]]
         assert not np.signbit(x.grad).any()
+
+    def test_unread_forward_array_is_freed_while_the_tape_lives(self):
+        # leaky_relu saves a bool mask, not its input, and the tape keeps
+        # only output shapes, so nothing holds the layer_norm output once
+        # the caller drops it
+        def run(drop):
+            x = Tensor(np.linspace(-2.0, 3.0, 12).reshape(3, 4), requires_grad=True)
+            gain = Tensor([[1.5, -0.5, 1.0, 2.0]], requires_grad=True)
+            bias = Tensor([[-0.5, 0.25, 0.0, 1.0]], requires_grad=True)
+            with Tape() as tape:
+                normed = ops.layer_norm(x, gain, bias)
+                array = weakref.ref(normed.data)
+                act = ops.leaky_relu(normed)
+                if drop:
+                    del normed
+                loss = ops.sum_all(act)
+            freed = array() is None
+            backward(tape, loss)
+            return freed, [t.grad.tobytes() for t in (x, gain, bias)]
+
+        (freed, grads), (kept, want) = run(drop=True), run(drop=False)
+        assert freed and not kept
+        assert grads == want
+
+    def test_output_of_another_tape_is_a_leaf(self):
+        x = Tensor([[1.0, -2.0]], requires_grad=True)
+        with Tape() as first:
+            y = ops.scalar_mul(x, 3.0)
+        with Tape() as second:
+            loss = ops.sum_all(ops.mul(y, y))
+        assert first.slot(y) == 0 and second.slot(y) is None
+        backward(second, loss)
+        np.testing.assert_array_equal(y.grad, 2.0 * y.data)
+        np.testing.assert_array_equal(x.grad, [[0.0, 0.0]])
+
+    def test_kept_output_does_not_keep_its_tape(self):
+        x = Tensor([[1.0]], requires_grad=True)
+        with Tape() as tape:
+            y = ops.scalar_mul(x, 2.0)
+        dropped = weakref.ref(tape)
+        del tape
+        assert dropped() is None and y.requires_grad
 
     def test_scalars_are_1x1(self):
         t = Tensor(3.5)
@@ -602,7 +646,7 @@ class TestWeightedSumRows:
                     a, b = (fn(w, h, s, layout) for w, (s, layout) in zip(ws, plans))
                     held = tracemalloc.get_traced_memory()[0] - base - a.data.nbytes - b.data.nbytes
                     loss = ops.sum_all(ops.mul(ops.concat_cols(a, b), ops.constant(g)))
-                closures = [bw for out, _, bw in tape._records if out is a or out is b]
+                closures = [tape._records[tape.slot(t)][2] for t in (a, b)]
                 backward(tape, loss)
             finally:
                 if started:
@@ -755,6 +799,23 @@ class TestCheckpointIo:
         path = tmp_path / "ckpt.bin"
         save_tensors(path, [("fine", Tensor(np.ones((1, 2)))), ("layer0.w", Tensor(weights))])
         with pytest.raises(IoFailure, match=r"ckpt\.bin tensor 'layer0\.w' holds NaN"):
+            load_tensors(path)
+
+    @pytest.mark.parametrize("tensors, entry", [
+        ([["w", [2]]], r"tensor entry 0 \['w', \[2\]\]"),
+        ([["w", "ab"]], r"tensor entry 0 \['w', 'ab'\]"),
+        ([["w", [1, 1]], ["b", [True, 1]]], r"tensor entry 1 \['b', \[True, 1\]\]"),
+        ([["w", [1, -1]]], "tensor entry 0"),
+        ([["w", [1.0, 1]]], "tensor entry 0"),
+        ([[3, [1, 1]]], "tensor entry 0"),
+        ([["w", [1, 1], "extra"]], "tensor entry 0"),
+        ({"w": [1, 1]}, "tensors must be a list"),
+    ])
+    def test_malformed_header_entry_raises_io_failure(self, tmp_path, tensors, entry):
+        path = tmp_path / "ckpt.bin"
+        path.write_bytes(json.dumps({"tensors": tensors}).encode() + b"\n"
+                         + np.ones(2, dtype="<f8").tobytes())
+        with pytest.raises(IoFailure, match=f"malformed checkpoint header in .*ckpt\\.bin: {entry}"):
             load_tensors(path)
 
     def test_save_is_deterministic(self, tmp_path):

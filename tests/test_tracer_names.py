@@ -16,7 +16,11 @@ import pytest
 
 from duograph import model
 from duograph.graph import BiGraph
-from duograph.tensor import Tape, Tensor
+from duograph.params import build_params
+from duograph.rand import rng_for
+from duograph.synth import SynthConfig, generate
+from duograph.tensor import Tape, Tensor, backward
+from duograph.train import _total_loss
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -80,3 +84,33 @@ def test_workload_reads_resolve(tiny_graph):
         spec = tiny_graph.spec(name)
         for target in {spec.src_type, spec.dst_type}:
             assert tiny_graph.message_plan(name, target).n_edges >= 0
+
+
+def test_traced_tape_keeps_parameter_gradients():
+    # `--trace 1` hands every record a timing closure through the tracer's
+    # `Tape.record` wrapper and counts `accumulate_grad` calls; the
+    # parameter gradients must come out byte for byte as without it
+    graph, tasks = generate(SynthConfig(n_papers=30, n_authors=15, n_venues=2, n_fields_l1=2,
+                                        n_fields_l2=2, feature_dim=4, seed=3))
+    config = model.ModelConfig(input_dim=4, hidden_dim=4, num_layers=2, dropout=0.2, seed=3)
+
+    def gradients():
+        ps = build_params(graph, config, tasks)
+        with Tape() as tape:
+            embs, _ = model.forward(graph, config, ps, training=True, rng=rng_for(3, "dropout"))
+            loss = _total_loss(tasks, embs, ps, config, "train", neg_rng=rng_for(3, "neg"))
+        backward(tape, loss)
+        return {name: ps.get(name).grad.tobytes() for name in ps.names()}
+
+    want = gradients()
+    tracer = TRACER.Tracer()
+    try:
+        tracer.install()
+        got = gradients()
+    finally:
+        tracer.uninstall()
+    counts = tracer.counts_pass
+    assert got == want
+    assert any(g != bytes(len(g)) for g in got.values())
+    # only leaves go through accumulate_grad, fewer than there are records
+    assert 0 < counts["tensor.accumulate_grad_calls"] < counts["tensor.tape_records"]
