@@ -6,8 +6,9 @@ in a temporary directory. It also runs `generate` for the acceptance
 gate's dataset (`ACCEPT_SYNTH` in tests/test_acceptance.py, 600 / 300)
 and for 3000 / 1500 papers and authors, both at seed 0, so the bytes of
 the gate's data and of a scale-sized dataset are pinned too. On that
-dataset it runs one epoch of `train`, then `export-attn`, at d=64, where
-the edge reduction splits its degree groups into several pieces. It prints
+dataset it runs one epoch of `train`, then `export-attn` and `export-emb`,
+at d=64, where the edge reduction splits its degree groups into several
+pieces and the embedding table is at its widest. It prints
 one `<sha256>  <artifact>` line per file. Two source trees that print
 the same lines write the same bytes:
 
@@ -85,7 +86,7 @@ def main(argv=None) -> int:
             run("generate", "--config", _write_config(f"{name}.json", {"synth": synth}),
                 "--out", f"{name}-data")
         scale = _write_config("scale-model.json", {"data": "scale-data", "model": SCALE_MODEL})
-        for command in ("train", "export-attn"):
+        for command in ("train", "export-attn", "export-emb"):
             run(command, "--config", scale, "--out", os.path.join("runs", "scale-d64"))
         for directory in ("data", *runs, "ablate", "accept-data", "scale-data",
                           os.path.join("runs", "scale-d64")):

@@ -17,7 +17,8 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import ConfigShapeMismatch, Error, InfeasibleConfig, IoFailure
-from .graph import BiGraph, NodeType, format_float, write_lines, write_node_table
+from .graph import (FLOAT_FMT, BiGraph, NodeType, concat_column, write_lines, write_node_table,
+                    write_table)
 from .gradcheck import gradcheck
 from .model import VARIANTS, ORDERINGS, ModelConfig, TaskKind, forward
 from .params import ParamSet, build_params
@@ -102,8 +103,11 @@ def _fingerprint(graph: BiGraph, config: ModelConfig) -> dict:
                           for s in specs]}
 
 
-def _check_fingerprint(path, saved: dict | None, expected: dict) -> None:
-    saved = saved or {}
+def _check_fingerprint(path, saved, expected: dict) -> None:
+    saved = {} if saved is None else saved
+    if not isinstance(saved, dict) or not isinstance(saved.get("relations", []), list):
+        raise IoFailure(f"malformed checkpoint header in {path}: meta {saved!r} is not an "
+                        "object whose relations are a list")
     for key, want in expected.items():
         if key not in saved:
             raise ConfigShapeMismatch(f"checkpoint {path} has no {key!r} in its fingerprint")
@@ -151,8 +155,8 @@ def _cmd_train(cfg, args) -> int:
                 "data": cfg.get("data")}
     _write_json(os.path.join(args.out, "resolved_config.json"), resolved)
     print(f"best epoch {result.best_epoch}: "
-          f"val ndcg {format_float(result.best_val_ndcg)}, "
-          f"val loss {format_float(result.best_val_loss)}")
+          f"val ndcg {FLOAT_FMT % result.best_val_ndcg}, "
+          f"val loss {FLOAT_FMT % result.best_val_loss}")
     return 0
 
 
@@ -193,12 +197,12 @@ def _cmd_ablate(cfg, args) -> int:
     columns = [(f"{task.name}_{m}", task.name, m) for task in tasks
                for m in (("ndcg", "mrr") if task.kind is TaskKind.LINK_RANKING else ("acc",))]
     columns += [(key, "clustering", key) for key in ("nmi_mean", "ari_mean")]
-    lines = ["\t".join(["variant", "seed"] + [header for header, _, _ in columns])]
-    for row in rows:
-        values = [row["report"].get(entry, {}).get(key) for _, entry, key in columns]
-        lines.append("\t".join([row["variant"], str(row["seed"])] +
-                                ["NA" if v is None else format_float(v) for v in values]))
-    write_lines(os.path.join(args.out, "ablation.tsv"), lines)
+    values = [[row["report"].get(entry, {}).get(key) for row in rows] for _, entry, key in columns]
+    write_table(os.path.join(args.out, "ablation.tsv"),
+                ["variant", "seed", *(header for header, _, _ in columns)],
+                [[row["variant"] for row in rows], [row["seed"] for row in rows],
+                 *(["NA" if v is None else FLOAT_FMT % v for v in column] for column in values)],
+                ["%s"] * (2 + len(columns)))
     print(f"ablation table written to {args.out} "
           f"({len(rows)} cells, {len(seeds)} seeds x {len(VARIANTS)} variants)")
     return 0
@@ -208,7 +212,7 @@ def _cmd_gradcheck(cfg, args) -> int:
     seed = args.seed if args.seed is not None else 0
     worst, checked, tensors = gradcheck(seed)
     ok = worst < GRADCHECK_TOL
-    print(f"max rel err {format_float(worst)} over {checked} entries in "
+    print(f"max rel err {FLOAT_FMT % worst} over {checked} entries in "
           f"{tensors} tensors ({'PASS' if ok else 'FAIL'}, tol {GRADCHECK_TOL:g})")
     return 0 if ok else 1
 
@@ -220,21 +224,20 @@ def _cmd_export_attn(cfg, args) -> int:
     _, records = forward(graph, config, ps, training=False, collect=True)
     os.makedirs(args.out, exist_ok=True)
 
-    intra_lines = ["layer\trelation\ttarget\tsource\talpha"]
-    inter_lines = ["layer\trelation\tdirection\ttarget\tsource\talpha"]
-    for rec in records.attention:
-        cross = not graph.spec(rec.relation).is_intra  # no-dual records carry stage "unified"
-        alpha = rec.alpha.reshape(-1)
-        for e in range(rec.sources.size):
-            tgt, src = int(rec.edge_targets[e]), int(rec.sources[e])
-            val = format_float(alpha[e])
-            if cross:
-                inter_lines.append(f"{rec.layer}\t{rec.relation}\tto_{rec.target_type.label}"
-                                   f"\t{tgt}\t{src}\t{val}")
-            else:
-                intra_lines.append(f"{rec.layer}\t{rec.relation}\t{tgt}\t{src}\t{val}")
-    write_lines(os.path.join(args.out, "attn_intra.tsv"), intra_lines)
-    write_lines(os.path.join(args.out, "attn_inter.tsv"), inter_lines)
+    for cross, name in ((False, "attn_intra.tsv"), (True, "attn_inter.tsv")):
+        # the relation picks the file: no-dual records carry stage "unified"
+        recs = [rec for rec in records.attention if graph.spec(rec.relation).is_intra is not cross]
+        keys = 2 + cross  # layer, relation, and a direction for cross edges only
+        per_edge = np.repeat(np.array([(rec.layer, rec.relation, f"to_{rec.target_type.label}")
+                                       for rec in recs], dtype=object).reshape(-1, 3),
+                             [rec.sources.size for rec in recs], axis=0)
+        write_table(os.path.join(args.out, name),
+                    [*("layer", "relation", "direction")[:keys], "target", "source", "alpha"],
+                    [*per_edge.T[:keys].tolist(),
+                     concat_column([rec.edge_targets for rec in recs]),
+                     concat_column([rec.sources for rec in recs]),
+                     concat_column([rec.alpha.reshape(-1) for rec in recs])],
+                    [*("%d", "%s", "%s")[:keys], "%d", "%d", FLOAT_FMT])
 
     fusion = []
     for rec in records.fusion:

@@ -456,14 +456,10 @@ def mean_neighbor_features(graph: BiGraph, relation_names: list[str],
 
 # TSV interchange: nodes.tsv, edges.tsv, relations.tsv
 
-_FLOAT_FMT = "%.9g"
+FLOAT_FMT = "%.9g"
 _NODE_COLUMNS = ("node_id", "type")
 _EDGE_COLUMNS = ("relation_name", "src", "dst")
 _RELATION_COLUMNS = ("name", "klass", "src_type", "dst_type", "symmetric")
-
-
-def format_float(x: float) -> str:
-    return _FLOAT_FMT % x
 
 
 def write_lines(path, lines: list[str]) -> None:
@@ -475,14 +471,24 @@ def write_lines(path, lines: list[str]) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
+def write_table(path, header, columns, formats) -> None:
+    """The `header` row, then row i from entry i of each column j, printed by `formats[j]`."""
+    row = "\t".join(formats)
+    write_lines(path, ["\t".join(header), *map(row.__mod__, zip(*columns, strict=True))])
+
+
+def concat_column(parts) -> list:
+    """Array pieces end to end as one table column; no pieces give an empty column."""
+    return np.concatenate(parts).tolist() if parts else []
+
+
 def write_node_table(path, column: str, values: dict[NodeType, np.ndarray]) -> None:
     """One row per node, A before B: its id, its class, then its `column`_j values."""
-    dim = values[NodeType.A].shape[1]
-    lines = ["\t".join([*_NODE_COLUMNS, *(f"{column}_{j}" for j in range(dim))])]
-    row = "%d\t%s" + ("\t" + _FLOAT_FMT) * dim
-    for t in (NodeType.A, NodeType.B):
-        lines += [row % (i, t.label, *vals) for i, vals in enumerate(values[t].tolist())]
-    write_lines(path, lines)
+    table, sizes = np.vstack([values[t] for t in NodeType]), [len(values[t]) for t in NodeType]
+    write_table(path, [*_NODE_COLUMNS, *(f"{column}_{j}" for j in range(table.shape[1]))],
+                [concat_column([np.arange(n) for n in sizes]),
+                 np.repeat([t.label for t in NodeType], sizes).tolist(), *table.T.tolist()],
+                ["%d", "%s", *[FLOAT_FMT] * table.shape[1]])
 
 
 @dataclass(frozen=True)
@@ -576,19 +582,16 @@ def save_graph_tsv(graph: BiGraph, directory) -> None:
     os.makedirs(directory, exist_ok=True)
     write_node_table(os.path.join(directory, "nodes.tsv"), "feat", graph.features)
 
-    lines = ["\t".join(_EDGE_COLUMNS)]
-    for name in graph.relation_names():
-        adj = graph.csr(name)
-        src = np.repeat(np.arange(adj.n_rows), np.diff(adj.offsets))
-        lines += [f"{name}\t{s}\t{d}" for s, d in zip(src.tolist(), adj.cols.tolist())]
-    write_lines(os.path.join(directory, "edges.tsv"), lines)
-
-    lines = ["\t".join(_RELATION_COLUMNS)]
-    for name in graph.relation_names():
-        s = graph.spec(name)
-        lines.append(f"{name}\t{s.klass.value}\t{s.src_type.label}\t{s.dst_type.label}"
-                     f"\t{'true' if s.symmetric else 'false'}")
-    write_lines(os.path.join(directory, "relations.tsv"), lines)
+    names = graph.relation_names()
+    adjs = [graph.csr(name) for name in names]
+    write_table(os.path.join(directory, "edges.tsv"), _EDGE_COLUMNS,
+                [np.repeat(np.array(names, dtype=object), [adj.cols.size for adj in adjs]).tolist(),
+                 concat_column([np.repeat(np.arange(adj.n_rows), np.diff(adj.offsets))
+                                for adj in adjs]),
+                 concat_column([adj.cols for adj in adjs])], ("%s", "%d", "%d"))
+    write_table(os.path.join(directory, "relations.tsv"), _RELATION_COLUMNS, zip(*[
+        (s.name, s.klass.value, s.src_type.label, s.dst_type.label,
+         "true" if s.symmetric else "false") for s in map(graph.spec, names)]), ["%s"] * 5)
 
 
 def load_graph_tsv(directory) -> BiGraph:

@@ -108,9 +108,6 @@ class ParamSet:
     def get(self, name: str) -> Tensor:
         return self._index[name]
 
-    def has(self, name: str) -> bool:
-        return name in self._index
-
     def names(self) -> list[str]:
         return [n for n, _ in self.named]
 

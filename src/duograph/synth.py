@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InfeasibleConfig, check_fields
 from .graph import (BiGraph, NodeType, RelationClass, RelationSpec, Table, graph_from_columns,
                     load_graph_tsv, mean_neighbor_features, read_table, save_graph_tsv,
-                    write_lines)
+                    write_table)
 from .model import RankInstance, TaskKind, TaskSpec
 from .rand import rng_for
 
@@ -277,32 +277,27 @@ _SPLIT_COLUMNS = ("node", "task", "split")
 
 def export_dataset(graph: BiGraph, tasks, directory) -> None:
     save_graph_tsv(graph, directory)
-    lines = ["\t".join(_TASK_COLUMNS)]
-    for task in tasks:
-        lines.append(f"{task.name}\t{task.kind.value}\t{task.target_type.label}\t{task.n_classes}")
-    write_lines(os.path.join(directory, "tasks.tsv"), lines)
+    write_table(os.path.join(directory, "tasks.tsv"), _TASK_COLUMNS, zip(*[
+        (t.name, t.kind.value, t.target_type.label, t.n_classes) for t in tasks]), ["%s"] * 4)
 
-    lines = ["\t".join(_LABEL_COLUMNS)]
+    rows = []
     for task in tasks:
-        if task.kind is TaskKind.LINK_RANKING:
-            for inst in task.instances:
-                rest = ",".join(str(c) for c in inst.candidates if c != inst.true_id)
-                lines.append(f"{inst.query}\t{task.name}\t{inst.true_id},{rest}")
+        if task.kind is TaskKind.LINK_RANKING:  # a query's cell lists its true candidate first
+            cells = [(inst.query, [inst.true_id, *inst.candidates[inst.candidates != inst.true_id]])
+                     for inst in task.instances]
         else:
-            for node in sorted(task.labels):
-                lab = ",".join(str(c) for c in task.labels[node])
-                lines.append(f"{node}\t{task.name}\t{lab}")
-    write_lines(os.path.join(directory, "labels.tsv"), lines)
+            cells = [(node, task.labels[node]) for node in sorted(task.labels)]
+        rows += [(node, task.name, ",".join(map(str, ids))) for node, ids in cells]
+    write_table(os.path.join(directory, "labels.tsv"), _LABEL_COLUMNS, zip(*rows), ["%s"] * 3)
 
-    lines = ["\t".join(_SPLIT_COLUMNS)]
+    rows = []
     for task in tasks:
         for split in SPLITS:
             ids = task.split_ids(split)
             if task.kind is TaskKind.LINK_RANKING:
                 ids = np.array([task.instances[i].query for i in ids], dtype=np.int64)
-            for node in sorted(int(i) for i in ids):
-                lines.append(f"{node}\t{task.name}\t{split}")
-    write_lines(os.path.join(directory, "splits.tsv"), lines)
+            rows += [(node, task.name, split) for node in np.sort(ids).tolist()]
+    write_table(os.path.join(directory, "splits.tsv"), _SPLIT_COLUMNS, zip(*rows), ["%s"] * 3)
 
 
 def import_dataset(directory):

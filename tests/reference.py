@@ -22,16 +22,24 @@ edge keys, a lexsort for each CSR direction, and a generator that hands
 `build_graph` one (relation, src, dst) tuple per edge and averages each
 paper's field prototypes with `np.mean`. The package's graphs, plans and
 generated datasets must match them bit for bit.
+
+`write_node_table`, `save_graph_tsv`, `export_dataset`,
+`attention_tables` and `ablation_table` are the TSV writers as they were
+before `graph.write_table`: one hand-formatted line per row, and one
+`format_float` call per attention weight. Every TSV the package writes
+must match them byte for byte.
 """
+import os
+
 import numpy as np
 
 from duograph import ops, synth
 from duograph.errors import (DegenerateData, DirectionInvalid, NonScalarLoss, ShapeMismatch,
                              TapeConsumed)
-from duograph.graph import (BiGraph, CsrAdjacency, NodeType,
-                            _checked_parts, _relation_plan, _validated_edges,
-                            mean_neighbor_features)
-from duograph.model import ModelConfig
+from duograph.graph import (_EDGE_COLUMNS, _NODE_COLUMNS, _RELATION_COLUMNS, BiGraph,
+                            CsrAdjacency, NodeType, _checked_parts, _relation_plan,
+                            _validated_edges, mean_neighbor_features, write_lines)
+from duograph.model import ModelConfig, TaskKind
 from duograph.params import ParamSet
 from duograph.rand import rng_for
 
@@ -503,3 +511,102 @@ def generate(config):
     graph = _OldPlanGraph(graph.counts, {NodeType.A: author_feats, NodeType.B: paper_feats},
                           graph.relations, graph._csr, graph._csr_rev)
     return graph, synth._build_tasks(cfg, venue, fields, parent, year, papers_of)
+
+
+_FLOAT_FMT = "%.9g"
+
+
+def format_float(x: float) -> str:
+    return _FLOAT_FMT % x
+
+
+def write_node_table(path, column: str, values: dict[NodeType, np.ndarray]) -> None:
+    """One row per node, A before B: its id, its class, then its `column`_j values."""
+    dim = values[NodeType.A].shape[1]
+    lines = ["\t".join([*_NODE_COLUMNS, *(f"{column}_{j}" for j in range(dim))])]
+    row = "%d\t%s" + ("\t" + _FLOAT_FMT) * dim
+    for t in (NodeType.A, NodeType.B):
+        lines += [row % (i, t.label, *vals) for i, vals in enumerate(values[t].tolist())]
+    write_lines(path, lines)
+
+
+def save_graph_tsv(graph: BiGraph, directory) -> None:
+    """Write nodes.tsv, edges.tsv, relations.tsv under `directory`."""
+    os.makedirs(directory, exist_ok=True)
+    write_node_table(os.path.join(directory, "nodes.tsv"), "feat", graph.features)
+
+    lines = ["\t".join(_EDGE_COLUMNS)]
+    for name in graph.relation_names():
+        adj = graph.csr(name)
+        src = np.repeat(np.arange(adj.n_rows), np.diff(adj.offsets))
+        lines += [f"{name}\t{s}\t{d}" for s, d in zip(src.tolist(), adj.cols.tolist())]
+    write_lines(os.path.join(directory, "edges.tsv"), lines)
+
+    lines = ["\t".join(_RELATION_COLUMNS)]
+    for name in graph.relation_names():
+        s = graph.spec(name)
+        lines.append(f"{name}\t{s.klass.value}\t{s.src_type.label}\t{s.dst_type.label}"
+                     f"\t{'true' if s.symmetric else 'false'}")
+    write_lines(os.path.join(directory, "relations.tsv"), lines)
+
+
+def export_dataset(graph: BiGraph, tasks, directory) -> None:
+    save_graph_tsv(graph, directory)
+    lines = ["\t".join(synth._TASK_COLUMNS)]
+    for task in tasks:
+        lines.append(f"{task.name}\t{task.kind.value}\t{task.target_type.label}\t{task.n_classes}")
+    write_lines(os.path.join(directory, "tasks.tsv"), lines)
+
+    lines = ["\t".join(synth._LABEL_COLUMNS)]
+    for task in tasks:
+        if task.kind is TaskKind.LINK_RANKING:
+            for inst in task.instances:
+                rest = ",".join(str(c) for c in inst.candidates if c != inst.true_id)
+                lines.append(f"{inst.query}\t{task.name}\t{inst.true_id},{rest}")
+        else:
+            for node in sorted(task.labels):
+                lab = ",".join(str(c) for c in task.labels[node])
+                lines.append(f"{node}\t{task.name}\t{lab}")
+    write_lines(os.path.join(directory, "labels.tsv"), lines)
+
+    lines = ["\t".join(synth._SPLIT_COLUMNS)]
+    for task in tasks:
+        for split in synth.SPLITS:
+            ids = task.split_ids(split)
+            if task.kind is TaskKind.LINK_RANKING:
+                ids = np.array([task.instances[i].query for i in ids], dtype=np.int64)
+            for node in sorted(int(i) for i in ids):
+                lines.append(f"{node}\t{task.name}\t{split}")
+    write_lines(os.path.join(directory, "splits.tsv"), lines)
+
+
+def attention_tables(graph: BiGraph, records, out) -> None:
+    """attn_intra.tsv and attn_inter.tsv of `duograph export-attn`."""
+    intra_lines = ["layer\trelation\ttarget\tsource\talpha"]
+    inter_lines = ["layer\trelation\tdirection\ttarget\tsource\talpha"]
+    for rec in records.attention:
+        cross = not graph.spec(rec.relation).is_intra  # no-dual records carry stage "unified"
+        alpha = rec.alpha.reshape(-1)
+        for e in range(rec.sources.size):
+            tgt, src = int(rec.edge_targets[e]), int(rec.sources[e])
+            val = format_float(alpha[e])
+            if cross:
+                inter_lines.append(f"{rec.layer}\t{rec.relation}\tto_{rec.target_type.label}"
+                                   f"\t{tgt}\t{src}\t{val}")
+            else:
+                intra_lines.append(f"{rec.layer}\t{rec.relation}\t{tgt}\t{src}\t{val}")
+    write_lines(os.path.join(out, "attn_intra.tsv"), intra_lines)
+    write_lines(os.path.join(out, "attn_inter.tsv"), inter_lines)
+
+
+def ablation_table(tasks, rows, out) -> None:
+    """ablation.tsv of `duograph ablate`, from the rows of its ablation.json."""
+    columns = [(f"{task.name}_{m}", task.name, m) for task in tasks
+               for m in (("ndcg", "mrr") if task.kind is TaskKind.LINK_RANKING else ("acc",))]
+    columns += [(key, "clustering", key) for key in ("nmi_mean", "ari_mean")]
+    lines = ["\t".join(["variant", "seed"] + [header for header, _, _ in columns])]
+    for row in rows:
+        values = [row["report"].get(entry, {}).get(key) for _, entry, key in columns]
+        lines.append("\t".join([row["variant"], str(row["seed"])] +
+                                ["NA" if v is None else format_float(v) for v in values]))
+    write_lines(os.path.join(out, "ablation.tsv"), lines)

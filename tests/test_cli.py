@@ -335,6 +335,23 @@ class TestCheckpointFingerprint:
                               f"tensor entry 1 {entry!r}")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("meta", [5, {"variant": "full", "ordering": "standard",
+                                          "relations": 5}])
+    def test_malformed_fingerprint_is_one_line(self, tmp_path, config_path, capsys, meta):
+        out = self._train(tmp_path, config_path)
+        path = os.path.join(out, "checkpoint.bin")
+        header, payload = _read(path).split(b"\n", 1)
+        bad = json.loads(header)
+        bad["meta"] = meta
+        with open(path, "wb") as fh:
+            fh.write(json.dumps(bad).encode("utf-8") + b"\n" + payload)
+        capsys.readouterr()
+        assert main(["eval", "--config", config_path, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: IoFailure: malformed checkpoint header in {path}: "
+                              f"meta {meta!r} is not an object whose relations are a list")
+        assert err.count("\n") == 1
+
 
 class TestExitCodes:
     def test_unknown_flag_is_two(self, capsys):

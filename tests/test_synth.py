@@ -405,6 +405,22 @@ class TestInterchange:
         export_dataset(*import_dataset(str(crlf)), str(second))
         assert _dir_bytes(second) == _dir_bytes(first)
 
+    def test_query_with_only_its_true_candidate_round_trips(self, tmp_path):
+        graph, tasks = generate(_small())
+        first, second = tmp_path / "one", tmp_path / "two"
+        export_dataset(graph, tasks, str(first))
+        path = first / "labels.tsv"
+        lines = path.read_text().splitlines()
+        k = next(k for k, line in enumerate(lines) if line.split("\t")[1] == "ad")
+        query, _, cell = lines[k].split("\t")
+        lines[k] = f"{query}\tad\t{cell.split(',')[0]}"
+        path.write_text("\n".join(lines) + "\n")
+        export_dataset(*import_dataset(str(first)), str(second))
+        assert (second / "labels.tsv").read_text().splitlines()[k] == lines[k]
+        _, back = import_dataset(str(second))
+        inst = next(i for i in back[-1].instances if i.query == int(query))
+        assert inst.candidates.tolist() == [inst.true_id]
+
     def test_bad_split_name_rejected(self, tmp_path):
         graph, tasks = generate(_small())
         export_dataset(graph, tasks, str(tmp_path))
