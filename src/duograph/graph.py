@@ -11,7 +11,8 @@ import os
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
+from operator import itemgetter, length_hint
 
 import numpy as np
 
@@ -305,13 +306,22 @@ class BiGraph:
         return BiGraph(self.counts, features, self.relations, self._csr, self._csr_rev)
 
 
+def _is_id(value) -> bool:
+    """Whether `value` is an integer; bools are not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _edge_error(spec_map: dict, sizes: dict, edge) -> Error | None:
     """What is wrong with one (relation_name, src_id, dst_id) edge, if anything."""
+    if not isinstance(edge, (tuple, list)) or len(edge) != 3:
+        return TypeMismatch(f"edge {edge!r} is not a (relation_name, src, dst) triple")
     rel_name, src, dst = edge
-    spec = spec_map.get(rel_name)
+    spec = spec_map.get(rel_name) if isinstance(rel_name, str) else None
     if spec is None:
         return UnknownRelation(f"edge references undeclared relation {rel_name!r}")
-    src, dst = int(src), int(dst)
+    for end, node in (("src", src), ("dst", dst)):
+        if not _is_id(node):
+            return TypeMismatch(f"edge {rel_name!r}({src!r}, {dst!r}): {end} is not an integer")
     if not 0 <= src < sizes[spec.src_type]:
         return DanglingNode(
             f"edge {rel_name!r}({src}, {dst}): src outside [0, {sizes[spec.src_type]})")
@@ -330,31 +340,41 @@ def _bad_edges(spec_map: dict, sizes: dict, codes, src, dst) -> np.ndarray:
     return ~((src >= 0) & (src < src_cap) & (dst >= 0) & (dst < dst_cap))
 
 
-def _validated_edges(spec_map: dict, sizes: dict, edges):
+def _id_column(values) -> np.ndarray:
+    """`values` as int64 ids, -1 where one is not an integer or does not fit int64."""
+    if all(issubclass(t, (int, np.integer)) and t is not bool for t in set(map(type, values))):
+        try:
+            return np.array(values, dtype=np.int64)
+        except OverflowError:
+            pass
+    return np.fromiter((v if _is_id(v) and -2**63 <= v < 2**63 else -1 for v in values),
+                       dtype=np.int64, count=len(values))
+
+
+def _edge_columns(spec_map: dict, sizes: dict, edges) -> tuple:
     """Relation codes (declaration order) and int64 src, dst columns of `edges`.
 
-    All edges are checked at once; the first invalid one in iteration
-    order raises exactly what `_edge_error` returns for it.
+    The tuples become columns once, and the columns are checked at once;
+    the first bad edge in iteration order raises what `_edge_error`
+    returns for it.
     """
     edges = list(edges)
+    shaped = np.fromiter(map(length_hint, edges, repeat(-1)), dtype=np.int64,
+                         count=len(edges)) == 3
+    if not all(issubclass(t, (tuple, list)) for t in set(map(type, edges))):
+        shaped &= np.fromiter(map(isinstance, edges, repeat((tuple, list))), dtype=bool,
+                              count=len(edges))
+    n = len(edges) if shaped.all() else int(np.argmin(shaped))  # the edges before a misshapen one
+    names, src, dst = (list(map(itemgetter(j), edges[:n])) for j in range(3))
+    if not all(issubclass(t, str) for t in set(map(type, names))):
+        names = [name if isinstance(name, str) else None for name in names]
     code_of = {name: k for k, name in enumerate(spec_map)}
-    try:
-        names, srcs, dsts = zip(*edges, strict=True) if edges else ((), (), ())
-        codes = np.fromiter(map(code_of.get, names, repeat(-1)), dtype=np.int64,
-                            count=len(edges))
-        src = np.array(list(map(int, srcs)))
-        dst = np.array(list(map(int, dsts)))
-    except (TypeError, ValueError):
-        # a malformed edge: replay the per-edge checks so the first bad edge raises
-        for edge in edges:
-            error = _edge_error(spec_map, sizes, edge)
-            if error is not None:
-                raise error
-        raise
+    codes = np.fromiter(map(code_of.get, names, repeat(-1)), dtype=np.int64, count=n)
+    src, dst = _id_column(src), _id_column(dst)
     bad = _bad_edges(spec_map, sizes, codes, src, dst)
-    if bad.any():
-        raise _edge_error(spec_map, sizes, edges[int(np.argmax(bad))])
-    return codes, src.astype(np.int64), dst.astype(np.int64)
+    if bad.any() or n < len(edges):
+        raise _edge_error(spec_map, sizes, edges[int(np.argmax(bad)) if bad.any() else n])
+    return codes, src, dst
 
 
 def _checked_parts(counts: dict, features: dict, relations) -> tuple[dict, dict, dict]:
@@ -414,7 +434,7 @@ def build_graph(counts: dict[NodeType, int], features: dict[NodeType, np.ndarray
     edges collapse to one; symmetric relations store both directions.
     """
     sizes, feat, spec_map = _checked_parts(counts, features, relations)
-    return _frozen_graph(sizes, feat, spec_map, *_validated_edges(spec_map, sizes, edges))
+    return _frozen_graph(sizes, feat, spec_map, *_edge_columns(spec_map, sizes, edges))
 
 
 def graph_from_columns(counts: dict[NodeType, int], features: dict[NodeType, np.ndarray],
@@ -495,8 +515,9 @@ def write_node_table(path, column: str, values: dict[NodeType, np.ndarray]) -> N
 class Table:
     """The data rows of one TSV file, column by column.
 
-    `columns[j]` holds the cells under `header[j]`, and `lines[k]` is the
-    file line of row k, which every ParseError about the row names.
+    `columns[j]` holds the cells under `header[j]`, parsed as `read_table`
+    says, and `lines[k]` is the file line of row k, which every ParseError
+    about the row names.
     """
 
     path: str
@@ -525,33 +546,149 @@ class Table:
         repeat[later[np.logical_and.reduce([key[later] == key[earlier] for key in keys])]] = True
         self.reject(repeat, message)
 
-    def numbers(self, j: int, dtype=np.int64) -> np.ndarray:
-        """Column j parsed as `dtype`; the first cell that is not a number fails."""
-        cells = self.columns[j]
-        try:
-            return np.array(cells, dtype=dtype)
-        except (ValueError, OverflowError):
-            for k, cell in enumerate(cells):
-                try:
-                    np.array([cell], dtype=dtype)
-                except (ValueError, OverflowError) as exc:
-                    raise self.fail(k, f"{self.header[j]}: {exc}") from exc
-            raise
 
-    def codes(self, j: int, names) -> np.ndarray:
-        """Column j as indices into `names`; the first cell not among them fails."""
-        index = {name: k for k, name in enumerate(names)}
-        cells = self.columns[j]
-        codes = np.fromiter(map(index.get, cells, repeat(-1)), dtype=np.int64, count=len(self))
-        self.reject(codes < 0, lambda k: f"{self.header[j]} {cells[k]!r} is not one of "
-                                         f"{', '.join(index)}")
+def _codes(cells: np.ndarray, names: tuple):
+    """The index in `names` of each string cell; None if a cell is not among them."""
+    if not names:
+        return None if cells.size else np.empty(0, dtype=np.int64)
+    vocab = np.array(names, dtype=cells.dtype)
+    order = np.argsort(vocab, kind="stable")
+    at = np.searchsorted(vocab[order], cells).clip(max=len(names) - 1)
+    return order[at] if (vocab[order][at] == cells).all() else None
+
+
+def _name_field(names: tuple) -> str:
+    """The loadtxt field of a column of `names`: one wider than the longest,
+    so that a cell cut off at its width matches none, and read as bytes
+    when every name is ASCII, as a Latin-1 cell that is not cannot match."""
+    return f"{'S' if all(map(str.isascii, names)) else 'U'}{max(map(len, names), default=0) + 1}"
+
+
+def _id_lists(cells: np.ndarray):
+    """The ids of comma-separated cells of at most 18 ASCII digits each, end
+    to end, and the ids per cell; None if a cell holds anything else."""
+    comma = ord(",")
+    if not cells.size:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    chars = np.ascontiguousarray(cells).view(np.uint32).reshape(cells.size, -1)
+    flat = np.hstack([chars, np.full((cells.size, 1), comma, dtype=np.uint32)]).ravel()
+    flat = flat[flat != 0]  # drop the padding: each cell now ends in a comma
+    ends = np.flatnonzero(flat == comma)
+    starts = np.concatenate([[0], ends[:-1] + 1])
+    digits = flat.astype(np.int64) - ord("0")
+    digits[ends] = 0
+    if not (0 < ends - starts).all() or (ends - starts > 18).any() or \
+            ((digits < 0) | (digits > 9)).any():
+        return None
+    place = np.repeat(ends, ends - starts + 1) - np.arange(flat.size) - 1  # a comma's is -1
+    return np.add.reduceat(digits * 10 ** place.clip(0), starts), (chars == comma).sum(axis=1) + 1
+
+
+def _bulk_columns(path: str, body: str, kinds: list, extra: int):
+    """The columns and the [rows, extra] float block of the rows of the TSV
+    at `path`, whose text after the header is `body`, parsed by one
+    np.loadtxt; None wherever it fails or might read a cell otherwise than
+    the checked path."""
+    if "\x00" in body:
+        return None  # loadtxt would cut a NUL off the end of a string cell
+    wide = 1  # a free string cell fits in its line
+    if str in kinds or list in kinds:
+        raw = np.frombuffer(body.encode(), dtype=np.uint8)
+        wide = int(np.diff(np.flatnonzero(raw == ord("\n")), prepend=-1, append=raw.size).max())
+    fields = [(f"c{j}", {int: "i8", float: "f8", str: f"U{wide}", list: f"U{wide}"}.get(kind)
+               or _name_field(kind)) for j, kind in enumerate(kinds)]
+    if extra:
+        fields.append(("extra", "f8", (extra,)))
+    try:
+        # given a path, not a file, loadtxt reads in blocks instead of by line; it
+        # warns on a body of blank lines, which the row count below sends on
+        rows = (np.zeros(0, dtype=fields) if not body or body.isspace() else
+                np.loadtxt(path, dtype=fields, delimiter="\t", comments=None, skiprows=1,
+                           encoding="utf-8", ndmin=1))
+    except ValueError:
+        return None
+    if rows.size != body.count("\n") + (bool(body) and not body.endswith("\n")):
+        return None  # loadtxt skipped a blank line, which shifts the line numbers
+    columns = []
+    for j, kind in enumerate(kinds):
+        cells = rows[f"c{j}"]
+        if kind is str:
+            cells = cells.tolist()
+        elif kind is list:
+            cells = _id_lists(cells)
+        elif isinstance(kind, tuple):
+            cells = _codes(cells, kind)
+        if cells is None:
+            return None
+        columns.append(cells)
+    return columns, rows["extra"] if extra else np.empty((rows.size, 0))
+
+
+def _checked_column(rows: Table, name: str, kind, cells: list):
+    """The string cells of one column of `rows` parsed as `kind`; the first bad cell raises."""
+    if kind is str:
+        return cells
+    if isinstance(kind, tuple):
+        index = {label: k for k, label in enumerate(kind)}
+        codes = np.fromiter(map(index.get, cells, repeat(-1)), dtype=np.int64, count=len(cells))
+        rows.reject(codes < 0, lambda k: f"{name} {cells[k]!r} is not one of {', '.join(kind)}")
         return codes
+    if kind is list:
+        pieces = [cell.split(",") if cell else [] for cell in cells]
+        sizes = np.fromiter(map(len, pieces), dtype=np.int64, count=len(cells))
+        rows.reject(sizes == 0, lambda k: "empty label list")
+        rows.reject(np.array(["" in row for row in pieces], dtype=bool),
+                    lambda k: f"empty piece in label list {cells[k]!r}")
+        row_of = np.repeat(np.arange(len(cells)), sizes)
+        ids = Table(rows.path, rows.header, [], rows.lines[row_of])
+        return _checked_column(ids, name, int, list(chain.from_iterable(pieces))), sizes
+    dtype = np.int64 if kind is int else np.float64
+    try:
+        return np.array(cells, dtype=dtype)
+    except (ValueError, OverflowError):
+        for k, cell in enumerate(cells):
+            try:
+                np.array([cell], dtype=dtype)
+            except (ValueError, OverflowError) as exc:
+                raise rows.fail(k, f"{name}: {exc}") from exc
+        raise
 
 
-def read_table(path, names: tuple, extra: bool = False) -> Table:
-    """Read a TSV whose header row is `names`, followed by any number of
-    further columns when `extra`. Every data row needs one cell per header
-    column; blank lines are skipped.
+def _checked_columns(path, body: str, header: tuple, kinds: list):
+    """The columns, float block and file lines of the rows in `body`, read
+    row by row: the first row with a wrong cell count, else the first bad
+    cell of the first column that has one, raises."""
+    rows = body.split("\n")
+    filled = np.fromiter(map(bool, rows), dtype=bool, count=len(rows))
+    rows = list(compress(rows, filled))
+    table = Table(str(path), header, [], np.flatnonzero(filled) + 2)
+    n = len(header)
+    widths = np.fromiter(map(str.count, rows, repeat("\t")), dtype=np.int64, count=len(rows)) + 1
+    table.reject(widths != n, lambda k: f"expected {n} columns, got {widths[k]}")
+    cells = "\t".join(rows).split("\t") if rows else []
+    columns = [_checked_column(table, header[j], kind, cells[j::n])
+               for j, kind in enumerate(kinds)]
+    block = np.empty((len(rows), n - len(kinds)))
+    for j in range(len(kinds), n):
+        block[:, j - len(kinds)] = _checked_column(table, header[j], float, cells[j::n])
+    return columns, block, table.lines
+
+
+def read_table(path, columns: dict, extra: bool = False) -> Table:
+    """Read a TSV whose header row is the names of `columns`, followed by
+    any number of further float columns when `extra`. Every data row needs
+    one cell per header column; blank lines are skipped.
+
+    `columns` maps each name to how its cells parse: `int` and `float` into
+    an int64 and a float64 array, `str` into a list of the cells, a tuple
+    of names into each cell's index among them, and `list` into the pair
+    (the ids of every row's comma-separated cell, end to end; the ids per
+    row). With `extra`, a last column holds the further columns as one
+    [rows, k] float64 block.
+
+    One np.loadtxt parses the whole table. Only when it fails, or leaves a
+    doubt, does the checked path read the table again row by row, and it
+    raises a ParseError naming the first bad line.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -560,21 +697,18 @@ def read_table(path, names: tuple, extra: bool = False) -> Table:
         raise IoFailure(f"missing interchange file {path}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    first, *body = text.split("\n")
+    names, kinds = tuple(columns), list(columns.values())
+    first, _, body = text.partition("\n")
     header = tuple(first.split("\t"))
     if header[:len(names)] != names or (len(header) > len(names) and not extra):
         expected = "\t".join(names) + ("\t..." if extra else "")
         raise ParseError(path, 1, f"expected header {expected!r}")
-    filled = np.fromiter(map(bool, body), dtype=bool, count=len(body))
-    rows = list(compress(body, filled))
-    lines = np.flatnonzero(filled) + 2
-    n = len(header)
-    widths = np.fromiter(map(str.count, rows, repeat("\t")), dtype=np.int64, count=len(rows)) + 1
-    if (widths != n).any():
-        k = int(np.argmax(widths != n))
-        raise ParseError(path, int(lines[k]), f"expected {n} columns, got {widths[k]}")
-    cells = "\t".join(rows).split("\t") if rows else []
-    return Table(str(path), header, [cells[j::n] for j in range(n)], lines)
+    parsed = _bulk_columns(os.fspath(path), body, kinds, len(header) - len(names))
+    if parsed is None:
+        columns, block, lines = _checked_columns(path, body, header, kinds)
+    else:
+        (columns, block), lines = parsed, np.arange(2, len(parsed[1]) + 2)
+    return Table(str(path), header, columns + [block] if extra else columns, lines)
 
 
 def save_graph_tsv(graph: BiGraph, directory) -> None:
@@ -596,23 +730,23 @@ def save_graph_tsv(graph: BiGraph, directory) -> None:
 
 def load_graph_tsv(directory) -> BiGraph:
     """Read a graph written by save_graph_tsv."""
-    table = read_table(os.path.join(directory, "relations.tsv"), _RELATION_COLUMNS)
-    table.reject_repeats(lambda k: f"relation {table.columns[0][k]!r} declared twice",
-                         table.columns[0])
-    klasses, labels = list(RelationClass), [t.label for t in NodeType]
+    klasses, labels = list(RelationClass), tuple(t.label for t in NodeType)
+    table = read_table(os.path.join(directory, "relations.tsv"), dict(zip(_RELATION_COLUMNS, (
+        str, tuple(c.value for c in klasses), labels, labels, ("false", "true")))))
+    names = table.columns[0]
+    table.reject_repeats(lambda k: f"relation {names[k]!r} declared twice", names)
     relations = []
     for k, (name, klass, src_t, dst_t, sym) in enumerate(zip(
-            table.columns[0], table.codes(1, [c.value for c in klasses]).tolist(),
-            table.codes(2, labels).tolist(), table.codes(3, labels).tolist(),
-            table.codes(4, ("false", "true")).tolist())):
+            names, *(column.tolist() for column in table.columns[1:]))):
         try:
             relations.append(RelationSpec(name, klasses[klass], NodeType(src_t),
                                           NodeType(dst_t), bool(sym)))
         except TypeMismatch as exc:
             raise table.fail(k, str(exc)) from exc
 
-    nodes = read_table(os.path.join(directory, "nodes.tsv"), _NODE_COLUMNS, extra=True)
-    ids, types = nodes.numbers(0), nodes.codes(1, labels)
+    nodes = read_table(os.path.join(directory, "nodes.tsv"),
+                       dict(zip(_NODE_COLUMNS, (int, labels))), extra=True)
+    ids, types, values = nodes.columns
     counts = np.bincount(types, minlength=2)
     if not counts.all():
         raise ParseError(nodes.path, 1, f"no nodes of type {labels[int(np.argmin(counts))]}")
@@ -621,15 +755,17 @@ def load_graph_tsv(directory) -> BiGraph:
     nodes.reject((ids < 0) | (ids >= counts[types]),
                  lambda k: f"{labels[types[k]]} node {ids[k]} outside [0, {counts[types[k]]}):"
                            " ids of a type must be dense and 0-based")
-    values = np.empty((len(nodes), len(nodes.header) - 2))
-    for j in range(values.shape[1]):
-        values[:, j] = nodes.numbers(j + 2, np.float64)
+    finite = np.isfinite(values)
+    first = np.argmin(finite, axis=1)  # a row's first non-finite feature
+    nodes.reject(~finite.all(axis=1), lambda k: f"{nodes.header[2 + first[k]]}: "
+                                                f"{values[k, first[k]]} is not finite")
     values = values[np.lexsort((ids, types))]  # the A rows by id, then the B rows
     features = {NodeType.A: values[:counts[0]], NodeType.B: values[counts[0]:]}
     sizes, feat, spec_map = _checked_parts(
         {t: int(counts[t]) for t in NodeType}, features, relations)
-    edges = read_table(os.path.join(directory, "edges.tsv"), _EDGE_COLUMNS)
-    codes, src, dst = edges.codes(0, spec_map), edges.numbers(1), edges.numbers(2)
+    edges = read_table(os.path.join(directory, "edges.tsv"),
+                       dict(zip(_EDGE_COLUMNS, (tuple(names), int, int))))
+    codes, src, dst = edges.columns
     edges.reject(_bad_edges(spec_map, sizes, codes, src, dst), lambda k: str(_edge_error(
-        spec_map, sizes, (edges.columns[0][k], src[k], dst[k]))))
+        spec_map, sizes, (names[codes[k]], src[k], dst[k]))))
     return _frozen_graph(sizes, feat, spec_map, codes, src, dst)

@@ -101,13 +101,33 @@ class RankInstance:
 
     @staticmethod
     def make(query: int, true_id: int, distractors) -> "RankInstance":
-        cands = np.unique(np.append(np.asarray(distractors, dtype=np.int64), true_id))
-        return RankInstance(query=int(query), candidates=cands,
-                            true_index=int(np.searchsorted(cands, true_id)))
+        ids = np.append(np.int64(true_id), np.asarray(distractors, dtype=np.int64))
+        return rank_instances([query], ids, [ids.size])[0]
 
     @property
     def true_id(self) -> int:
         return int(self.candidates[self.true_index])
+
+
+def rank_instances(queries, ids, sizes) -> list[RankInstance]:
+    """One RankInstance per row: row r is query `queries[r]` with the next
+    `sizes[r]` entries of `ids`, its true id first.
+
+    A row's candidates are its distinct ids in ascending order. One lexsort
+    over (row, id) orders every row at once and drops adjacent repeats.
+    """
+    ids, sizes = np.asarray(ids, dtype=np.int64), np.asarray(sizes, dtype=np.int64)
+    row = np.repeat(np.arange(sizes.size), sizes)
+    order = np.lexsort((ids, row))
+    ids_sorted, row_sorted = ids[order], row[order]
+    fresh = np.ones(ids.size, dtype=bool)
+    fresh[1:] = (ids_sorted[1:] != ids_sorted[:-1]) | (row_sorted[1:] != row_sorted[:-1])
+    cands, cand_row = ids_sorted[fresh], row_sorted[fresh]
+    true_ids = ids[np.cumsum(sizes) - sizes]
+    true_index = np.bincount(cand_row[cands < true_ids[cand_row]], minlength=sizes.size)
+    ends = np.cumsum(np.bincount(cand_row, minlength=sizes.size)).tolist()
+    return [RankInstance(query=q, candidates=cands[lo:hi], true_index=t) for q, lo, hi, t in zip(
+        np.asarray(queries, dtype=np.int64).tolist(), [0, *ends[:-1]], ends, true_index.tolist())]
 
 
 @dataclass

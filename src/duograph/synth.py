@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, asdict
-from itertools import chain, combinations
+from itertools import combinations
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .errors import InfeasibleConfig, check_fields
 from .graph import (BiGraph, NodeType, RelationClass, RelationSpec, Table, graph_from_columns,
                     load_graph_tsv, mean_neighbor_features, read_table, save_graph_tsv,
                     write_table)
-from .model import RankInstance, TaskKind, TaskSpec
+from .model import TaskKind, TaskSpec, rank_instances
 from .rand import rng_for
 
 SPLITS = ("train", "val", "test")
@@ -206,35 +206,27 @@ def generate(config: SynthConfig):
     return graph, tasks
 
 
-def _split_of(cfg: SynthConfig, y: int) -> str:
-    if y <= cfg.train_year_max:
-        return "train"
-    if y <= cfg.val_year_max:
-        return "val"
-    return "test"
-
-
-def _year_splits(cfg: SynthConfig, keys, years) -> dict:
-    splits = {s: [] for s in SPLITS}
-    for key, y in zip(keys, years):
-        splits[_split_of(cfg, int(y))].append(key)
-    return {s: np.array(v, dtype=np.int64) for s, v in splits.items()}
+def _year_splits(cfg: SynthConfig, years: np.ndarray) -> dict:
+    """The indices of `years` in each split: train up to train_year_max, then val up to
+    val_year_max, then test."""
+    split = (years > cfg.train_year_max).astype(np.int64) + (years > cfg.val_year_max)
+    return {s: np.flatnonzero(split == j) for j, s in enumerate(SPLITS)}
 
 
 def _build_tasks(cfg: SynthConfig, venue, fields, parent, year, papers_of) -> list[TaskSpec]:
-    papers = list(range(cfg.n_papers))
     pv = TaskSpec(name="pv", kind=TaskKind.SINGLE_LABEL, target_type=NodeType.B,
                   n_classes=cfg.n_venues,
-                  labels={i: (int(venue[i]),) for i in papers},
-                  splits=_year_splits(cfg, papers, year))
+                  labels={i: (v,) for i, v in enumerate(venue.tolist())},
+                  splits=_year_splits(cfg, year))
     pf_l1 = TaskSpec(name="pf_l1", kind=TaskKind.MULTI_LABEL, target_type=NodeType.B,
                      n_classes=cfg.n_fields_l1,
-                     labels={i: tuple(sorted({int(parent[f]) for f in fields[i]})) for i in papers},
-                     splits=_year_splits(cfg, papers, year))
+                     labels={i: tuple(sorted({int(parent[f]) for f in fs}))
+                             for i, fs in enumerate(fields)},
+                     splits=_year_splits(cfg, year))
     pf_l2 = TaskSpec(name="pf_l2", kind=TaskKind.MULTI_LABEL, target_type=NodeType.B,
                      n_classes=cfg.n_fields_l2,
-                     labels={i: fields[i] for i in papers},
-                     splits=_year_splits(cfg, papers, year))
+                     labels=dict(enumerate(fields)),
+                     splits=_year_splits(cfg, year))
 
     rng_ad = rng_for(cfg.seed, "disambiguation")
     order = rng_ad.permutation(cfg.n_authors)
@@ -244,8 +236,8 @@ def _build_tasks(cfg: SynthConfig, venue, fields, parent, year, papers_of) -> li
     groups: dict[int, list[int]] = {}
     for a in range(cfg.n_authors):
         groups.setdefault(int(group_of[a]), []).append(a)
-    instances, inst_years = [], []
-    for a in sorted(range(cfg.n_authors)):
+    queries, ids, sizes = [], [], []  # each query's row of ids, its true paper first
+    for a in range(cfg.n_authors):
         own = papers_of[a]
         if not own:
             continue
@@ -260,11 +252,13 @@ def _build_tasks(cfg: SynthConfig, venue, fields, parent, year, papers_of) -> li
             cand = int(rng_ad.integers(cfg.n_papers))
             if cand != true_paper:
                 distractors.add(cand)
-        instances.append(RankInstance.make(a, true_paper, sorted(distractors)))
-        inst_years.append(int(year[true_paper]))
+        queries.append(a)
+        ids += [true_paper, *distractors]
+        sizes.append(1 + len(distractors))
+    instances = rank_instances(queries, ids, sizes)
+    true_papers = np.array([inst.true_id for inst in instances], dtype=np.int64)
     ad = TaskSpec(name="ad", kind=TaskKind.LINK_RANKING, target_type=NodeType.A,
-                  instances=instances,
-                  splits=_year_splits(cfg, list(range(len(instances))), inst_years))
+                  instances=instances, splits=_year_splits(cfg, year[true_papers]))
     return [pv, pf_l1, pf_l2, ad]
 
 
@@ -307,12 +301,11 @@ def import_dataset(directory):
     ParseError names the file and line of the first one that does not.
     """
     graph = load_graph_tsv(directory)
-    table = read_table(os.path.join(directory, "tasks.tsv"), _TASK_COLUMNS)
-    task_names = table.columns[0]
+    kinds, labels = list(TaskKind), tuple(t.label for t in NodeType)
+    table = read_table(os.path.join(directory, "tasks.tsv"), dict(zip(_TASK_COLUMNS, (
+        str, tuple(k.value for k in kinds), labels, int))))
+    task_names, kind, target, n_classes = table.columns
     table.reject_repeats(lambda k: f"task {task_names[k]!r} declared twice", task_names)
-    kinds = list(TaskKind)
-    kind = table.codes(1, [k.value for k in kinds])
-    target, n_classes = table.codes(2, [t.label for t in NodeType]), table.numbers(3)
     ranking = kind == kinds.index(TaskKind.LINK_RANKING)
     table.reject(~ranking & (n_classes < 1),
                  lambda k: f"task {task_names[k]!r} needs at least one class")
@@ -321,17 +314,11 @@ def import_dataset(directory):
                                       n_classes.tolist())]
 
     # labels.tsv: one row per labelled node or ranking query
-    table = read_table(os.path.join(directory, "labels.tsv"), _LABEL_COLUMNS)
-    owner, nodes = table.codes(1, task_names), table.numbers(0)
-    cells = [cell.split(",") if cell else [] for cell in table.columns[2]]
-    sizes = np.fromiter(map(len, cells), dtype=np.int64, count=len(table))
-    table.reject(sizes == 0, lambda k: "empty label list")
-    table.reject(np.array(["" in row for row in cells], dtype=bool),
-                 lambda k: f"empty piece in label list {table.columns[2][k]!r}")
+    table = read_table(os.path.join(directory, "labels.tsv"),
+                       dict(zip(_LABEL_COLUMNS, (int, tuple(task_names), list))))
+    nodes, owner, (ids, sizes) = table.columns
     row_of = np.repeat(np.arange(len(table)), sizes)
-    id_table = Table(table.path, ("labels",), [list(chain.from_iterable(cells))],
-                     table.lines[row_of])
-    ids = id_table.numbers(0)
+    id_table = Table(table.path, ("labels",), [ids], table.lines[row_of])
     table.reject_repeats(lambda k: f"task {task_names[owner[k]]!r}: node {nodes[k]} "
                                    "has a second label row", owner, nodes)
     n_target = np.array([graph.n_nodes(t.target_type) for t in tasks], dtype=np.int64)[owner]
@@ -345,20 +332,21 @@ def import_dataset(directory):
                     lambda k: f"task {task_names[owner[row_of[k]]]!r}: "
                               f"{'candidate' if ranking[owner[row_of[k]]] else 'class'} "
                               f"{ids[k]} outside [0, {cap[k]})")
-    values, ends = ids.tolist(), np.cumsum(sizes).tolist()
-    for k, node, end, size in zip(owner.tolist(), nodes.tolist(), ends, sizes.tolist()):
-        row = values[end - size:end]
-        if ranking[k]:
-            tasks[k].instances.append(RankInstance.make(node, row[0], row[1:]))
+    ends = np.cumsum(sizes)
+    values = ids[np.lexsort((ids, row_of))].tolist()  # each row's ids in ascending order
+    for k, task in enumerate(tasks):
+        mine = owner == k
+        if ranking[k]:  # instances in query order
+            instances = rank_instances(nodes[mine], ids[mine[row_of]], sizes[mine])
+            task.instances = [instances[i] for i in np.argsort(nodes[mine], kind="stable")]
         else:
-            tasks[k].labels[node] = tuple(sorted(row))
-    for task in tasks:
-        task.instances.sort(key=lambda inst: inst.query)
+            task.labels = {node: tuple(values[end - size:end]) for node, end, size in zip(
+                nodes[mine].tolist(), ends[mine].tolist(), sizes[mine].tolist())}
 
     # splits.tsv: one row per split member; a ranking member names its query
-    table = read_table(os.path.join(directory, "splits.tsv"), _SPLIT_COLUMNS)
-    member_of, split_of = table.codes(1, task_names), table.codes(2, SPLITS)
-    members = table.numbers(0)
+    table = read_table(os.path.join(directory, "splits.tsv"),
+                       dict(zip(_SPLIT_COLUMNS, (int, tuple(task_names), SPLITS))))
+    members, member_of, split_of = table.columns
     labelled = np.zeros(len(table), dtype=bool)
     for k in range(len(tasks)):
         mine = member_of == k

@@ -28,18 +28,29 @@ generated datasets must match them bit for bit.
 before `graph.write_table`: one hand-formatted line per row, and one
 `format_float` call per attention weight. Every TSV the package writes
 must match them byte for byte.
+
+`read_table`, `load_graph_tsv` and `import_dataset` are the dataset
+reader as it was before it parsed each table in one np.loadtxt: one
+Python string per cell, numbers parsed by `np.array` over those strings,
+and one `rank_instance` (a hashing `np.unique`) per ranking query.
+`_validated_edges` is `build_graph`'s tuple path as it was before it
+checked the columns for types: `zip`, `map(int, ...)` and a per-edge
+replay of the checks on a malformed edge.
 """
 import os
+from dataclasses import dataclass
+from itertools import chain, compress, repeat
 
 import numpy as np
 
 from duograph import ops, synth
-from duograph.errors import (DegenerateData, DirectionInvalid, NonScalarLoss, ShapeMismatch,
-                             TapeConsumed)
+from duograph.errors import (DegenerateData, DirectionInvalid, IoFailure, NonScalarLoss,
+                             ParseError, ShapeMismatch, TapeConsumed, TypeMismatch)
 from duograph.graph import (_EDGE_COLUMNS, _NODE_COLUMNS, _RELATION_COLUMNS, BiGraph,
-                            CsrAdjacency, NodeType, _checked_parts, _relation_plan,
-                            _validated_edges, mean_neighbor_features, write_lines)
-from duograph.model import ModelConfig, TaskKind
+                            CsrAdjacency, NodeType, RelationClass, RelationSpec, _bad_edges,
+                            _checked_parts, _edge_error, _frozen_graph, _relation_plan,
+                            mean_neighbor_features, write_lines)
+from duograph.model import ModelConfig, RankInstance, TaskKind, TaskSpec
 from duograph.params import ParamSet
 from duograph.rand import rng_for
 
@@ -406,6 +417,33 @@ def frozen_graph(sizes, feat, spec_map, codes, all_src, all_dst) -> BiGraph:
     return _OldPlanGraph(sizes, feat, spec_map, csr, csr_rev)
 
 
+def _validated_edges(spec_map: dict, sizes: dict, edges):
+    """Relation codes (declaration order) and int64 src, dst columns of `edges`.
+
+    All edges are checked at once; the first invalid one in iteration
+    order raises exactly what `_edge_error` returns for it.
+    """
+    edges = list(edges)
+    code_of = {name: k for k, name in enumerate(spec_map)}
+    try:
+        names, srcs, dsts = zip(*edges, strict=True) if edges else ((), (), ())
+        codes = np.fromiter(map(code_of.get, names, repeat(-1)), dtype=np.int64,
+                            count=len(edges))
+        src = np.array(list(map(int, srcs)))
+        dst = np.array(list(map(int, dsts)))
+    except (TypeError, ValueError):
+        # a malformed edge: replay the per-edge checks so the first bad edge raises
+        for edge in edges:
+            error = _edge_error(spec_map, sizes, edge)
+            if error is not None:
+                raise error
+        raise
+    bad = _bad_edges(spec_map, sizes, codes, src, dst)
+    if bad.any():
+        raise _edge_error(spec_map, sizes, edges[int(np.argmax(bad))])
+    return codes, src.astype(np.int64), dst.astype(np.int64)
+
+
 def build_graph(counts, features, relations, edges) -> BiGraph:
     sizes, feat, spec_map = _checked_parts(counts, features, relations)
     return frozen_graph(sizes, feat, spec_map, *_validated_edges(spec_map, sizes, edges))
@@ -610,3 +648,214 @@ def ablation_table(tasks, rows, out) -> None:
         lines.append("\t".join([row["variant"], str(row["seed"])] +
                                 ["NA" if v is None else format_float(v) for v in values]))
     write_lines(os.path.join(out, "ablation.tsv"), lines)
+
+
+@dataclass(frozen=True)
+class Table:
+    """The data rows of one TSV file, column by column.
+
+    `columns[j]` holds the cells under `header[j]`, and `lines[k]` is the
+    file line of row k, which every ParseError about the row names.
+    """
+
+    path: str
+    header: tuple
+    columns: list
+    lines: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.lines.size)
+
+    def fail(self, k: int, message: str) -> ParseError:
+        return ParseError(self.path, int(self.lines[k]), message)
+
+    def reject(self, bad: np.ndarray, message) -> None:
+        """Raise at the first row `bad` flags; `message(k)` describes row k."""
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise self.fail(k, message(k))
+
+    def reject_repeats(self, message, *keys) -> None:
+        """Raise at the first row whose `keys` columns equal an earlier row's."""
+        keys = [np.asarray(key) for key in keys]
+        order = np.lexsort(keys[::-1])  # stable: a key's rows stay in file order
+        later, earlier = order[1:], order[:-1]
+        repeat = np.zeros(len(self), dtype=bool)
+        repeat[later[np.logical_and.reduce([key[later] == key[earlier] for key in keys])]] = True
+        self.reject(repeat, message)
+
+    def numbers(self, j: int, dtype=np.int64) -> np.ndarray:
+        """Column j parsed as `dtype`; the first cell that is not a number fails."""
+        cells = self.columns[j]
+        try:
+            return np.array(cells, dtype=dtype)
+        except (ValueError, OverflowError):
+            for k, cell in enumerate(cells):
+                try:
+                    np.array([cell], dtype=dtype)
+                except (ValueError, OverflowError) as exc:
+                    raise self.fail(k, f"{self.header[j]}: {exc}") from exc
+            raise
+
+    def codes(self, j: int, names) -> np.ndarray:
+        """Column j as indices into `names`; the first cell not among them fails."""
+        index = {name: k for k, name in enumerate(names)}
+        cells = self.columns[j]
+        codes = np.fromiter(map(index.get, cells, repeat(-1)), dtype=np.int64, count=len(self))
+        self.reject(codes < 0, lambda k: f"{self.header[j]} {cells[k]!r} is not one of "
+                                         f"{', '.join(index)}")
+        return codes
+
+
+def read_table(path, names: tuple, extra: bool = False) -> Table:
+    """Read a TSV whose header row is `names`, followed by any number of
+    further columns when `extra`. Every data row needs one cell per header
+    column; blank lines are skipped.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except FileNotFoundError:
+        raise IoFailure(f"missing interchange file {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    first, *body = text.split("\n")
+    header = tuple(first.split("\t"))
+    if header[:len(names)] != names or (len(header) > len(names) and not extra):
+        expected = "\t".join(names) + ("\t..." if extra else "")
+        raise ParseError(path, 1, f"expected header {expected!r}")
+    filled = np.fromiter(map(bool, body), dtype=bool, count=len(body))
+    rows = list(compress(body, filled))
+    lines = np.flatnonzero(filled) + 2
+    n = len(header)
+    widths = np.fromiter(map(str.count, rows, repeat("\t")), dtype=np.int64, count=len(rows)) + 1
+    if (widths != n).any():
+        k = int(np.argmax(widths != n))
+        raise ParseError(path, int(lines[k]), f"expected {n} columns, got {widths[k]}")
+    cells = "\t".join(rows).split("\t") if rows else []
+    return Table(str(path), header, [cells[j::n] for j in range(n)], lines)
+
+
+def rank_instance(query, true_id, distractors) -> RankInstance:
+    cands = np.unique(np.append(np.asarray(distractors, dtype=np.int64), true_id))
+    return RankInstance(query=int(query), candidates=cands,
+                        true_index=int(np.searchsorted(cands, true_id)))
+
+
+def load_graph_tsv(directory) -> BiGraph:
+    """Read a graph written by save_graph_tsv."""
+    table = read_table(os.path.join(directory, "relations.tsv"), _RELATION_COLUMNS)
+    table.reject_repeats(lambda k: f"relation {table.columns[0][k]!r} declared twice",
+                         table.columns[0])
+    klasses, labels = list(RelationClass), [t.label for t in NodeType]
+    relations = []
+    for k, (name, klass, src_t, dst_t, sym) in enumerate(zip(
+            table.columns[0], table.codes(1, [c.value for c in klasses]).tolist(),
+            table.codes(2, labels).tolist(), table.codes(3, labels).tolist(),
+            table.codes(4, ("false", "true")).tolist())):
+        try:
+            relations.append(RelationSpec(name, klasses[klass], NodeType(src_t),
+                                          NodeType(dst_t), bool(sym)))
+        except TypeMismatch as exc:
+            raise table.fail(k, str(exc)) from exc
+
+    nodes = read_table(os.path.join(directory, "nodes.tsv"), _NODE_COLUMNS, extra=True)
+    ids, types = nodes.numbers(0), nodes.codes(1, labels)
+    counts = np.bincount(types, minlength=2)
+    if not counts.all():
+        raise ParseError(nodes.path, 1, f"no nodes of type {labels[int(np.argmin(counts))]}")
+    nodes.reject_repeats(lambda k: f"{labels[types[k]]} node {ids[k]} has a second row",
+                         types, ids)
+    nodes.reject((ids < 0) | (ids >= counts[types]),
+                 lambda k: f"{labels[types[k]]} node {ids[k]} outside [0, {counts[types[k]]}):"
+                           " ids of a type must be dense and 0-based")
+    values = np.empty((len(nodes), len(nodes.header) - 2))
+    for j in range(values.shape[1]):
+        values[:, j] = nodes.numbers(j + 2, np.float64)
+    values = values[np.lexsort((ids, types))]  # the A rows by id, then the B rows
+    features = {NodeType.A: values[:counts[0]], NodeType.B: values[counts[0]:]}
+    sizes, feat, spec_map = _checked_parts(
+        {t: int(counts[t]) for t in NodeType}, features, relations)
+    edges = read_table(os.path.join(directory, "edges.tsv"), _EDGE_COLUMNS)
+    codes, src, dst = edges.codes(0, spec_map), edges.numbers(1), edges.numbers(2)
+    edges.reject(_bad_edges(spec_map, sizes, codes, src, dst), lambda k: str(_edge_error(
+        spec_map, sizes, (edges.columns[0][k], src[k], dst[k]))))
+    return _frozen_graph(sizes, feat, spec_map, codes, src, dst)
+
+
+def import_dataset(directory):
+    """Read a dataset written by export_dataset; returns (graph, tasks).
+
+    Every id in the task files must fit the graph and the task: a
+    ParseError names the file and line of the first one that does not.
+    """
+    graph = load_graph_tsv(directory)
+    table = read_table(os.path.join(directory, "tasks.tsv"), synth._TASK_COLUMNS)
+    task_names = table.columns[0]
+    table.reject_repeats(lambda k: f"task {task_names[k]!r} declared twice", task_names)
+    kinds = list(TaskKind)
+    kind = table.codes(1, [k.value for k in kinds])
+    target, n_classes = table.codes(2, [t.label for t in NodeType]), table.numbers(3)
+    ranking = kind == kinds.index(TaskKind.LINK_RANKING)
+    table.reject(~ranking & (n_classes < 1),
+                 lambda k: f"task {task_names[k]!r} needs at least one class")
+    tasks = [TaskSpec(name=name, kind=kinds[k], target_type=NodeType(t), n_classes=n)
+             for name, k, t, n in zip(task_names, kind.tolist(), target.tolist(),
+                                      n_classes.tolist())]
+
+    # labels.tsv: one row per labelled node or ranking query
+    table = read_table(os.path.join(directory, "labels.tsv"), synth._LABEL_COLUMNS)
+    owner, nodes = table.codes(1, task_names), table.numbers(0)
+    cells = [cell.split(",") if cell else [] for cell in table.columns[2]]
+    sizes = np.fromiter(map(len, cells), dtype=np.int64, count=len(table))
+    table.reject(sizes == 0, lambda k: "empty label list")
+    table.reject(np.array(["" in row for row in cells], dtype=bool),
+                 lambda k: f"empty piece in label list {table.columns[2][k]!r}")
+    row_of = np.repeat(np.arange(len(table)), sizes)
+    id_table = Table(table.path, ("labels",), [list(chain.from_iterable(cells))],
+                     table.lines[row_of])
+    ids = id_table.numbers(0)
+    table.reject_repeats(lambda k: f"task {task_names[owner[k]]!r}: node {nodes[k]} "
+                                   "has a second label row", owner, nodes)
+    n_target = np.array([graph.n_nodes(t.target_type) for t in tasks], dtype=np.int64)[owner]
+    table.reject((nodes < 0) | (nodes >= n_target),
+                 lambda k: f"task {task_names[owner[k]]!r}: "
+                           f"{tasks[owner[k]].target_type.label} node {nodes[k]} "
+                           f"outside [0, {n_target[k]})")
+    cap = np.array([graph.n_nodes(t.target_type.other) if r else t.n_classes
+                    for t, r in zip(tasks, ranking)], dtype=np.int64)[owner[row_of]]
+    id_table.reject((ids < 0) | (ids >= cap),
+                    lambda k: f"task {task_names[owner[row_of[k]]]!r}: "
+                              f"{'candidate' if ranking[owner[row_of[k]]] else 'class'} "
+                              f"{ids[k]} outside [0, {cap[k]})")
+    values, ends = ids.tolist(), np.cumsum(sizes).tolist()
+    for k, node, end, size in zip(owner.tolist(), nodes.tolist(), ends, sizes.tolist()):
+        row = values[end - size:end]
+        if ranking[k]:
+            tasks[k].instances.append(rank_instance(node, row[0], row[1:]))
+        else:
+            tasks[k].labels[node] = tuple(sorted(row))
+    for task in tasks:
+        task.instances.sort(key=lambda inst: inst.query)
+
+    # splits.tsv: one row per split member; a ranking member names its query
+    table = read_table(os.path.join(directory, "splits.tsv"), synth._SPLIT_COLUMNS)
+    member_of, split_of = table.codes(1, task_names), table.codes(2, synth.SPLITS)
+    members = table.numbers(0)
+    labelled = np.zeros(len(table), dtype=bool)
+    for k in range(len(tasks)):
+        mine = member_of == k
+        labelled[mine] = np.isin(members[mine], nodes[owner == k])
+    table.reject(~labelled, lambda k: f"task {task_names[member_of[k]]!r}: "
+                                      f"{synth.SPLITS[split_of[k]]} node {members[k]} "
+                                      "has no row in labels.tsv")
+    table.reject_repeats(lambda k: f"task {task_names[member_of[k]]!r}: node {members[k]} "
+                                   "has a second split row", member_of, members)
+    for k, task in enumerate(tasks):
+        split_ids = {s: np.sort(members[(member_of == k) & (split_of == j)])
+                     for j, s in enumerate(synth.SPLITS)}
+        if ranking[k]:
+            queries = np.array([inst.query for inst in task.instances], dtype=np.int64)
+            split_ids = {s: np.searchsorted(queries, q) for s, q in split_ids.items()}
+        task.splits = split_ids
+    return graph, tasks

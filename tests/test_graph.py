@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from duograph.errors import (DanglingNode, DimensionMismatch, DirectionInvalid,
                              NodeOutOfRange, ParseError, TypeMismatch, UnknownRelation)
 from duograph.graph import (BiGraph, NodeType, RelationClass, RelationSpec, _checked_parts,
-                            _validated_edges, build_graph, graph_from_columns,
+                            build_graph, graph_from_columns,
                             load_graph_tsv, mean_neighbor_features, save_graph_tsv,
                             write_lines)
 from duograph.rand import rng_for
@@ -120,6 +120,34 @@ class TestBuild:
         with pytest.raises(expected[0]) as info:
             build_graph(sizes, feats, rels, (e for e in edges))
         assert str(info.value) == expected[1]
+
+    @pytest.mark.parametrize("edge, message", [
+        (("w", 1.7, 0), "edge 'w'(1.7, 0): src is not an integer"),
+        (("w", "1", 0), "edge 'w'('1', 0): src is not an integer"),
+        (("w", True, 0), "edge 'w'(True, 0): src is not an integer"),
+        (("w", 0, np.bool_(True)), "edge 'w'(0, np.True_): dst is not an integer"),
+        (("w", "x", 0), "edge 'w'('x', 0): src is not an integer"),
+        (("w", None, 0), "edge 'w'(None, 0): src is not an integer"),
+        (("w", 1), "edge ('w', 1) is not a (relation_name, src, dst) triple"),
+        (("w", 0, 1, 1), "edge ('w', 0, 1, 1) is not a (relation_name, src, dst) triple"),
+        (None, "edge None is not a (relation_name, src, dst) triple"),
+    ])
+    def test_malformed_edge_raises_type_mismatch_naming_it(self, edge, message):
+        feats = {NodeType.A: np.zeros((2, 2)), NodeType.B: np.zeros((2, 2))}
+        rel = _spec("w", RelationClass.INTER)
+        edges = [("w", 0, 0), ("w", np.int32(1), np.int64(1)), edge, ("w", 0, 5)]
+        with pytest.raises(TypeMismatch) as info:
+            build_graph({NodeType.A: 2, NodeType.B: 2}, feats, [rel], edges)
+        assert str(info.value) == message
+        # an earlier bad edge of another kind still wins
+        with pytest.raises(DanglingNode, match=r"'w'\(0, 5\): dst outside"):
+            build_graph({NodeType.A: 2, NodeType.B: 2}, feats, [rel], edges[::-1])
+
+    def test_id_past_int64_is_out_of_range(self):
+        feats = {NodeType.A: np.zeros((2, 2)), NodeType.B: np.zeros((2, 2))}
+        rel = _spec("w", RelationClass.INTER)
+        with pytest.raises(DanglingNode, match=rf"'w'\(0, {2**70}\): dst outside \[0, 2\)"):
+            build_graph({NodeType.A: 2, NodeType.B: 2}, feats, [rel], [("w", 0, 2**70)])
 
     def test_src_range_checked_before_dst(self):
         feats = {NodeType.A: np.zeros((2, 2)), NodeType.B: np.zeros((2, 2))}
@@ -347,7 +375,7 @@ class TestSetUpMatchesOracle:
         old = reference.build_graph(sizes, feats, _ORACLE_RELATIONS, edges)
         assert_same_graph(build_graph(sizes, feats, _ORACLE_RELATIONS, edges), old)
         spec_map = _checked_parts(sizes, feats, _ORACLE_RELATIONS)[2]
-        columns = _validated_edges(spec_map, sizes, edges)
+        columns = reference._validated_edges(spec_map, sizes, edges)
         assert_same_graph(graph_from_columns(sizes, feats, _ORACLE_RELATIONS, *columns), old)
 
     def test_column_path_rejects_a_dangling_edge(self):
@@ -467,15 +495,20 @@ class TestGraphTsv:
             load_graph_tsv(tmp_path)
         assert exc.value.line == 3
 
-    def test_non_finite_feature_rejected(self, tmp_path, tiny_graph):
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_feature_names_file_and_line(self, tmp_path, tiny_graph, cell):
         save_graph_tsv(tiny_graph, tmp_path)
         nodes = tmp_path / "nodes.tsv"
         lines = nodes.read_text().splitlines()
-        assert lines[1].startswith("0\tA\t")
-        lines[1] = "\t".join(lines[1].split("\t")[:2] + ["nan", "0"])
+        assert lines[2].startswith("1\tA\t")
+        lines[2] = "\t".join(lines[2].split("\t")[:2] + ["0", cell])
+        lines[3] = "\t".join(lines[3].split("\t")[:2] + ["nan", "0"])  # a later line
         nodes.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DimensionMismatch, match=r"features\[A\]"):
+        with pytest.raises(ParseError) as exc:
             load_graph_tsv(tmp_path)
+        value = "inf" if cell == "1e400" else cell
+        assert (exc.value.path, exc.value.line) == (str(nodes), 3)
+        assert str(exc.value).endswith(f": feat_1: {value} is not finite")
 
     def test_non_dense_ids_rejected(self, tmp_path, tiny_graph):
         save_graph_tsv(tiny_graph, tmp_path)

@@ -172,8 +172,8 @@ class TestWriteTable:
         path = tmp_path_factory.mktemp("table") / "t.tsv"
         ints, floats, texts = (list(column) for column in zip(*rows)) if rows else ([], [], [])
         write_table(path, header, [ints, floats, texts], ("%d", "%.9g", "%s"))
-        table = read_table(path, tuple(header))
+        table = read_table(path, dict(zip(header, (int, float, str))))
         assert len(table) == len(rows)
-        assert table.numbers(0).tolist() == ints
-        assert table.numbers(1, np.float64).tolist() == [float("%.9g" % x) for x in floats]
+        assert table.columns[0].tolist() == ints
+        assert table.columns[1].tolist() == [float("%.9g" % x) for x in floats]
         assert table.columns[2] == texts
