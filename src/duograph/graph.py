@@ -442,9 +442,13 @@ def graph_from_columns(counts: dict[NodeType, int], features: dict[NodeType, np.
     """`build_graph` of edges given as int64 columns: the index of each
     edge's relation in `relations`, its src id and its dst id."""
     sizes, feat, spec_map = _checked_parts(counts, features, relations)
-    bad = _bad_edges(spec_map, sizes, codes, src, dst)
+    known = (codes >= 0) & (codes < len(relations))
+    bad = _bad_edges(spec_map, sizes, np.where(known, codes, -1), src, dst)
     if bad.any():
         k = int(np.argmax(bad))
+        if not known[k]:
+            raise UnknownRelation(f"edge {k} ({src[k]}, {dst[k]}) has relation code {codes[k]}, "
+                                  f"outside [0, {len(relations)})")
         raise _edge_error(spec_map, sizes, (relations[codes[k]].name, src[k], dst[k]))
     return _frozen_graph(sizes, feat, spec_map, codes, src, dst)
 

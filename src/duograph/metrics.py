@@ -87,12 +87,15 @@ def accuracy(predictions, label_sets) -> float:
 
 # partition comparison
 
-def _contingency(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _contingency(labels_a, labels_b, name: str) -> np.ndarray:
+    """Counts of each (block of a, block of b) pair over two aligned label vectors."""
+    a = np.asarray(labels_a)
+    b = np.asarray(labels_b)
+    if a.size == 0 or a.size != b.size:
+        raise EmptySet(f"{name} needs two aligned non-empty label vectors")
     ua, ia = np.unique(a, return_inverse=True)
     ub, ib = np.unique(b, return_inverse=True)
-    table = np.zeros((ua.size, ub.size), dtype=np.int64)
-    np.add.at(table, (ia, ib), 1)
-    return table
+    return np.bincount(ia * ub.size + ib, minlength=ua.size * ub.size).reshape(ua.size, ub.size)
 
 
 def nmi(labels_a, labels_b) -> float:
@@ -101,12 +104,11 @@ def nmi(labels_a, labels_b) -> float:
     Natural logarithms; defined as 0 when either partition has a single
     block (zero entropy).
     """
-    a = np.asarray(labels_a)
-    b = np.asarray(labels_b)
-    if a.size == 0 or a.size != b.size:
-        raise EmptySet("nmi needs two aligned non-empty label vectors")
-    n = a.size
-    table = _contingency(a, b)
+    return _nmi(_contingency(labels_a, labels_b, "nmi"))
+
+
+def _nmi(table: np.ndarray) -> float:
+    n = int(table.sum())
     pa = table.sum(axis=1) / n
     pb = table.sum(axis=0) / n
     ha = -np.sum(pa[pa > 0] * np.log(pa[pa > 0]))
@@ -127,16 +129,14 @@ def ari(labels_a, labels_b) -> float:
     Returns 0.0 when the adjustment denominator vanishes (e.g. either
     partition is a single block), the convention for degenerate inputs.
     """
-    a = np.asarray(labels_a)
-    b = np.asarray(labels_b)
-    if a.size == 0 or a.size != b.size:
-        raise EmptySet("ari needs two aligned non-empty label vectors")
-    n = a.size
-    table = _contingency(a, b)
+    return _ari(_contingency(labels_a, labels_b, "ari"))
+
+
+def _ari(table: np.ndarray) -> float:
     sum_ij = int(sum(comb(int(v), 2) for v in table.flat))
     sum_a = int(sum(comb(int(v), 2) for v in table.sum(axis=1)))
     sum_b = int(sum(comb(int(v), 2) for v in table.sum(axis=0)))
-    total = comb(n, 2)
+    total = comb(int(table.sum()), 2)
     expected = sum_a * sum_b / total if total else 0.0
     max_index = 0.5 * (sum_a + sum_b)
     denom = max_index - expected
@@ -167,32 +167,115 @@ def _has_distinct(pts: np.ndarray, k: int) -> bool:
     return True
 
 
-def _nearest(pts: np.ndarray, sq: np.ndarray, norms: np.ndarray,
+def _nearest(pts: np.ndarray, lifted: np.ndarray, norms: np.ndarray,
              centers: np.ndarray) -> np.ndarray:
-    """Each point's nearest center, equal to `_sq_dists(pts, centers).argmin(axis=1)`.
+    """[a, n]: each point's nearest center in each of a repeats, where row r
+    equals `_sq_dists(pts, centers[r]).argmin(axis=1)` for [a, k, d] centers.
 
-    One matrix product estimates every squared distance as
-    `|x|^2 - 2 x.c + |c|^2`. Both that estimate and the exact sum lie within
-    `gamma * ((|x| + |c|)^2 + tiny)` of the true distance, the `tiny` term
-    covering underflow. A point whose smallest estimate plus its slack lies
-    strictly below every other estimate minus its slack has that center as
-    its exact argmin too; the other points, near ties and NaN comparisons
-    among them, get the exact distances and their lowest-index tie rule.
+    One matrix product, of rows `[c, |c|^2, 1]` with the columns
+    `[-2x, 1, |x|^2]` of `lifted`, estimates every squared distance. The
+    estimate and the exact sum differ by less than
+    `gamma * ((|x| + |c|)^2 + tiny)`, whatever order the product sums in,
+    the `tiny` term covering underflow; with |c| the repeat's largest
+    center norm, that is one slack per point and repeat. A center whose
+    estimate exceeds the smallest by more than twice the slack cannot be
+    nearest, and a point left with one center has it as its exact argmin
+    too. The other points, near ties and NaN comparisons among them, get
+    the exact distances and their lowest-index tie rule.
     """
     finfo = np.finfo(np.float64)
     gamma = 8 * (pts.shape[1] + 4) * finfo.eps
-    csq = np.einsum("ij,ij->i", centers, centers)
-    approx = sq[:, None] - 2.0 * (pts @ centers.T) + csq
-    slack = gamma * ((norms[:, None] + np.sqrt(csq)) ** 2 + finfo.tiny)
-    nearest = approx.argmin(axis=1)
-    rows = np.arange(pts.shape[0])
-    best = approx[rows, nearest] + slack[rows, nearest]
-    others = approx - slack
-    others[rows, nearest] = np.inf
-    undecided = ~(others > best[:, None]).all(axis=1)
-    if undecided.any():
-        nearest[undecided] = _sq_dists(pts[undecided], centers).argmin(axis=1)
+    a, k, d = centers.shape
+    flat = centers.reshape(a * k, d)
+    csq = np.einsum("ij,ij->i", flat, flat)[:, None]
+    approx = (np.hstack([flat, csq, np.ones_like(csq)]) @ lifted).reshape(a, k, -1)
+    reach = np.sqrt(csq.reshape(a, k).max(axis=1))[:, None]
+    slack = gamma * ((norms + reach) ** 2 + finfo.tiny)
+    may = ~(approx > (approx.min(axis=1) + 2.0 * slack)[:, None])
+    # how many centers each point may have and, where that is one, which
+    count, nearest = np.moveaxis(np.array([np.ones(k), np.arange(k)], np.float32) @ may, 1, 0)
+    nearest = nearest.astype(np.int64)
+    undecided = count != 1
+    for r in np.flatnonzero(undecided.any(axis=1)):
+        rows = undecided[r]
+        nearest[r, rows] = _sq_dists(pts[rows], centers[r]).argmin(axis=1)
     return nearest
+
+
+def _seed(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Greedy k-means++ seeding: [k, d] centers drawn from `pts`."""
+    n = pts.shape[0]
+    centers = np.empty((k, pts.shape[1]))
+    centers[0] = pts[int(rng.integers(n))]
+    d2 = np.sum((pts - centers[0]) ** 2, axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if not np.isfinite(total):
+            raise DegenerateData("k-means seeding weights are not finite")
+        probs = d2 / total if total > 0 else np.full(n, 1.0 / n)
+        centers[j] = pts[int(rng.choice(n, p=probs))]
+        d2 = np.minimum(d2, np.sum((pts - centers[j]) ** 2, axis=1))
+    return centers
+
+
+def _update(pts: np.ndarray, start: np.ndarray, assign: np.ndarray,
+            centers: np.ndarray) -> None:
+    """One repeat's Lloyd update of `centers` in place, cluster by cluster.
+
+    A cluster's center is `pts[members].mean(axis=0)`, bit for bit: a
+    contiguous slice of one stable-sorted gather, reduced the same way. An
+    emptied cluster takes the point farthest from its `start` center, which
+    leaves its cluster in `assign` before later clusters are averaged.
+    """
+    k = centers.shape[0]
+    counts = np.bincount(assign, minlength=k)
+    if counts.all():
+        rows = np.take(pts, np.argsort(assign, kind="stable"), axis=0)
+        for j, stop in enumerate(np.cumsum(counts).tolist()):
+            np.add.reduce(rows[stop - counts[j]:stop], axis=0, out=centers[j])
+        centers /= counts[:, None]
+        return
+    dists = _sq_dists(pts, start)
+    for j in range(k):
+        members = assign == j
+        if members.any():
+            centers[j] = pts[members].mean(axis=0)
+        else:
+            far = int(dists[np.arange(pts.shape[0]), assign].argmax())
+            centers[j] = pts[far]
+            assign[far] = j
+
+
+def kmeans_lockstep(points: np.ndarray, k: int, rngs, max_iter: int = 300) -> list:
+    """`kmeans` of `points` once per generator in `rngs`, equal to one call
+    per generator bit for bit.
+
+    The points are checked, and their squared norms taken, once. Each
+    repeat is seeded from its own generator, then the Lloyd rounds of
+    every repeat still moving share one distance product; a repeat leaves
+    once its assignments stop changing.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    if not np.isfinite(pts).all():
+        raise DegenerateData("k-means points are not finite")
+    if not _has_distinct(pts, k):
+        raise DegenerateData(f"need at least {k} distinct points")
+    centers = np.stack([_seed(pts, k, rng) for rng in rngs])
+    sq = np.einsum("ij,ij->i", pts, pts)
+    lifted, norms = np.vstack([-2.0 * pts.T, np.ones_like(sq), sq]), np.sqrt(sq)
+    assign = np.full((len(centers), pts.shape[0]), -1, dtype=np.int64)
+    live = np.arange(len(centers))
+    for _ in range(max_iter):
+        if not live.size:
+            break
+        start = centers[live]
+        nearest = _nearest(pts, lifted, norms, start)
+        for r, s, new in zip(live, start, nearest):
+            _update(pts, s, new, centers[r])
+        moved = (nearest != assign[live]).any(axis=1)
+        assign[live] = nearest
+        live = live[moved]
+    return [(c, a, float(((pts - c[a]) ** 2).sum())) for c, a in zip(centers, assign)]
 
 
 def kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
@@ -205,44 +288,7 @@ def kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
     non-finite points, fewer than k distinct points, or finite points
     whose squared distances overflow the seeding weights.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    n = pts.shape[0]
-    if not np.isfinite(pts).all():
-        raise DegenerateData("k-means points are not finite")
-    if not _has_distinct(pts, k):
-        raise DegenerateData(f"need at least {k} distinct points")
-    centers = np.empty((k, pts.shape[1]))
-    centers[0] = pts[int(rng.integers(n))]
-    d2 = np.sum((pts - centers[0]) ** 2, axis=1)
-    for j in range(1, k):
-        total = d2.sum()
-        if not np.isfinite(total):
-            raise DegenerateData("k-means seeding weights are not finite")
-        probs = d2 / total if total > 0 else np.full(n, 1.0 / n)
-        centers[j] = pts[int(rng.choice(n, p=probs))]
-        d2 = np.minimum(d2, np.sum((pts - centers[j]) ** 2, axis=1))
-    sq = np.einsum("ij,ij->i", pts, pts)
-    norms = np.sqrt(sq)
-    assign = np.full(n, -1, dtype=np.int64)
-    for _ in range(max_iter):
-        start = centers.copy()
-        new_assign = _nearest(pts, sq, norms, start)
-        dists = None
-        for j in range(k):
-            members = new_assign == j
-            if members.any():
-                centers[j] = pts[members].mean(axis=0)
-            else:
-                if dists is None:
-                    dists = _sq_dists(pts, start)
-                far = int(dists[np.arange(n), new_assign].argmax())
-                centers[j] = pts[far]
-                new_assign[far] = j
-        if np.array_equal(new_assign, assign):
-            break
-        assign = new_assign
-    inertia = float(((pts - centers[assign]) ** 2).sum())
-    return centers, assign, inertia
+    return kmeans_lockstep(points, k, [rng], max_iter)[0]
 
 
 @dataclass
@@ -264,17 +310,11 @@ def cluster_eval(embeddings: np.ndarray, labels, k: int, repeats: int = 10,
     """
     if repeats < 1:
         raise EmptySet("repeats must be >= 1")
-    labels = np.asarray(labels)
-    nmis, aris = [], []
-    best = None
-    for rep in range(repeats):
-        rng = rng_for(seed, "kmeans", rep)
-        _, assign, inertia = kmeans(embeddings, k, rng)
-        nmis.append(nmi(assign, labels))
-        aris.append(ari(assign, labels))
-        if best is None or inertia < best[1]:
-            best = (assign, inertia)
+    runs = kmeans_lockstep(embeddings, k, [rng_for(seed, "kmeans", rep) for rep in range(repeats)])
+    tables = [_contingency(assign, labels, "cluster_eval") for _, assign, _ in runs]
+    nmis, aris = [_nmi(t) for t in tables], [_ari(t) for t in tables]
+    _, assign, inertia = min(runs, key=lambda run: run[2])
     return ClusteringResult(
-        k=k, assignments=best[0], inertia=best[1],
+        k=k, assignments=assign, inertia=inertia,
         nmi_mean=float(np.mean(nmis)), nmi_std=float(np.std(nmis)),
         ari_mean=float(np.mean(aris)), ari_std=float(np.std(aris)))

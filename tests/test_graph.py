@@ -385,6 +385,16 @@ class TestSetUpMatchesOracle:
         with pytest.raises(DanglingNode, match=r"'wrote'\(1, 3\): dst outside \[0, 3\)"):
             graph_from_columns(sizes, feats, _ORACLE_RELATIONS, codes, src, dst)
 
+    @pytest.mark.parametrize("code", [-1, 6, 2**40])
+    def test_column_path_rejects_a_relation_code_past_the_list(self, code):
+        # the first bad edge is named, even with a dangling one after it
+        sizes = {NodeType.A: 2, NodeType.B: 3}
+        feats = {t: np.zeros((n, 1)) for t, n in sizes.items()}
+        codes, src, dst = (np.array(c) for c in ([0, code, 4], [1, 0, 1], [0, 1, 3]))
+        with pytest.raises(UnknownRelation,
+                           match=rf"edge 1 \(0, 1\) has relation code {code}, outside \[0, 6\)"):
+            graph_from_columns(sizes, feats, _ORACLE_RELATIONS, codes, src, dst)
+
 
 class TestMeanNeighborFeatures:
     def test_average_over_papers(self, tiny_graph):

@@ -1,5 +1,10 @@
 """Metric oracles: every expected value below is computed by hand or by
 an independent closed-form expression, then frozen."""
+import functools
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 import reference
 from duograph import metrics
 from duograph.errors import DegenerateData, EmptySet, NoRelevant
-from duograph.metrics import (accuracy, ari, cluster_eval, kmeans, mrr, mrr_rows, ndcg,
-                              ndcg_rows, nmi, ranked_order)
+from duograph.metrics import (ClusteringResult, accuracy, ari, cluster_eval, kmeans,
+                              kmeans_lockstep, mrr, mrr_rows, ndcg, ndcg_rows, nmi, ranked_order)
 from duograph.rand import rng_for
 
 
@@ -295,6 +300,137 @@ class TestKmeansMatchesOracle:
     def test_blob_assignments_need_no_exact_distances(self, monkeypatch):
         monkeypatch.setattr(metrics, "_sq_dists", None)
         kmeans(_blobs(500, 32, 4, 3.0, seed=11), 4, np.random.default_rng(0))
+
+
+def _assert_same_lockstep(points, k, seeds, max_iter=300):
+    """`kmeans_lockstep` over one generator per seed equals a loop of the
+    oracle, one call per generator, bit for bit; a list with any degenerate
+    repeat raises DegenerateData."""
+    oracle = functools.partial(reference.kmeans, max_iter=max_iter)
+    want = [_outcome(oracle, points, k, s, (DegenerateData, ValueError)) for s in seeds]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if any(isinstance(w, type) for w in want):
+            with pytest.raises(DegenerateData):
+                kmeans_lockstep(points, k, [np.random.default_rng(s) for s in seeds], max_iter)
+            return
+        got = kmeans_lockstep(points, k, [np.random.default_rng(s) for s in seeds], max_iter)
+    assert len(got) == len(want)
+    for (wc, wa, wi), (gc, ga, gi) in zip(want, got):
+        assert np.array_equal(gc, wc) and np.array_equal(ga, wa) and ga.dtype == wa.dtype
+        assert gi == wi
+
+
+def _live_counts(monkeypatch):
+    """The number of repeats each Lloyd round of `kmeans_lockstep` moves."""
+    counts = []
+    nearest = metrics._nearest
+
+    def spy(pts, lifted, norms, centers):
+        counts.append(centers.shape[0])
+        return nearest(pts, lifted, norms, centers)
+
+    monkeypatch.setattr(metrics, "_nearest", spy)
+    return counts
+
+
+def _cluster_eval_loop(embeddings, labels, k, repeats, seed) -> ClusteringResult:
+    """`cluster_eval` as one oracle k-means per repeat, the first lowest inertia kept."""
+    runs = [reference.kmeans(embeddings, k, rng_for(seed, "kmeans", rep)) for rep in range(repeats)]
+    nmis = [nmi(assign, labels) for _, assign, _ in runs]
+    aris = [ari(assign, labels) for _, assign, _ in runs]
+    best = 0
+    for rep, (_, _, inertia) in enumerate(runs):
+        if inertia < runs[best][2]:
+            best = rep
+    return ClusteringResult(k=k, assignments=runs[best][1], inertia=runs[best][2],
+                            nmi_mean=float(np.mean(nmis)), nmi_std=float(np.std(nmis)),
+                            ari_mean=float(np.mean(aris)), ari_std=float(np.std(aris)))
+
+
+def _assert_same_result(got: ClusteringResult, want: ClusteringResult):
+    assert got.assignments.dtype == want.assignments.dtype
+    assert got.assignments.tobytes() == want.assignments.tobytes()
+    assert (got.k, got.inertia, got.nmi_mean, got.nmi_std, got.ari_mean, got.ari_std) == \
+        (want.k, want.inertia, want.nmi_mean, want.nmi_std, want.ari_mean, want.ari_std)
+
+
+# Finite points where k-means++ seeding overflows only from the middle point:
+# its squared distances sum past the float range, the others' do not.
+OVERFLOW_FROM_ONE = np.array([[0.0], [1.2e154], [-0.1e154]])
+
+
+class TestLockstepMatchesOracle:
+    @pytest.mark.parametrize("case", sorted(KMEANS_CASES))
+    def test_table(self, case):
+        points, k, seed = KMEANS_CASES[case]
+        _assert_same_lockstep(points, k, [seed, seed + 1, seed + 2])
+
+    def test_repeats_stop_at_different_rounds(self, monkeypatch):
+        live = _live_counts(monkeypatch)
+        _assert_same_lockstep(_blobs(300, 16, 5, 0.5, seed=1), 5, range(10))
+        assert live[0] == 10 and len(set(live)) > 2
+
+    def test_one_repeat_reseeds_while_the_others_go_on(self, monkeypatch):
+        live = _live_counts(monkeypatch)
+        reseeds = []
+        exact = metrics._sq_dists
+
+        def spy(pts, centers):
+            if pts is RESEED_POINTS:
+                reseeds.append(live[-1])
+            return exact(pts, centers)
+
+        monkeypatch.setattr(metrics, "_sq_dists", spy)
+        _assert_same_lockstep(RESEED_POINTS, 3, [1, 30009, 2, 3])
+        assert reseeds and min(reseeds) > 1
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 2, 3])
+    def test_cut_off_by_max_iter(self, monkeypatch, max_iter):
+        live = _live_counts(monkeypatch)
+        _assert_same_lockstep(_blobs(300, 16, 5, 0.5, seed=1), 5, range(4), max_iter)
+        assert len(live) == max_iter
+
+    def test_degenerate_seeding_in_a_later_repeat_raises(self):
+        firsts = [int(np.random.default_rng(s).integers(3)) for s in range(3)]
+        assert firsts[0] != 1 and 1 in firsts
+        _assert_same_lockstep(OVERFLOW_FROM_ONE, 2, range(3))
+
+
+class TestClusterEvalMatchesLoop:
+    @pytest.mark.parametrize("n, d, k, scale, seed", [(600, 16, 4, 0.5, 0), (200, 3, 6, 2.0, 1),
+                                                      (90, 1, 3, 1.0, 2), (40, 2, 5, 0.1, 3)])
+    def test_equals_one_oracle_kmeans_per_repeat(self, n, d, k, scale, seed):
+        points = _blobs(n, d, k, scale, seed=seed)
+        labels = np.random.default_rng(seed).integers(k, size=n)
+        _assert_same_result(cluster_eval(points, labels, k, repeats=10, seed=seed),
+                            _cluster_eval_loop(points, labels, k, 10, seed))
+
+    def test_degenerate_seeding_in_a_later_repeat_raises(self):
+        firsts = [int(rng_for(0, "kmeans", rep).integers(3)) for rep in range(10)]
+        assert firsts[0] != 1 and 1 in firsts
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DegenerateData, match="seeding"):
+            cluster_eval(OVERFLOW_FROM_ONE, np.array([0, 1, 1]), k=2, repeats=10, seed=0)
+
+    def test_bytes_do_not_depend_on_blas_threads(self):
+        # a [3000, 40] distance product is wide enough for OpenBLAS to split
+        # across threads; the certificate keeps the assignments exact
+        script = ("import hashlib, pickle, numpy as np\n"
+                  "from duograph.metrics import cluster_eval\n"
+                  "rng = np.random.default_rng(0)\n"
+                  "pts = rng.normal(scale=0.4, size=(4, 64))[rng.integers(4, size=3000)]\n"
+                  "pts += rng.normal(size=(3000, 64))\n"
+                  "res = cluster_eval(pts, rng.integers(4, size=3000), k=4, repeats=10, seed=0)\n"
+                  "print(hashlib.sha256(pickle.dumps(res)).hexdigest())\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(metrics.__file__)))
+        digests = []
+        for threads in ("1", "2"):
+            path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=path)
+            digests.append(subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                          capture_output=True, text=True, timeout=60).stdout)
+        assert digests[0] == digests[1] and len(digests[0]) == 65
 
 
 DISTINCT_CASES = {
