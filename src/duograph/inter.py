@@ -39,10 +39,6 @@ def node_aggregate(mapped_target: Tensor, mapped_source: Tensor, graph: BiGraph,
 def weighted_residual(new: Tensor, old: Tensor, weight: float,
                       gain: Tensor, bias: Tensor, slope: float) -> Tensor:
     """Norm(weight * act(new) + (1 - weight) * old)."""
-    if new.shape != old.shape:
-        raise ShapeMismatch(f"residual shapes {new.shape} vs {old.shape}")
     if not 0.0 <= weight <= 1.0:
         raise ShapeMismatch(f"residual weight must lie in [0, 1], got {weight}")
-    mixed = ops.add(ops.scalar_mul(ops.leaky_relu(new, slope), weight),
-                    ops.scalar_mul(old, 1.0 - weight))
-    return ops.layer_norm(mixed, gain, bias)
+    return ops.layer_norm(ops.residual_mix(new, old, weight, slope), gain, bias)

@@ -8,10 +8,10 @@ h is scored against all K vectors at once and gathered per edge
 softmaxed per (node, relation) segment; the weighted sum reads its
 source rows itself, batched over the block's degree groups
 (`ops.weighted_sum_rows`), and one layer norm applies each relation's
-gain and bias to its run of rows. Fusion scores the K runs with one
-`edge_scores` call, weights them by a learned sigmoid mix of graph-level
-softmax weights and per-node masked softmax scores, and sums them with
-one `ops.combine_blocks`.
+gain and bias to its run of rows, then the leaky activation in place.
+Fusion scores the K runs with one `edge_scores` call, weights them by a
+learned sigmoid mix of graph-level softmax weights and per-node masked
+softmax scores, and sums them with one `ops.combine_blocks`.
 """
 from __future__ import annotations
 
@@ -69,7 +69,7 @@ def attend_over_plan(target_feats: Tensor, values: Tensor, block: BlockPlan,
                                             block.source_index), slope)
     alpha = ops.segment_softmax(scores, block.offsets)
     agg = ops.weighted_sum_rows(alpha, values, block.sources, block.layout)
-    out = ops.leaky_relu(ops.layer_norm(agg, gains, biases, block.row_runs), slope)
+    out = ops.layer_norm(agg, gains, biases, block.row_runs, slope=slope)
     if not block.covers_all:
         out = ops.scatter_rows(out, block.rows, n_rows)
     return out, alpha

@@ -212,8 +212,7 @@ def reshape(x: Tensor, rows: int, cols: int) -> Tensor:
 
 def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
     """max(x, slope*x); the derivative at exactly 0 is defined as 1."""
-    if not 0.0 < slope < 1.0:
-        raise ShapeMismatch(f"leaky_relu slope must lie in (0, 1), got {slope}")
+    _check_slope(slope)
     keep = x.data >= 0.0  # a bool per entry, so the closure does not hold x
 
     def bw(g: Array):
@@ -466,15 +465,27 @@ def weighted_sum_rows(weights: Tensor, values: Tensor, sources,
     return _result(out, (weights, values), bw)
 
 
-def layer_norm(x: Tensor, gain, bias, runs=None, eps: float = 1e-5) -> Tensor:
+def _check_slope(slope: float) -> None:
+    if not 0.0 < slope < 1.0:
+        raise ShapeMismatch(f"leaky_relu slope must lie in (0, 1), got {slope}")
+
+
+def layer_norm(x: Tensor, gain, bias, runs=None, eps: float = 1e-5,
+               slope: float | None = None) -> Tensor:
     """Row-wise standardization (population variance) with affine output.
 
     `gain` and `bias` are (1, d) tensors, or K of each with `runs` the K
-    row slices, in order and covering x, that each pair applies to.
+    row slices, in order and covering x, that each pair applies to. With
+    a `slope`, the output is activated in place as `leaky_relu` would
+    activate it, and the backward folds the slope into `g` as
+    `leaky_relu`'s backward would: the same bytes, without keeping the
+    norm's output alive beside the activation's.
     """
     n, d = x.shape
     if d < 2:
         raise ShapeMismatch("layer_norm needs at least 2 columns")
+    if slope is not None:
+        _check_slope(slope)
     gains = (gain,) if isinstance(gain, Tensor) else tuple(gain)
     biases = (bias,) if isinstance(bias, Tensor) else tuple(bias)
     runs = (slice(0, n),) if runs is None else tuple(runs)
@@ -497,8 +508,13 @@ def layer_norm(x: Tensor, gain, bias, runs=None, eps: float = 1e-5) -> Tensor:
     for run, gd, bs in zip(runs, gain_data, biases):
         np.multiply(xhat[run], gd, out=out[run])
         out[run] += bs.data
+    keep = None if slope is None else out >= 0.0
+    if keep is not None:
+        np.maximum(out, slope * out, out=out)  # leaky_relu, in place
 
     def bw(g: Array):
+        if keep is not None:
+            g = g * np.maximum(keep, slope)  # leaky_relu's backward
         scratch = np.empty_like(g)
         gy = np.empty_like(g) if need_x else None
         g_gain, g_bias = [], []
@@ -555,6 +571,29 @@ def combine_blocks(coeff: Tensor, blocks: Tensor) -> Tensor:
         return gc, gb
 
     return _result(out, (coeff, blocks), bw)
+
+
+def residual_mix(new: Tensor, old: Tensor, weight: float, slope: float) -> Tensor:
+    """weight * leaky_relu(new, slope) + (1 - weight) * old.
+
+    The same float operations, in the same order, as that chain of
+    leaky_relu, two scalar_mul and add, as one record that keeps one bool
+    mask instead of three intermediate arrays.
+    """
+    if new.shape != old.shape:
+        raise ShapeMismatch(f"residual_mix {new.shape} vs {old.shape}")
+    _check_slope(slope)
+    w, w_old = float(weight), float(1.0 - weight)
+    nd = new.data
+    keep = nd >= 0.0
+    out = np.maximum(nd, slope * nd)
+    out *= w
+    out += old.data * w_old
+
+    def bw(g: Array):
+        return (g * w) * np.maximum(keep, slope), g * w_old
+
+    return _result(out, (new, old), bw)
 
 
 def masked_softmax_rows(x: Tensor, mask) -> Tensor:

@@ -5,6 +5,13 @@ replays the records in exact reverse order and accumulates gradients
 additively. A record keeps its output's shape, not the output: a forward
 array stays alive only while the caller holds its tensor or a backward
 closure saved it. A tape is one-shot: replaying it twice is an error.
+
+A backward closure returns, for each input, None, a fresh array, its `g`,
+or a view of `g`; never an array its forward saved. A fresh float64
+array of the input's shape that no other returned array overlaps becomes
+the input slot's gradient as it is, and later gradients of that slot are
+added into it in place, so an array the closure still reads would be
+corrupted. Anything else is copied first.
 """
 from __future__ import annotations
 
@@ -26,6 +33,18 @@ def _as_matrix(data) -> Array:
     elif arr.ndim != 2:
         raise ShapeMismatch(f"tensors are 2-D, got ndim={arr.ndim}")
     return arr
+
+
+def _owned(grad: Array, g: Array, outs: tuple, shape: tuple[int, int]) -> bool:
+    """Whether a closure's `grad` may become a slot's first gradient uncopied.
+
+    It must be a writable float64 array of the slot's shape that shares no
+    memory with the closure's `g` or with another array the closure
+    returned (an array returned for two inputs overlaps itself twice).
+    """
+    return (grad.dtype == np.float64 and grad.shape == shape and grad.flags.writeable
+            and not np.may_share_memory(grad, g)
+            and sum(o is not None and np.may_share_memory(o, grad) for o in outs) == 1)
 
 
 def _sum_into(held: Array | None, g: Array, shape: tuple[int, int]) -> Array:
@@ -146,8 +165,12 @@ def backward(tape: Tape, loss: Tensor) -> None:
     """Accumulate d(loss)/d(input) into every leaf tensor's grad.
 
     `loss` must be 1x1. Gradients of recorded outputs live in a list
-    indexed by slot, summed as `Tensor.accumulate_grad` sums; only leaves
-    get theirs through it. The walk drops each record from the tape, with
+    indexed by slot, summed as `Tensor.accumulate_grad` sums, except that a
+    fresh array a closure returns becomes its slot's first gradient without
+    a copy (see the module docstring for what a closure may return); only
+    leaves get theirs through `accumulate_grad`, which still copies, so a
+    leaf's gradient never holds -0.0 or an array a closure returned. The
+    walk drops each record from the tape, with
     its closure and the forward arrays the closure saved (`len(tape)`
     still counts them), and each slot's gradient once the closure has
     read it, so afterwards only leaf tensors hold a gradient. Tensors
@@ -170,11 +193,16 @@ def backward(tape: Tape, loss: Tensor) -> None:
         g, grads[k] = grads[k], None
         if g is None:
             continue
-        for ref, grad in zip(refs, backward_fn(g)):
+        outs = backward_fn(g)
+        for ref, grad in zip(refs, outs):
             if ref is None or grad is None:
                 continue
             if type(ref) is int:
-                grads[ref] = _sum_into(grads[ref], grad, records[ref][0])
+                shape, held = records[ref][0], grads[ref]
+                if held is None and _owned(grad, g, outs, shape):
+                    grads[ref] = grad
+                else:
+                    grads[ref] = _sum_into(held, grad, shape)
             else:
                 ref.accumulate_grad(grad)
 

@@ -93,6 +93,7 @@ def train(graph: BiGraph, tasks, config: ModelConfig, ps: ParamSet | None = None
             if embs is None:
                 embs, _ = forward(graph, config, ps, training=True, rng=drop_rng)
             loss = _total_loss(tasks, embs, ps, config, "train", neg_rng, train_labels)
+        embs = None  # the loss's closures saved what the backward reads
         train_loss = float(loss.data[0, 0])
         if not np.isfinite(train_loss):
             raise DivergedLoss(f"train loss became {train_loss} at epoch {epoch + 1}")
@@ -118,6 +119,9 @@ def train(graph: BiGraph, tasks, config: ModelConfig, ps: ParamSet | None = None
             result.best_val_ndcg = val_ndcg
             result.best_val_loss = val_loss
             result.best_params = ps.snapshot()
+        # only reuse reads this forward again (through `embs`); otherwise
+        # its arrays would stay alive through the next epoch's step
+        del val_embs, embs_data
     ps.load(result.best_params)
     return ps, result
 

@@ -13,8 +13,15 @@ differences. `metrics.kmeans` must match it bit for bit.
 `weighted_sum_rows` is the edge reduction as it was before it streamed
 its degree groups in pieces: it gathers the whole [E, d] block of source
 rows once and keeps it for the backward. `backward` is the tape walk as
-it was before it dropped spent gradients and spent records. The
-package's versions must match both bit for bit.
+it was before it dropped spent gradients and spent records, and before
+it kept a closure's fresh arrays uncopied. The package's versions must
+match both bit for bit.
+
+`leaky_layer_norm` and `residual_mix` are the op chains that
+`ops.layer_norm(..., slope=...)` and `ops.residual_mix` replaced: a
+layer norm then a `leaky_relu`, and `leaky_relu`, two `scalar_mul` and
+an `add`. The fused primitives must match them bit for bit, in value
+and in every gradient.
 
 `frozen_graph`, `build_plan`, `build_graph` and `generate` are graph
 set-up as it was before it sorted instead of hashing: `np.unique` on the
@@ -329,6 +336,17 @@ def weighted_sum_rows(weights, values, sources, layout):
         return gw, gv
 
     return ops._result(out, (weights, values), bw)
+
+
+def leaky_layer_norm(x, gain, bias, runs=None, slope=0.2):
+    """leaky_relu(layer_norm(x, gain, bias, runs), slope) as two records."""
+    return ops.leaky_relu(ops.layer_norm(x, gain, bias, runs), slope)
+
+
+def residual_mix(new, old, weight, slope):
+    """weight * leaky_relu(new, slope) + (1 - weight) * old as four records."""
+    return ops.add(ops.scalar_mul(ops.leaky_relu(new, slope), weight),
+                   ops.scalar_mul(old, 1.0 - weight))
 
 
 def backward(tape, loss) -> list:

@@ -10,8 +10,8 @@ import pytest
 from duograph import ops
 from duograph.errors import ConfigShapeMismatch, NoLabeledNodes
 from duograph.graph import NodeType
-from duograph.model import (ModelConfig, RankInstance, TaskKind, TaskSpec, _draw_negatives,
-                            classification_scores, forward, ranking_scores,
+from duograph.model import (ORDERINGS, VARIANTS, ModelConfig, RankInstance, TaskKind, TaskSpec,
+                            _draw_negatives, classification_scores, forward, ranking_scores,
                             task_loss, task_scores)
 from duograph.params import ParamSet, build_params
 from duograph.rand import rng_for
@@ -141,8 +141,19 @@ def _watched(fn, spent, alive):
 
 class TestBackwardWalk:
     def test_spent_gradients_are_freed_and_parameter_gradients_unchanged(self):
+        self._check_walk("full", "standard")
+
+    @pytest.mark.parametrize("variant, ordering", [
+        (v, o) for v in VARIANTS for o in ORDERINGS if (v, o) != ("full", "standard")])
+    def test_every_variant_and_ordering(self, variant, ordering):
+        # every stage's closures, the fused norm-activation and residual
+        # primitives included, hand the walk arrays it may keep uncopied
+        self._check_walk(variant, ordering)
+
+    @staticmethod
+    def _check_walk(variant, ordering):
         graph, tasks = generate(SynthConfig(**ACCEPT_SYNTH))
-        config = ModelConfig(seed=0, **ACCEPT_MODEL)
+        config = ModelConfig(seed=0, variant=variant, ordering=ordering, **ACCEPT_MODEL)
         ps = build_params(graph, config, tasks)
         grads, held, peak, live = [], [], [], []
         for walk in (reference.backward, backward):

@@ -434,6 +434,35 @@ class TestPrimitiveGradients:
         for (_, _, gg, gb), gn, bs in zip(want, gains, biases):
             assert np.array_equal(gn.grad, gg) and np.array_equal(bs.grad, gb)
 
+    def test_layer_norm_with_slope(self):
+        check_op_gradient(lambda x, g, b: ops.layer_norm(x, g, b, slope=0.2),
+                          [_param((4, 5)), _param((1, 5), low=0.5, high=1.5),
+                           _param((1, 5), low=-0.5, high=0.5)])
+
+    def test_layer_norm_runs_with_slope(self):
+        runs = (slice(0, 2), slice(2, 2), slice(2, 5))
+        check_op_gradient(
+            lambda x, g0, g1, g2, b0, b1, b2: ops.layer_norm(x, [g0, g1, g2], [b0, b1, b2],
+                                                             runs, slope=0.3),
+            [_param((5, 4))] + [_param((1, 4), low=0.5, high=1.5) for _ in range(3)]
+            + [_param((1, 4), low=-0.5, high=0.5) for _ in range(3)])
+
+    def test_residual_mix(self):
+        check_op_gradient(lambda new, old: ops.residual_mix(new, old, 0.7, 0.2),
+                          [_param((4, 3)), _param((4, 3))])
+
+    @pytest.mark.parametrize("slope", [0.0, 1.0, -0.2])
+    def test_fused_primitives_check_the_slope(self, slope):
+        x, gain, bias = Tensor(np.ones((2, 3))), Tensor(np.ones((1, 3))), Tensor(np.ones((1, 3)))
+        with pytest.raises(ShapeMismatch):
+            ops.layer_norm(x, gain, bias, slope=slope)
+        with pytest.raises(ShapeMismatch):
+            ops.residual_mix(x, x, 0.5, slope)
+
+    def test_residual_mix_shape_check(self):
+        with pytest.raises(ShapeMismatch):
+            ops.residual_mix(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3))), 0.5, 0.2)
+
     @pytest.mark.parametrize("runs", [(slice(0, 2), slice(3, 5)), (slice(0, 4),),
                                       (slice(0, 2), slice(2, 6))])
     def test_layer_norm_runs_must_cover_rows(self, runs):
@@ -765,6 +794,192 @@ class TestWeightedSumRows:
             plan = graph.message_plan(name, target)
             if plan.n_edges:
                 _check_against_oracle(plan.offsets, plan.sources, sizes[source])
+
+
+def _value_and_grads(fn, tensors, g):
+    """Bytes of fn(*tensors) and of each tensor's gradient of sum(fn(*tensors) * g)."""
+    for t in tensors:
+        t.zero_grad()
+    with Tape() as tape:
+        y = fn(*tensors)
+        loss = ops.sum_all(ops.mul(y, ops.constant(g)))
+    backward(tape, loss)
+    return y.data.tobytes(), [t.grad.tobytes() for t in tensors]
+
+
+def _each_frozen(tensors):
+    """Yield once with every tensor requiring grad, then once with each one frozen in turn."""
+    for frozen in (None, *tensors):
+        for t in tensors:
+            t.requires_grad = t is not frozen
+        yield
+
+
+class TestFusedPrimitives:
+    """`layer_norm(..., slope=...)` and `residual_mix` against the op chains
+    they replaced (tests/reference.py), bit for bit in value and gradients."""
+
+    @pytest.mark.parametrize("sizes", [None, (7,), (3, 0, 4, 2)])
+    def test_layer_norm_with_slope_matches_norm_then_leaky_relu(self, sizes):
+        rng = np.random.default_rng(40)
+        k = 1 if sizes is None else len(sizes)
+        n, d = (7 if sizes is None else sum(sizes)), 6
+        x = Tensor(rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 4, size=(n, 1)))
+        gains = [Tensor(rng.uniform(-1.5, 1.5, (1, d))) for _ in range(k)]
+        biases = [Tensor(rng.uniform(-0.5, 0.5, (1, d))) for _ in range(k)]
+        for gn, bs in zip(gains, biases):
+            gn.data[0, 0], bs.data[0, 0] = 0.0, 0.0    # outputs of exactly +0.0: the kink
+            gn.data[0, 1], bs.data[0, 1] = 0.0, -0.0   # and of -0.0 where xhat < 0
+        g = rng.standard_normal((n, d))
+        g[0, :2] = (0.0, -0.0)
+        if sizes is None:
+            runs, gain, bias = None, gains[0], biases[0]
+        else:
+            ends = np.cumsum(sizes)
+            runs = [slice(int(e - s), int(e)) for s, e in zip(sizes, ends)]
+            gain, bias = gains, biases
+        tensors = [x, *gains, *biases]
+        for _ in _each_frozen(tensors):
+            fused = _value_and_grads(
+                lambda *_: ops.layer_norm(x, gain, bias, runs, slope=0.2), tensors, g)
+            chain = _value_and_grads(
+                lambda *_: reference.leaky_layer_norm(x, gain, bias, runs, slope=0.2), tensors, g)
+            assert fused == chain
+
+    @pytest.mark.parametrize("weight", [0.0, 0.35, 1.0])
+    def test_residual_mix_matches_the_four_op_chain(self, weight):
+        rng = np.random.default_rng(41)
+        new = Tensor(rng.standard_normal((5, 4)))
+        old = Tensor(rng.standard_normal((5, 4)))
+        new.data[0] = (0.0, -0.0, 1e-300, -1e-300)
+        g = rng.standard_normal((5, 4))
+        g[1, :2] = (0.0, -0.0)
+        for _ in _each_frozen([new, old]):
+            fused = _value_and_grads(lambda a, b: ops.residual_mix(a, b, weight, 0.2),
+                                     [new, old], g)
+            chain = _value_and_grads(lambda a, b: reference.residual_mix(a, b, weight, 0.2),
+                                     [new, old], g)
+            assert fused == chain
+
+    def test_residual_mix_records_one_op(self):
+        new, old = _param((3, 2)), _param((3, 2))
+        with Tape() as tape:
+            ops.residual_mix(new, old, 0.5, 0.2)
+        assert len(tape) == 1
+
+
+def _spied(tape) -> dict:
+    """Wrap every closure on `tape`; the walk then fills {slot: (g, copy of g, outputs)}."""
+    seen = {}
+
+    def spy(k, fn):
+        def wrapped(g):
+            outs = fn(g)
+            seen[k] = (g, g.copy(), outs)
+            return outs
+        return wrapped
+
+    tape._records[:] = [(shape, refs, spy(k, fn))
+                        for k, (shape, refs, fn) in enumerate(tape._records)]
+    return seen
+
+
+def _one_array_twice(x: Tensor, y: Tensor) -> Tensor:
+    """x + y, whose closure returns one fresh array as both inputs' gradient."""
+    def bw(g):
+        both = g * 1.0
+        return both, both
+
+    return ops._result(x.data + y.data, (x, y), bw)
+
+
+class TestGradientHandoff:
+    """A fresh array a closure returns becomes its slot's first gradient as it
+    is; `g`, views of `g` and an array returned twice are still copied."""
+
+    def test_fresh_array_reaches_the_next_closure_uncopied(self):
+        x = _param((3, 2))
+        with Tape() as tape:
+            a = ops.scalar_mul(x, 3.0)   # slot 0
+            b = ops.scalar_mul(a, 2.0)   # slot 1
+            loss = ops.sum_all(b)        # slot 2
+        seen = _spied(tape)
+        backward(tape, loss)
+        assert seen[1][0] is seen[2][2][0]
+        assert seen[0][0] is seen[1][2][0]
+        # a leaf still copies what it is handed
+        assert not np.may_share_memory(x.grad, seen[0][2][0])
+        assert x.grad.tolist() == np.full((3, 2), 6.0).tolist()
+
+    def test_kept_gradient_keeps_zero_signs_until_a_leaf_clears_them(self):
+        x = _param((1, 3))
+        with Tape() as tape:
+            s = ops.scalar_mul(x, 1.0)
+            loss = ops.sum_all(ops.mul(s, ops.constant([[-0.0, 2.0, 0.0]])))
+        seen = _spied(tape)
+        backward(tape, loss)
+        assert np.signbit(seen[0][0][0, 0])   # the slot kept mul's -0.0
+        assert x.grad.tolist() == [[0.0, 2.0, 0.0]] and not np.signbit(x.grad).any()
+
+    @pytest.mark.parametrize("op, fold", [
+        (lambda s: ops.add(s, s), lambda g: g + g),
+        (lambda s: ops.concat_rows(s, s), lambda g: g[:3] + g[3:]),
+    ], ids=["add", "concat_rows"])
+    def test_g_and_its_views_are_copied_and_summed(self, op, fold):
+        x = _param((3, 2))
+        up = RNG.standard_normal((6, 2))
+        with Tape() as tape:
+            s = ops.scalar_mul(x, 1.0)   # slot 0
+            y = op(s)                    # slot 1
+            loss = ops.sum_all(ops.mul(y, ops.constant(up[:y.shape[0]])))
+        seen = _spied(tape)
+        backward(tape, loss)
+        (g_s, _, _), (g_y, g_y_then, _) = seen[0], seen[1]
+        assert not np.may_share_memory(g_s, g_y)
+        assert g_y.tobytes() == g_y_then.tobytes()   # the walk never added into g
+        assert g_s.tobytes() == fold(g_y).tobytes()
+
+    @pytest.mark.parametrize("leaf_first", [True, False])
+    def test_one_array_for_a_leaf_and_a_slot_is_copied(self, leaf_first):
+        x, p = _param((2, 3)), _param((2, 3))
+        up = RNG.standard_normal((2, 3))
+        grads = []
+        for walk in (reference.backward, backward):
+            x.zero_grad()
+            p.zero_grad()
+            with Tape() as tape:
+                s = ops.scalar_mul(x, 1.0)                         # slot 0
+                t = ops.scalar_mul(s, 5.0)                         # slot 1
+                y = _one_array_twice(p, s) if leaf_first else _one_array_twice(s, p)
+                loss = ops.add(ops.sum_all(ops.mul(y, ops.constant(up))), ops.sum_all(t))
+            seen = _spied(tape)
+            walk(tape, loss)
+            both = seen[2][2][0]
+            assert seen[0][0] is not both
+            assert both.tobytes() == seen[2][1].tobytes()    # nothing added into it
+            grads.append((x.grad.tobytes(), p.grad.tobytes()))
+        assert grads[0] == grads[1]
+        assert p.grad.tobytes() == up.tobytes()
+
+    def test_one_array_for_two_slots_is_copied(self):
+        x = _param((2, 3))
+        up = RNG.standard_normal((2, 3))
+        grads = []
+        for walk in (reference.backward, backward):
+            x.zero_grad()
+            with Tape() as tape:
+                s1 = ops.scalar_mul(x, 1.0)                        # slot 0
+                s2 = ops.scalar_mul(x, 2.0)                        # slot 1
+                t = ops.scalar_mul(s1, 5.0)                        # slot 2
+                y = _one_array_twice(s1, s2)                       # slot 3
+                loss = ops.add(ops.sum_all(ops.mul(y, ops.constant(up))), ops.sum_all(t))
+            seen = _spied(tape)
+            walk(tape, loss)
+            # s1's second gradient (from t) must not reach s2 through a shared array
+            assert seen[1][0].tobytes() == up.tobytes()
+            assert seen[0][0].tobytes() == (up + 5.0).tobytes()
+            grads.append(x.grad.tobytes())
+        assert grads[0] == grads[1]
 
 
 class TestLinearBackwardStructure:
