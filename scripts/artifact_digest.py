@@ -15,6 +15,13 @@ the same lines write the same bytes:
     python scripts/artifact_digest.py --src src > after.txt
     python scripts/artifact_digest.py --src ../parent/src > before.txt
     diff before.txt after.txt
+
+Some bytes depend on the BLAS thread count, so the script sets
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1 before
+numpy loads, unless the environment already sets them: two trees digested
+in different shells compare under one thread, and an explicit
+`OPENBLAS_NUM_THREADS=2 python scripts/artifact_digest.py ...` still
+digests under two.
 """
 from __future__ import annotations
 
@@ -26,6 +33,9 @@ import json
 import os
 import sys
 import tempfile
+
+for _threads in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_threads, "1")  # before duograph imports numpy
 
 SYNTH = {"n_papers": 40, "n_authors": 20, "n_venues": 2, "n_fields_l1": 2, "n_fields_l2": 3,
          "feature_dim": 6, "name_group_size": 3, "ad_distractors": 3, "seed": 5}

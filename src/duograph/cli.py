@@ -148,7 +148,7 @@ def _cmd_train(cfg, args) -> int:
     ps, result = train(graph, tasks, config)
     os.makedirs(args.out, exist_ok=True)
     save_tensors(os.path.join(args.out, "checkpoint.bin"),
-                 [(n, ps.get(n)) for n in ps.names()], meta=_fingerprint(graph, config))
+                 ps.named, meta=_fingerprint(graph, config))
     write_log(os.path.join(args.out, "train_log.jsonl"), result.log)
     resolved = {"model": config.to_dict(),
                 "synth": synth.to_dict() if synth is not None else None,

@@ -37,25 +37,22 @@ def gradcheck(seed: int, entries_per_tensor: int = 4, h: float = 1e-5):
     with Tape() as tape:
         loss = loss_value()
         backward(tape, loss)
-    analytic = {name: ps.get(name).grad.copy() for name in ps.names()}
+    analytic, vec = ps.grads(), ps.vector
 
     pick_rng = rng_for(seed, "gradcheck")
     worst, checked = 0.0, 0
-    for name in ps.names():
-        tensor = ps.get(name)
-        flat = tensor.data.reshape(-1)
-        count = min(entries_per_tensor, flat.size)
-        idx = pick_rng.choice(flat.size, size=count, replace=False)
-        for j in sorted(int(i) for i in idx):
-            orig = flat[j]
-            flat[j] = orig + h
+    for start, end in zip(ps.offsets, ps.offsets[1:]):
+        idx = pick_rng.choice(end - start, size=min(entries_per_tensor, end - start), replace=False)
+        for j in sorted(start + int(i) for i in idx):
+            orig = vec[j]
+            vec[j] = orig + h
             up = float(loss_value().data[0, 0])
-            flat[j] = orig - h
+            vec[j] = orig - h
             down = float(loss_value().data[0, 0])
-            flat[j] = orig
+            vec[j] = orig
             fd = (up - down) / (2.0 * h)
-            an = float(analytic[name].reshape(-1)[j])
+            an = float(analytic[j])
             scale = max(abs(an), abs(fd), 1e-6)
             worst = max(worst, abs(an - fd) / scale)
             checked += 1
-    return worst, checked, len(ps.names())
+    return worst, checked, len(ps.named)

@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from . import inter, intra, ops
-from .errors import ConfigShapeMismatch, NoLabeledNodes, check_fields
+from .errors import ConfigShapeMismatch, NoLabeledNodes, NodeOutOfRange, check_fields
 from .graph import BiGraph, NodeType
 from .intra import AttentionRecord, FusionRecord
 from .params import (STAGES, TYPES, ParamSet, Stage, input_proj, layer_param,
@@ -150,10 +150,18 @@ class TaskSpec:
     def split_ids(self, split: str) -> np.ndarray:
         return np.asarray(self.splits.get(split, np.empty(0, dtype=np.int64)), dtype=np.int64)
 
-    def label_matrix(self, ids) -> np.ndarray:
+    def label_matrix(self, ids, n_nodes: int) -> np.ndarray:
+        """0/1 class rows of `ids`, each a labelled node below `n_nodes`."""
         out = np.zeros((len(ids), self.n_classes))
-        for row, node in enumerate(ids):
-            for c in self.labels[int(node)]:
+        for row, node in enumerate(map(int, ids)):
+            at = f"task {self.name!r}: node {node}"
+            if not 0 <= node < n_nodes:
+                raise NodeOutOfRange(f"{at} outside [0, {n_nodes})")
+            if node not in self.labels:
+                raise NoLabeledNodes(f"{at} has no labels")
+            for c in self.labels[node]:
+                if not 0 <= c < self.n_classes:
+                    raise ConfigShapeMismatch(f"{at} has class {c} outside [0, {self.n_classes})")
                 out[row, c] = 1.0
         return out
 
@@ -275,10 +283,9 @@ def task_loss(task: TaskSpec, embs: dict, ps: ParamSet, config: ModelConfig,
     ids = task.split_ids(split)
     if ids.size == 0:
         raise NoLabeledNodes(f"task {task.name!r} has no labeled nodes in split {split!r}")
-    m = ids.size
-    logits = ops.matmul(ops.gather_rows(embs[task.target_type], ids),
-                        ps.get(task_param(task, "weight")))
-    y = ops.constant(task.label_matrix(ids) if labels is None else labels)
+    m, emb = ids.size, embs[task.target_type]
+    y = ops.constant(task.label_matrix(ids, emb.shape[0]) if labels is None else labels)
+    logits = ops.matmul(ops.gather_rows(emb, ids), ps.get(task_param(task, "weight")))
     if task.kind is TaskKind.SINGLE_LABEL:
         return _softmax_xent(logits, y, config)
     # multi-label: per-class binary cross-entropy via the softplus identity
@@ -390,4 +397,5 @@ def task_scores(task: TaskSpec, embs_data: dict, ps: ParamSet,
     emb = embs_data[task.target_type]
     if task.kind is TaskKind.LINK_RANKING:
         return ranking_scores(task, emb, embs_data[task.target_type.other], ps, ids)
-    return classification_scores(task, emb, ps, ids), task.label_matrix(ids) > 0
+    relevant = task.label_matrix(ids, emb.shape[0]) > 0
+    return classification_scores(task, emb, ps, ids), relevant

@@ -6,7 +6,6 @@ import math
 import numpy as np
 
 from .errors import StepOutOfRange
-from .tensor import Tensor
 
 
 class AdamW:
@@ -14,40 +13,34 @@ class AdamW:
 
     Decay shrinks each parameter by lr*weight_decay*param before the
     moment-based update, so decay strength does not pass through the
-    adaptive denominators.
+    adaptive denominators. `vector` (a ParamSet's) is updated in place,
+    one whole-vector operation at a time.
     """
 
-    def __init__(self, params: list[tuple[str, Tensor]], beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 0.0):
-        self.params = list(params)
+    def __init__(self, vector: np.ndarray, beta1: float = 0.9, beta2: float = 0.999,
+                 eps: float = 1e-8, weight_decay: float = 0.0):
+        self.vector = vector
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
-        self._m = {name: np.zeros_like(t.data) for name, t in self.params}
-        self._v = {name: np.zeros_like(t.data) for name, t in self.params}
+        self._m = np.zeros_like(vector)
+        self._v = np.zeros_like(vector)
 
-    def zero_grad(self) -> None:
-        for _, t in self.params:
-            t.zero_grad()
-
-    def step(self, lr: float) -> None:
+    def step(self, lr: float, grads: np.ndarray) -> None:
+        """One update from `grads`, laid out as `vector`."""
         self.step_count += 1
-        t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
-        for name, p in self.params:
-            if self.weight_decay:
-                p.data -= lr * self.weight_decay * p.data
-            g = p.grad
-            m = self._m[name]
-            v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        bc1 = 1.0 - self.beta1 ** self.step_count
+        bc2 = 1.0 - self.beta2 ** self.step_count
+        p, m, v = self.vector, self._m, self._v
+        if self.weight_decay:
+            p -= lr * self.weight_decay * p
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grads
+        v *= self.beta2
+        v += (1.0 - self.beta2) * (grads * grads)
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
 def cosine_lr(step: int, total: int, lr_max: float, lr_min: float) -> float:

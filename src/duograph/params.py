@@ -1,8 +1,9 @@
 """Parameter schema and construction for every model variant.
 
-Parameters live in a flat named list whose order is fixed by the graph
-schema and config, so checkpoints, the optimizer, and gradient checks all
-see the same layout. Names double as the checkpoint header keys.
+Parameters live in one float64 vector, as named tensor views whose order
+is fixed by the graph schema and config, so checkpoints, the optimizer,
+and gradient checks all see the same layout. Names double as the
+checkpoint header keys.
 
 `STAGES` is the stage table: one row per stage kind (`intra`, `inter`,
 and the `unified` stage of the no-dual variant), each node-level
@@ -13,6 +14,7 @@ same rows and naming functions, so every name is spelled once.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -92,34 +94,45 @@ def task_param(task, key: str) -> str:
     return f"head.{task.name}.{key}"
 
 
-class ParamSet:
-    def __init__(self):
-        self.named: list[tuple[str, Tensor]] = []
-        self._index: dict[str, Tensor] = {}
+def _by_name(named: list, repeated: str) -> dict:
+    """`dict(named)`; a name given twice raises ConfigShapeMismatch(`repeated`)."""
+    twice = [name for name, count in Counter(n for n, _ in named).items() if count > 1]
+    if twice:
+        raise ConfigShapeMismatch(repeated.format(twice[0]))
+    return dict(named)
 
-    def add(self, name: str, data: np.ndarray) -> Tensor:
-        if name in self._index:
-            raise ConfigShapeMismatch(f"parameter {name!r} created twice")
-        t = Tensor(data, requires_grad=True)
-        self.named.append((name, t))
-        self._index[name] = t
-        return t
+
+class ParamSet:
+    """Named parameter tensors whose `data` are views into one float64 `vector`, tensor k
+    at `vector[offsets[k]:offsets[k + 1]]`; write `data` in place, never rebind it."""
+
+    def __init__(self, named_arrays):
+        self.named = [(name, Tensor(data, requires_grad=True)) for name, data in named_arrays]
+        self._index = _by_name(self.named, "parameter {!r} created twice")
+        self.vector = np.concatenate([np.zeros(0)] + [t.data.ravel() for _, t in self.named])
+        self.offsets = np.cumsum([0] + [t.data.size for _, t in self.named])
+        for (_, t), start in zip(self.named, self.offsets):
+            t.data = self.vector[start:start + t.data.size].reshape(t.data.shape)
 
     def get(self, name: str) -> Tensor:
         return self._index[name]
 
-    def names(self) -> list[str]:
-        return [n for n, _ in self.named]
+    def grads(self) -> np.ndarray:
+        """Every tensor's gradient, laid out as `vector`."""
+        return np.concatenate([np.zeros(0)] + [t.grad.ravel() for _, t in self.named])
 
-    def snapshot(self) -> list[tuple[str, np.ndarray]]:
-        return [(n, t.data.copy()) for n, t in self.named]
+    def zero_grad(self) -> None:
+        for _, t in self.named:
+            t.zero_grad()
+
+    def snapshot(self) -> np.ndarray:
+        return self.vector.copy()
 
     def load(self, named_arrays) -> None:
-        """Overwrite parameter data in place; shapes and names must match."""
-        arrays = dict(named_arrays)
-        if set(arrays) != set(self._index):
-            missing = set(self._index) - set(arrays)
-            extra = set(arrays) - set(self._index)
+        """Copy checkpoint arrays into the vector once every name and shape matches."""
+        arrays = _by_name(list(named_arrays), "checkpoint holds parameter {!r} twice")
+        if arrays.keys() != self._index.keys():
+            missing, extra = self._index.keys() - arrays.keys(), arrays.keys() - self._index.keys()
             raise ConfigShapeMismatch(
                 f"checkpoint names disagree (missing {sorted(missing)}, extra {sorted(extra)})")
         for name, t in self.named:
@@ -127,7 +140,7 @@ class ParamSet:
             if arr.shape != t.data.shape:
                 raise ConfigShapeMismatch(
                     f"parameter {name!r}: checkpoint shape {arr.shape} != {t.data.shape}")
-            t.data = arr.copy()
+        self.vector[...] = np.hstack([np.zeros(0)] + [np.ravel(arrays[n]) for n in self._index])
 
 
 def _glorot(rng, fan_in: int, fan_out: int) -> np.ndarray:
@@ -148,37 +161,31 @@ def build_params(graph: BiGraph, config, tasks=()) -> ParamSet:
             f"config input_dim {d_in} != graph feature dim {graph.feature_dim}")
     d = config.hidden_dim
     rng = rng_for(config.seed, "init")
-    ps = ParamSet()
+    named = []  # (name, initial value) in draw order
 
     if config.num_layers == 0:
-        for t in TYPES:
-            ps.add(input_proj(t), _glorot(rng, d_in, d))
+        named += [(input_proj(t), _glorot(rng, d_in, d)) for t in TYPES]
     stages = ("unified",) if config.variant == "no-dual" else ("intra", "inter")
     for layer in range(config.num_layers):
         width = d_in if layer == 0 else d
-        for t in TYPES:
-            ps.add(layer_param(layer, t, "proj"), _glorot(rng, width, d))
+        named += [(layer_param(layer, t, "proj"), _glorot(rng, width, d)) for t in TYPES]
         for kind in stages:
-            _add_stage(ps, rng, graph, STAGES[kind], layer, d, config.variant)
+            _add_stage(named, rng, graph, STAGES[kind], layer, d, config.variant)
         if config.ordering == "parallel" and config.variant != "no-dual":
-            for t in TYPES:
-                ps.add(layer_param(layer, t, "merge"), _glorot(rng, 2 * d, d))
-    _add_heads(ps, rng, d, tasks)
-    return ps
+            named += [(layer_param(layer, t, "merge"), _glorot(rng, 2 * d, d)) for t in TYPES]
+    _add_heads(named, rng, d, tasks)
+    return ParamSet(named)
 
 
-def _add_stage(ps: ParamSet, rng, graph: BiGraph, stage: Stage, layer: int, d: int,
+def _add_stage(named: list, rng, graph: BiGraph, stage: Stage, layer: int, d: int,
                variant: str) -> None:
     """One stage's parameters, in the draw order checkpoints were written with."""
     def add_attention(rel, t):
-        attn, gain, bias = stage.attn_names(layer, rel, t)
-        ps.add(attn, _attn_vec(rng, 2 * d))
-        ps.add(gain, np.ones((1, d)))
-        ps.add(bias, np.zeros((1, d)))
+        values = (_attn_vec(rng, 2 * d), np.ones((1, d)), np.zeros((1, d)))
+        named.extend(zip(stage.attn_names(layer, rel, t), values))
 
     if stage.mapped:
-        for t in TYPES:
-            ps.add(layer_param(layer, t, "common_map"), _glorot(rng, d, d))
+        named += [(layer_param(layer, t, "common_map"), _glorot(rng, d, d)) for t in TYPES]
     if stage.relation_major:  # the relation list is then the same for both classes
         for rel in stage.relations(graph, TYPES[0]):
             for t in TYPES:
@@ -190,20 +197,16 @@ def _add_stage(ps: ParamSet, rng, graph: BiGraph, stage: Stage, layer: int, d: i
                 add_attention(rel, t)
         score, global_logits, mix = stage.fusion_names(layer, t, variant)
         if score is not None:
-            ps.add(score, _attn_vec(rng, 2 * d))
+            named.append((score, _attn_vec(rng, 2 * d)))
         if global_logits is not None:
-            ps.add(global_logits, np.zeros((1, len(rels))))
-            ps.add(mix, np.zeros((1, 1)))
-        gain, bias = stage.residual_names(layer, t)
-        ps.add(gain, np.ones((1, d)))
-        ps.add(bias, np.zeros((1, d)))
+            named += [(global_logits, np.zeros((1, len(rels)))), (mix, np.zeros((1, 1)))]
+        named.extend(zip(stage.residual_names(layer, t), (np.ones((1, d)), np.zeros((1, d)))))
 
 
-def _add_heads(ps: ParamSet, rng, d: int, tasks) -> None:
+def _add_heads(named: list, rng, d: int, tasks) -> None:
     from .model import TaskKind
     for task in tasks:
         if task.kind is TaskKind.LINK_RANKING:
-            ps.add(task_param(task, "query"), _glorot(rng, d, d))
-            ps.add(task_param(task, "cand"), _glorot(rng, d, d))
+            named += [(task_param(task, key), _glorot(rng, d, d)) for key in ("query", "cand")]
         else:
-            ps.add(task_param(task, "weight"), _glorot(rng, d, task.n_classes))
+            named.append((task_param(task, "weight"), _glorot(rng, d, task.n_classes)))

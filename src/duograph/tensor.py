@@ -76,7 +76,7 @@ class Tensor:
 
     @classmethod
     def _wrap(cls, data: Array, requires_grad: bool) -> "Tensor":
-        # internal fast path: `data` is already a fresh 2-D float64 array
+        # op-result fast path: `data` is a fresh 2-D float64 array (parameters' are vector views)
         out = cls.__new__(cls)
         out.data = data
         out.requires_grad = requires_grad

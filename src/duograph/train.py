@@ -29,7 +29,7 @@ class TrainResult:
     best_epoch: int = -1
     best_val_ndcg: float = -1.0
     best_val_loss: float = float("inf")
-    best_params: list = field(default_factory=list)
+    best_params: np.ndarray | None = None  # the best epoch's `ParamSet.vector`
 
 
 def _mean_val_ndcg(tasks, ps: ParamSet, embs_data: dict, split: str) -> float:
@@ -43,11 +43,11 @@ def _mean_val_ndcg(tasks, ps: ParamSet, embs_data: dict, split: str) -> float:
     return float(np.mean(vals))
 
 
-def _label_matrices(tasks, split) -> list:
+def _label_matrices(graph: BiGraph, tasks, split) -> list:
     """Each classification task's `label_matrix` on `split`, None for a ranking
     task; aligned with `tasks`."""
-    return [None if task.kind is TaskKind.LINK_RANKING
-            else task.label_matrix(task.split_ids(split)) for task in tasks]
+    return [None if task.kind is TaskKind.LINK_RANKING else task.label_matrix(
+        task.split_ids(split), graph.n_nodes(task.target_type)) for task in tasks]
 
 
 def _total_loss(tasks, embs, ps, config, split, neg_rng, labels=None):
@@ -62,13 +62,6 @@ def _total_loss(tasks, embs, ps, config, split, neg_rng, labels=None):
     return total
 
 
-def _check_gradients(ps: ParamSet, epoch: int) -> None:
-    """Raise DivergedLoss naming the first parameter whose gradient is not finite."""
-    for name, t in ps.named:
-        if not np.isfinite(t.grad).all():
-            raise DivergedLoss(f"gradient of {name!r} became non-finite at epoch {epoch + 1}")
-
-
 def train(graph: BiGraph, tasks, config: ModelConfig, ps: ParamSet | None = None):
     """Train on the `train` split; returns (params, TrainResult).
 
@@ -76,19 +69,19 @@ def train(graph: BiGraph, tasks, config: ModelConfig, ps: ParamSet | None = None
     """
     if ps is None:
         ps = build_params(graph, config, tasks)
-    opt = AdamW(ps.named, weight_decay=config.weight_decay)
+    opt = AdamW(ps.vector, weight_decay=config.weight_decay)
     result = TrainResult()
     # Without dropout the training forward equals the evaluation forward of
     # the same weights, so each epoch's evaluation forward is recorded and
     # reused by the next epoch's step: one forward per parameter state.
     reuse = config.dropout == 0.0
     tape, embs = Tape(), None
-    train_labels, val_labels = _label_matrices(tasks, "train"), _label_matrices(tasks, "val")
+    train_labels, val_labels = (_label_matrices(graph, tasks, s) for s in ("train", "val"))
     for epoch in range(config.epochs):
         lr = cosine_lr(epoch, config.epochs, config.lr_max, config.lr_min)
         drop_rng = rng_for(config.seed, "dropout", epoch)
         neg_rng = rng_for(config.seed, "negatives", epoch)
-        opt.zero_grad()
+        ps.zero_grad()
         with tape:
             if embs is None:
                 embs, _ = forward(graph, config, ps, training=True, rng=drop_rng)
@@ -99,8 +92,12 @@ def train(graph: BiGraph, tasks, config: ModelConfig, ps: ParamSet | None = None
             raise DivergedLoss(f"train loss became {train_loss} at epoch {epoch + 1}")
         backward(tape, loss)
         tape = Tape()
-        _check_gradients(ps, epoch)
-        opt.step(lr)
+        grads = ps.grads()
+        if not np.isfinite(grads).all():  # name the owner of the first bad entry
+            k = np.searchsorted(ps.offsets, np.argmin(np.isfinite(grads)), side="right") - 1
+            raise DivergedLoss(f"gradient of {ps.named[k][0]!r} became non-finite "
+                               f"at epoch {epoch + 1}")
+        opt.step(lr, grads)
 
         with tape if reuse else nullcontext():
             val_embs, _ = forward(graph, config, ps, training=False)
@@ -122,7 +119,7 @@ def train(graph: BiGraph, tasks, config: ModelConfig, ps: ParamSet | None = None
         # only reuse reads this forward again (through `embs`); otherwise
         # its arrays would stay alive through the next epoch's step
         del val_embs, embs_data
-    ps.load(result.best_params)
+    ps.vector[...] = result.best_params
     return ps, result
 
 

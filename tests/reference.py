@@ -43,6 +43,10 @@ and one `rank_instance` (a hashing `np.unique`) per ranking query.
 `_validated_edges` is `build_graph`'s tuple path as it was before it
 checked the columns for types: `zip`, `map(int, ...)` and a per-edge
 replay of the checks on a malformed edge.
+
+`AdamW` is the optimizer as it was before parameters shared one vector:
+per-parameter moment dicts and ten numpy calls per tensor, reading each
+tensor's `grad`. `optim.AdamW` must match it bit for bit.
 """
 import os
 from dataclasses import dataclass
@@ -877,3 +881,34 @@ def import_dataset(directory):
             split_ids = {s: np.searchsorted(queries, q) for s, q in split_ids.items()}
         task.splits = split_ids
     return graph, tasks
+
+
+class AdamW:
+    """Per-tensor AdamW over `(name, Tensor)` pairs; `step(lr)` reads each `grad`."""
+
+    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0):
+        self.params = list(params)
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.weight_decay = weight_decay
+        self.step_count = 0
+        self._m = {name: np.zeros_like(t.data) for name, t in self.params}
+        self._v = {name: np.zeros_like(t.data) for name, t in self.params}
+
+    def step(self, lr: float) -> None:
+        self.step_count += 1
+        t = self.step_count
+        bc1 = 1.0 - self.beta1 ** t
+        bc2 = 1.0 - self.beta2 ** t
+        for name, p in self.params:
+            if self.weight_decay:
+                p.data -= lr * self.weight_decay * p.data
+            g = p.grad
+            m = self._m[name]
+            v = self._v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)

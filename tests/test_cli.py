@@ -8,6 +8,7 @@ import pytest
 
 from duograph.cli import _check_fingerprint, main
 from duograph.errors import ConfigShapeMismatch
+from duograph.tensor import Tensor, load_meta, load_tensors, save_tensors
 
 CONFIG = {
     "synth": {"n_papers": 28, "n_authors": 14, "n_venues": 2, "n_fields_l1": 2,
@@ -318,6 +319,17 @@ class TestCheckpointFingerprint:
             fh.write(json.dumps(bare).encode("utf-8") + b"\n" + payload)
         assert main(["eval", "--config", config_path, "--out", out]) == 1
         assert "has no 'variant' in its fingerprint" in capsys.readouterr().err
+
+    def test_parameter_named_twice_is_one_line(self, tmp_path, config_path, capsys):
+        # the checkpoint repeats its first tensor under its name, header and payload
+        out = self._train(tmp_path, config_path)
+        path = os.path.join(out, "checkpoint.bin")
+        named, meta = load_tensors(path), load_meta(path)
+        save_tensors(path, [(n, Tensor(a)) for n, a in [named[0], *named]], meta=meta)
+        capsys.readouterr()
+        assert main(["eval", "--config", config_path, "--out", out]) == 1
+        assert capsys.readouterr().err == ("error: ConfigShapeMismatch: checkpoint holds "
+                                           f"parameter {named[0][0]!r} twice\n")
 
     @pytest.mark.parametrize("entry", [["w", [2]], ["w", "ab"], ["w", [True, 1]]])
     def test_malformed_tensor_entry_is_one_line(self, tmp_path, config_path, capsys, entry):

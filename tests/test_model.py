@@ -157,8 +157,7 @@ class TestBackwardWalk:
         ps = build_params(graph, config, tasks)
         grads, held, peak, live = [], [], [], []
         for walk in (reference.backward, backward):
-            for name in ps.names():
-                ps.get(name).zero_grad()
+            ps.zero_grad()
             tape, loss = _gate_size_tape(ps, graph, tasks, config)
             n_records = len(tape)
             closures = [weakref.ref(fn) for _, _, fn in tape._records]
@@ -167,7 +166,7 @@ class TestBackwardWalk:
                                 for shape, refs, fn in tape._records]
             kept = walk(tape, loss)
             assert len(tape) == n_records
-            grads.append({name: ps.get(name).grad for name in ps.names()})
+            grads.append({name: t.grad for name, t in ps.named})
             held.append(sum(ref() is not None for ref in spent))
             peak.append(max(alive))
             live.append(sum(ref() is not None for ref in closures))
@@ -285,8 +284,7 @@ class TestLossOracles:
         # zero embeddings and zero head weights give uniform probabilities
         task = _single_label_task()
         config = _config(hidden_dim=4)
-        ps = ParamSet()
-        ps.add("head.pv.weight", np.zeros((4, 3)))
+        ps = ParamSet([("head.pv.weight", np.zeros((4, 3)))])
         loss = task_loss(task, _zero_embs(2, 4, 4), ps, config)
         assert loss.data[0, 0] == pytest.approx(np.log(3.0), abs=1e-15)
 
@@ -295,8 +293,7 @@ class TestLossOracles:
         task = TaskSpec(name="pv", kind=TaskKind.SINGLE_LABEL, target_type=NodeType.B,
                         n_classes=2, labels={0: (0,), 1: (0,)},
                         splits={"train": np.arange(2)})
-        ps = ParamSet()
-        ps.add("head.pv.weight", np.eye(2))
+        ps = ParamSet([("head.pv.weight", np.eye(2))])
         embs = {NodeType.B: ops.constant(np.eye(2))}
         loss = task_loss(task, embs, ps, _config(hidden_dim=2))
         # rows [1,0] and [0,1], both labeled 0:
@@ -307,8 +304,7 @@ class TestLossOracles:
     def test_temperature_divides_logits(self):
         task = TaskSpec(name="pv", kind=TaskKind.SINGLE_LABEL, target_type=NodeType.B,
                         n_classes=2, labels={0: (0,)}, splits={"train": np.arange(1)})
-        ps = ParamSet()
-        ps.add("head.pv.weight", np.eye(2))
+        ps = ParamSet([("head.pv.weight", np.eye(2))])
         embs = {NodeType.B: ops.constant(np.array([[2.0, 0.0]]))}
         loss = task_loss(task, embs, ps, _config(hidden_dim=2, temperature=2.0))
         # logits [2,0] scaled by 1/2 -> [1,0]; CE = ln(1+e) - 1
@@ -316,8 +312,7 @@ class TestLossOracles:
 
     def test_literal_temperature_adds_log_constant(self):
         task = _single_label_task()
-        ps = ParamSet()
-        ps.add("head.pv.weight", np.zeros((4, 3)))
+        ps = ParamSet([("head.pv.weight", np.zeros((4, 3)))])
         base = _config(hidden_dim=4, temperature=2.0)
         lit = _config(hidden_dim=4, temperature=2.0, literal_temperature=True)
         plain = task_loss(task, _zero_embs(2, 4, 4), ps, base).data[0, 0]
@@ -329,8 +324,7 @@ class TestLossOracles:
         task = TaskSpec(name="pf", kind=TaskKind.MULTI_LABEL, target_type=NodeType.B,
                         n_classes=3, labels={0: (0, 2), 1: (1,)},
                         splits={"train": np.arange(2)})
-        ps = ParamSet()
-        ps.add("head.pf.weight", np.zeros((4, 3)))
+        ps = ParamSet([("head.pf.weight", np.zeros((4, 3)))])
         loss = task_loss(task, _zero_embs(2, 4, 4), ps, _config(hidden_dim=4))
         assert loss.data[0, 0] == pytest.approx(np.log(2.0), abs=1e-15)
 
@@ -339,8 +333,7 @@ class TestLossOracles:
         # entries: softplus(1)-1, softplus(-1), softplus(0)
         task = TaskSpec(name="pf", kind=TaskKind.MULTI_LABEL, target_type=NodeType.B,
                         n_classes=3, labels={0: (0,)}, splits={"train": np.arange(1)})
-        ps = ParamSet()
-        ps.add("head.pf.weight", np.eye(3))
+        ps = ParamSet([("head.pf.weight", np.eye(3))])
         embs = {NodeType.B: ops.constant(np.array([[1.0, -1.0, 0.0]]))}
         loss = task_loss(task, embs, ps, _config(hidden_dim=3))
         expect = (np.log1p(np.e) - 1 + np.log1p(np.exp(-1)) + np.log(2.0)) / 3.0
@@ -351,9 +344,7 @@ class TestLossOracles:
         task = TaskSpec(name="ad", kind=TaskKind.LINK_RANKING, target_type=NodeType.A,
                         instances=inst, splits={"train": np.arange(2)})
         config = _config(hidden_dim=4, num_negatives=4)
-        ps = ParamSet()
-        ps.add("head.ad.query", np.zeros((4, 4)))
-        ps.add("head.ad.cand", np.zeros((4, 4)))
+        ps = ParamSet([("head.ad.query", np.zeros((4, 4))), ("head.ad.cand", np.zeros((4, 4)))])
         loss = task_loss(task, _zero_embs(2, 5, 4), ps, config, rng=rng_for(0, "n"))
         assert loss.data[0, 0] == pytest.approx(np.log(5.0), abs=1e-14)
 
@@ -361,16 +352,13 @@ class TestLossOracles:
         inst = [RankInstance.make(0, 1, [0])]
         task = TaskSpec(name="ad", kind=TaskKind.LINK_RANKING, target_type=NodeType.A,
                         instances=inst, splits={"train": np.arange(1)})
-        ps = ParamSet()
-        ps.add("head.ad.query", np.zeros((4, 4)))
-        ps.add("head.ad.cand", np.zeros((4, 4)))
+        ps = ParamSet([("head.ad.query", np.zeros((4, 4))), ("head.ad.cand", np.zeros((4, 4)))])
         with pytest.raises(NoLabeledNodes):
             task_loss(task, _zero_embs(1, 2, 4), ps, _config(hidden_dim=4))
 
     def test_empty_split_raises(self):
         task = _single_label_task()
-        ps = ParamSet()
-        ps.add("head.pv.weight", np.zeros((4, 3)))
+        ps = ParamSet([("head.pv.weight", np.zeros((4, 3)))])
         with pytest.raises(NoLabeledNodes):
             task_loss(task, _zero_embs(2, 4, 4), ps, _config(hidden_dim=4), split="test")
 
@@ -380,9 +368,7 @@ class TestLossOracles:
         task = TaskSpec(name="ad", kind=TaskKind.LINK_RANKING, target_type=NodeType.A,
                         instances=inst, splits={"train": np.arange(1)})
         config = _config(hidden_dim=2, num_negatives=6)
-        ps = ParamSet()
-        ps.add("head.ad.query", np.eye(2))
-        ps.add("head.ad.cand", np.eye(2))
+        ps = ParamSet([("head.ad.query", np.eye(2)), ("head.ad.cand", np.eye(2))])
         embs = {NodeType.A: ops.constant(np.array([[1.0, 0.0]])),
                 NodeType.B: ops.constant(np.array([[0.0, 5.0], [3.0, 0.0]]))}
         loss = task_loss(task, embs, ps, config, rng=rng_for(1, "n"))
@@ -395,9 +381,7 @@ class TestLossOracles:
         inst = [RankInstance.make(0, 0, [])]
         task = TaskSpec(name="ad", kind=TaskKind.LINK_RANKING, target_type=NodeType.A,
                         instances=inst, splits={"train": np.arange(1)})
-        ps = ParamSet()
-        ps.add("head.ad.query", np.zeros((4, 4)))
-        ps.add("head.ad.cand", np.zeros((4, 4)))
+        ps = ParamSet([("head.ad.query", np.zeros((4, 4))), ("head.ad.cand", np.zeros((4, 4)))])
         with pytest.raises(NoLabeledNodes, match="at least 2 B nodes"):
             task_loss(task, _zero_embs(1, 1, 4), ps, _config(hidden_dim=4), rng=rng_for(0, "n"))
 
@@ -429,8 +413,7 @@ class TestDrawNegatives:
 
 class TestEvalScores:
     def test_classification_scores_identity(self):
-        ps = ParamSet()
-        ps.add("head.pv.weight", np.eye(3))
+        ps = ParamSet([("head.pv.weight", np.eye(3))])
         task = TaskSpec(name="pv", kind=TaskKind.SINGLE_LABEL, target_type=NodeType.B,
                         n_classes=3, labels={}, splits={})
         emb = np.arange(12.0).reshape(4, 3)
@@ -438,9 +421,7 @@ class TestEvalScores:
         np.testing.assert_allclose(got, emb[[2, 0]], atol=0.0)
 
     def test_ranking_scores_candidate_order(self):
-        ps = ParamSet()
-        ps.add("head.ad.query", np.eye(2))
-        ps.add("head.ad.cand", np.eye(2))
+        ps = ParamSet([("head.ad.query", np.eye(2)), ("head.ad.cand", np.eye(2))])
         inst = RankInstance.make(0, 3, [1, 2])
         task = TaskSpec(name="ad", kind=TaskKind.LINK_RANKING, target_type=NodeType.A,
                         instances=[inst], splits={"test": np.arange(1)})
@@ -457,9 +438,8 @@ class TestEvalScores:
         # two instances of 3 and 2 candidates: the shorter row ends in a -inf
         # pad that is never relevant; real cells equal the per-instance scores
         rng = rng_for(2, "pads")
-        ps = ParamSet()
-        ps.add("head.ad.query", rng.standard_normal((3, 3)))
-        ps.add("head.ad.cand", rng.standard_normal((3, 3)))
+        ps = ParamSet([("head.ad.query", rng.standard_normal((3, 3))),
+                       ("head.ad.cand", rng.standard_normal((3, 3)))])
         insts = [RankInstance.make(1, 4, [0, 2]), RankInstance.make(0, 1, [3])]
         task = TaskSpec(name="ad", kind=TaskKind.LINK_RANKING, target_type=NodeType.A,
                         instances=insts)
@@ -475,8 +455,7 @@ class TestEvalScores:
         assert scores[1, 2] == -np.inf
 
     def test_task_scores_classification_relevance_is_label_set(self):
-        ps = ParamSet()
-        ps.add("head.pf.weight", np.eye(3))
+        ps = ParamSet([("head.pf.weight", np.eye(3))])
         task = TaskSpec(name="pf", kind=TaskKind.MULTI_LABEL, target_type=NodeType.B,
                         n_classes=3, labels={0: (0, 2), 1: (1,)})
         emb = np.arange(6.0).reshape(2, 3)

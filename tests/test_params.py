@@ -75,7 +75,7 @@ def test_layout_per_variant_and_ordering(tiny_graph, variant, ordering):
                          ordering=ordering)
     merge = MERGE if ordering == "parallel" and variant != "no-dual" else []
     expected = LAYOUTS[variant] + merge + HEADS
-    assert build_params(tiny_graph, config, TASKS).names() == expected
+    assert [n for n, _ in build_params(tiny_graph, config, TASKS).named] == expected
 
 
 def test_cross_attention_created_relation_major():
@@ -90,7 +90,7 @@ def test_cross_attention_created_relation_major():
     feats = {NodeType.A: np.zeros((2, 2)), NodeType.B: np.zeros((2, 2))}
     graph = build_graph({NodeType.A: 2, NodeType.B: 2}, feats, relations, [])
     ps = build_params(graph, ModelConfig(input_dim=2, hidden_dim=4, num_layers=1), [])
-    assert [n for n in ps.names() if n.startswith("layer0.inter.") and n.endswith(".attn")] == [
+    assert [n for n, _ in ps.named if n.startswith("layer0.inter.") and n.endswith(".attn")] == [
         "layer0.inter.reviewed.to_A.attn", "layer0.inter.reviewed.to_B.attn",
         "layer0.inter.wrote.to_A.attn", "layer0.inter.wrote.to_B.attn"]
 

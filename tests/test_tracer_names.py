@@ -100,7 +100,7 @@ def test_traced_tape_keeps_parameter_gradients():
             embs, _ = model.forward(graph, config, ps, training=True, rng=rng_for(3, "dropout"))
             loss = _total_loss(tasks, embs, ps, config, "train", neg_rng=rng_for(3, "neg"))
         backward(tape, loss)
-        return {name: ps.get(name).grad.tobytes() for name in ps.names()}
+        return {name: t.grad.tobytes() for name, t in ps.named}
 
     want = gradients()
     tracer = TRACER.Tracer()

@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 
 from duograph import ops
-from duograph.errors import DivergedLoss
+from duograph.errors import ConfigShapeMismatch, DivergedLoss, NoLabeledNodes, NodeOutOfRange
 from duograph.metrics import accuracy, mrr, ndcg, ranked_order
 from duograph.model import ModelConfig, RankInstance, TaskKind, forward
 from duograph.optim import AdamW, cosine_lr
 from duograph.params import build_params
 from duograph.rand import rng_for
 from duograph.synth import SynthConfig, generate
-from duograph.tensor import Tape, backward
+from duograph.tensor import Tape, backward, load_tensors, save_tensors
 from duograph.train import TrainResult, _total_loss, evaluate, train, write_log
 
 # the package re-exports the function train, which shadows the module name
@@ -38,9 +38,8 @@ class TestTrainLoop:
         ps1, res1 = train(graph, tasks, config)
         ps2, res2 = train(graph, tasks, config)
         assert res1.log == res2.log
-        for name in ps1.names():
-            a, b = ps1.get(name).data, ps2.get(name).data
-            assert np.array_equal(a, b), name
+        for (name, a), (_, b) in zip(ps1.named, ps2.named):
+            assert np.array_equal(a.data, b.data), name
 
     def test_reused_forward_matches_a_fresh_forward_per_step(self):
         # without dropout, train() records each epoch's evaluation forward and
@@ -49,9 +48,9 @@ class TestTrainLoop:
         config = replace(config, dropout=0.0)
         _, result = train(graph, tasks, config)
         ps = build_params(graph, config, tasks)
-        opt = AdamW(ps.named, weight_decay=config.weight_decay)
+        opt = AdamW(ps.vector, weight_decay=config.weight_decay)
         for epoch, entry in enumerate(result.log):
-            opt.zero_grad()
+            ps.zero_grad()
             with Tape() as tape:
                 embs, _ = forward(graph, config, ps, training=True,
                                   rng=rng_for(config.seed, "dropout", epoch))
@@ -59,7 +58,7 @@ class TestTrainLoop:
                                    rng_for(config.seed, "negatives", epoch))
             assert float(loss.data[0, 0]) == entry["train_loss"]
             backward(tape, loss)
-            opt.step(entry["lr"])
+            opt.step(entry["lr"], ps.grads())
             embs, _ = forward(graph, config, ps)
             val = _total_loss(tasks, embs, ps, config, "val",
                               rng_for(config.seed, "val-negatives"))
@@ -103,17 +102,18 @@ class TestTrainLoop:
     def test_returned_params_are_best_snapshot(self):
         graph, tasks, config = _problem()
         ps, result = train(graph, tasks, config)
-        for name, data in result.best_params:
-            assert np.array_equal(ps.get(name).data, data), name
+        assert result.best_params is not ps.vector
+        for (name, t), start in zip(ps.named, ps.offsets):
+            data = result.best_params[start:start + t.data.size].reshape(t.shape)
+            assert np.array_equal(t.data, data), name
 
     def test_resume_from_given_params(self):
         graph, tasks, config = _problem()
         ps = build_params(graph, config, tasks)
-        first = {n: ps.get(n).data.copy() for n in ps.names()}
+        first = {n: t.data.copy() for n, t in ps.named}
         out_ps, _ = train(graph, tasks, config, ps=ps)
         assert out_ps is ps
-        assert any(not np.array_equal(first[n], ps.get(n).data)
-                   for n in ps.names())
+        assert any(not np.array_equal(first[n], t.data) for n, t in ps.named)
 
     def test_diverged_loss_raises(self):
         graph, tasks, config = _problem()
@@ -142,8 +142,87 @@ class TestTrainLoop:
         monkeypatch.setattr(ops, "matmul", matmul)
         with pytest.raises(DivergedLoss, match=r"'layer0\.A\.proj' became non-finite at epoch 1$"):
             train(graph, tasks, config, ps=ps)
-        for (name, old), (_, new) in zip(before, ps.snapshot()):
-            assert np.array_equal(old, new), name
+        assert np.array_equal(before, ps.snapshot())
+
+    @pytest.mark.parametrize("entry", ["first", "middle", "last"])
+    def test_non_finite_gradient_names_the_owner_of_the_first_bad_entry(self, monkeypatch,
+                                                                         entry):
+        # one bad entry inside `layer0.B.proj` (neither the first tensor nor
+        # the last), and a later tensor wholly NaN: the error names the owner of
+        # the first bad entry of the whole gradient vector
+        graph, tasks, config = _problem()
+        ps = build_params(graph, config, tasks)
+        poisoned = ps.get("layer0.B.proj")
+        later = ps.get("head.pv.weight")
+        names = [n for n, _ in ps.named]
+        assert 0 < names.index("layer0.B.proj") < names.index("head.pv.weight")
+        flat = {"first": 0, "middle": poisoned.data.size // 2, "last": poisoned.data.size - 1}
+        real_matmul = ops.matmul
+
+        def matmul(x, w):
+            if w is not poisoned and w is not later:
+                return real_matmul(x, w)
+            xd, wd = x.data, w.data
+
+            def bw(g):
+                gw = xd.T @ g
+                if w is later:
+                    gw[:] = np.nan
+                else:
+                    gw.reshape(-1)[flat[entry]] = np.inf
+                return g @ wd.T, gw
+
+            return ops._result(xd @ wd, (x, w), bw)
+
+        monkeypatch.setattr(ops, "matmul", matmul)
+        with pytest.raises(DivergedLoss, match=r"'layer0\.B\.proj' became non-finite at epoch 1$"):
+            train(graph, tasks, config, ps=ps)
+
+    def test_parameters_stay_views_of_the_vector(self, tmp_path):
+        # after build_params, after a checkpoint load, and after train
+        graph, tasks, config = _problem()
+
+        def assert_views(ps):
+            for name, t in ps.named:
+                assert np.shares_memory(t.data, ps.vector), name
+
+        ps = build_params(graph, config, tasks)
+        assert_views(ps)
+        trained, _ = train(graph, tasks, config)
+        assert_views(trained)
+        path = str(tmp_path / "ckpt.bin")
+        save_tensors(path, trained.named)
+        ps.load(load_tensors(path))
+        assert_views(ps)
+        assert np.array_equal(ps.vector, trained.vector)
+        vector = ps.vector
+        train(graph, tasks, config, ps=ps)
+        assert ps.vector is vector
+        assert_views(ps)
+
+    def test_checkpoint_naming_a_parameter_twice_is_rejected(self, tmp_path):
+        graph, tasks, config = _problem()
+        ps = build_params(graph, config, tasks)
+        first, t0 = ps.named[0]
+        path = str(tmp_path / "ckpt.bin")
+        save_tensors(path, [(first, t0), (first, t0), *ps.named[1:]])
+        before = ps.snapshot()
+        with pytest.raises(ConfigShapeMismatch,
+                           match=f"checkpoint holds parameter '{first}' twice$"):
+            ps.load(load_tensors(path))
+        assert np.array_equal(before, ps.vector)
+
+    def test_checkpoint_with_a_wrong_shape_loads_nothing(self):
+        # a later tensor's shape fails: the earlier ones keep their values too
+        graph, tasks, config = _problem()
+        ps = build_params(graph, config, tasks)
+        named = [(n, np.ones_like(t.data)) for n, t in ps.named]
+        last, data = named[-1]
+        named[-1] = (last, np.ones((data.shape[0] + 1, data.shape[1])))
+        before = ps.snapshot()
+        with pytest.raises(ConfigShapeMismatch, match=f"parameter '{last}': checkpoint shape"):
+            ps.load(named)
+        assert np.array_equal(before, ps.vector)
 
     def test_write_log_round_trips(self, tmp_path):
         graph, tasks, config = _problem()
@@ -230,3 +309,48 @@ class TestEvaluate:
                 "acc": accuracy([ranked_order(s)[0] for s, _, _ in rows], [l for _, _, l in rows]),
             }
             assert report[task.name] == expected, task.name
+
+
+class TestBadLabels:
+    """A classification label that does not fit its task or graph raises a
+    typed error naming the task and the node, through `train`."""
+
+    @staticmethod
+    def _problem():
+        graph, tasks = generate(SynthConfig(n_papers=40, n_authors=20, seed=0))
+        config = ModelConfig(input_dim=graph.feature_dim, hidden_dim=4, num_layers=1,
+                             epochs=2, seed=0)
+        pv = next(t for t in tasks if t.name == "pv")
+        return graph, tasks, config, pv, int(pv.split_ids("train")[3])
+
+    def test_split_node_without_labels(self):
+        graph, tasks, config, pv, node = self._problem()
+        del pv.labels[node]
+        with pytest.raises(NoLabeledNodes, match=f"^task 'pv': node {node} has no labels$"):
+            train(graph, tasks, config)
+
+    @pytest.mark.parametrize("node", [40, -1])
+    def test_node_outside_the_graph(self, node):
+        graph, tasks, config, pv, _ = self._problem()
+        pv.labels[node] = (0,)
+        pv.splits["val"] = np.append(pv.split_ids("val"), node)
+        with pytest.raises(NodeOutOfRange, match=rf"^task 'pv': node {node} outside \[0, 40\)$"):
+            train(graph, tasks, config)
+
+    @pytest.mark.parametrize("too_high", [True, False])
+    def test_label_outside_the_classes(self, too_high):
+        graph, tasks, config, pv, node = self._problem()
+        n = pv.n_classes
+        label = n if too_high else -1
+        pv.labels[node] = (0, label)
+        with pytest.raises(ConfigShapeMismatch,
+                           match=rf"^task 'pv': node {node} has class {label} outside \[0, {n}\)$"):
+            train(graph, tasks, config)
+
+    def test_evaluate_checks_the_labels_it_scores(self):
+        graph, tasks, config, pv, _ = self._problem()
+        ps, _ = train(graph, tasks, config)
+        node = int(pv.split_ids("test")[0])
+        del pv.labels[node]
+        with pytest.raises(NoLabeledNodes, match=f"^task 'pv': node {node} has no labels$"):
+            evaluate(graph, tasks, ps, config)
