@@ -1,11 +1,14 @@
 """Print the SHA-256 of every artifact the duograph CLI writes at a tiny size.
 
 Runs `generate`, then `train`, `eval`, `export-attn` and `export-emb` on
-the generated dataset for every variant and ordering, and `ablate` once,
-in a temporary directory. It also runs `generate` for the acceptance
-gate's dataset (`ACCEPT_SYNTH` in tests/test_acceptance.py, 600 / 300)
-and for 3000 / 1500 papers and authors, both at seed 0, so the bytes of
-the gate's data and of a scale-sized dataset are pinned too. On that
+the generated dataset for every variant and ordering, and, for every
+ordering, once more with `extra_inter_residual` and once with
+`literal_temperature` at temperature 2.0 (two paths that read the stage
+row), then `ablate` once, in a temporary directory. It also runs
+`generate` for the acceptance gate's dataset (`ACCEPT_SYNTH` in
+tests/test_acceptance.py, 600 / 300) and for 3000 / 1500 papers and
+authors, both at seed 0, so the bytes of the gate's data and of a
+scale-sized dataset are pinned too. On that
 dataset it runs one epoch of `train`, then `export-attn` and `export-emb`,
 at d=64, where the edge reduction splits its degree groups into several
 pieces and the embedding table is at its widest. It prints
@@ -81,15 +84,25 @@ def main(argv=None) -> int:
         os.chdir(tmp)  # artifacts name the dataset by this relative path
         run("generate", "--config", _write_config("synth.json", {"synth": SYNTH}),
             "--out", "data")
-        config = _write_config("model.json", {"data": "data", "model": MODEL})
         runs = []
+
+        def pipeline(name, model, *flags):
+            config = _write_config(f"{name}.json", {"data": "data", "model": model})
+            out = os.path.join("runs", name)
+            for command in ("train", "eval", "export-attn", "export-emb"):
+                run(command, "--config", config, "--out", out, *flags)
+            runs.append(out)
+
         for variant in VARIANTS:
             for ordering in ORDERINGS:
-                out = os.path.join("runs", f"{variant}-{ordering}")
-                for command in ("train", "eval", "export-attn", "export-emb"):
-                    run(command, "--config", config, "--out", out,
-                        "--variant", variant, "--ordering", ordering)
-                runs.append(out)
+                pipeline(f"{variant}-{ordering}", MODEL,
+                         "--variant", variant, "--ordering", ordering)
+        for ordering in ORDERINGS:
+            pipeline(f"extra-residual-{ordering}", dict(MODEL, extra_inter_residual=True),
+                     "--ordering", ordering)
+            pipeline(f"literal-temperature-{ordering}",
+                     dict(MODEL, literal_temperature=True, temperature=2.0),
+                     "--ordering", ordering)
         run("ablate", "--config", _write_config(
             "ablate.json", {"synth": SYNTH, "model": MODEL, "seeds": [0, 1]}), "--out", "ablate")
         for name, synth in (("accept", ACCEPT_SYNTH), ("scale", SCALE_SYNTH)):

@@ -21,7 +21,7 @@ from .graph import (FLOAT_FMT, BiGraph, NodeType, concat_column, write_lines, wr
                     write_table)
 from .gradcheck import gradcheck
 from .model import VARIANTS, ORDERINGS, ModelConfig, TaskKind, forward
-from .params import ParamSet, build_params
+from .params import build_params
 from .synth import SynthConfig, export_dataset, generate, import_dataset
 from .tensor import load_meta, load_tensors, save_tensors
 from .train import evaluate, train, write_log
@@ -31,6 +31,13 @@ COMMANDS = ("generate", "train", "eval", "ablate", "gradcheck",
 
 GRADCHECK_TOL = 1e-3
 
+# the flags a command never reads; giving one is an error, not a silent no-op
+UNREAD_FLAGS = {
+    "generate": ("variant", "ordering", "compat_literal_temperature"),
+    "ablate": ("variant",),  # it runs every variant
+    "gradcheck": ("config", "out", "variant", "ordering", "compat_literal_temperature"),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="duograph")
@@ -38,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None)
-        p.add_argument("--out", default=".")
+        p.add_argument("--out", default=None)  # "." for commands that read it
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--variant", choices=VARIANTS, default=None)
         p.add_argument("--ordering", choices=ORDERINGS, default=None)
@@ -124,12 +131,15 @@ def _check_fingerprint(path, saved, expected: dict) -> None:
             f"checkpoint {path} was saved for {key} {got!r}, this run has {want!r}")
 
 
-def _load_checkpoint(cfg: dict, args, graph, tasks, config) -> ParamSet:
+def _trained_model(cfg: dict, args):
+    """(graph, tasks, config, params) of a checkpoint whose fingerprint matches the run."""
+    (graph, tasks), _ = _resolve_dataset(cfg, args)
+    config = _model_config(cfg, args, graph)
     path = cfg.get("checkpoint") or os.path.join(args.out, "checkpoint.bin")
     _check_fingerprint(path, load_meta(path), _fingerprint(graph, config))
     ps = build_params(graph, config, tasks)
     ps.load(load_tensors(path))
-    return ps
+    return graph, tasks, config, ps
 
 
 def _cmd_generate(cfg, args) -> int:
@@ -161,9 +171,7 @@ def _cmd_train(cfg, args) -> int:
 
 
 def _cmd_eval(cfg, args) -> int:
-    (graph, tasks), _ = _resolve_dataset(cfg, args)
-    config = _model_config(cfg, args, graph)
-    ps = _load_checkpoint(cfg, args, graph, tasks, config)
+    graph, tasks, config, ps = _trained_model(cfg, args)
     report = evaluate(graph, tasks, ps, config)
     os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "eval_report.json"), report)
@@ -174,8 +182,6 @@ def _cmd_eval(cfg, args) -> int:
 def _cmd_ablate(cfg, args) -> int:
     """Train and evaluate every variant for every seed of `seeds` on one dataset:
     the cell seeds steer only model randomness."""
-    if args.variant is not None:
-        raise InfeasibleConfig("ablate runs every variant; --variant does not apply")
     seeds = cfg.get("seeds")
     if seeds is None:
         seeds = [args.seed if args.seed is not None else 0]
@@ -218,9 +224,7 @@ def _cmd_gradcheck(cfg, args) -> int:
 
 
 def _cmd_export_attn(cfg, args) -> int:
-    (graph, tasks), _ = _resolve_dataset(cfg, args)
-    config = _model_config(cfg, args, graph)
-    ps = _load_checkpoint(cfg, args, graph, tasks, config)
+    graph, tasks, config, ps = _trained_model(cfg, args)
     _, records = forward(graph, config, ps, training=False, collect=True)
     os.makedirs(args.out, exist_ok=True)
 
@@ -268,9 +272,7 @@ def _pca_2d(matrix: np.ndarray) -> np.ndarray:
 
 
 def _cmd_export_emb(cfg, args) -> int:
-    (graph, tasks), _ = _resolve_dataset(cfg, args)
-    config = _model_config(cfg, args, graph)
-    ps = _load_checkpoint(cfg, args, graph, tasks, config)
+    graph, tasks, config, ps = _trained_model(cfg, args)
     embs, _ = forward(graph, config, ps, training=False)
     os.makedirs(args.out, exist_ok=True)
 
@@ -301,10 +303,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.seed is not None and args.seed < 0:
-        print("error: InfeasibleConfig: seed must be non-negative", file=sys.stderr)
-        return 1
     try:
+        unread = [f"--{flag.replace('_', '-')}" for flag in UNREAD_FLAGS.get(args.command, ())
+                  if getattr(args, flag) not in (None, False)]
+        if unread:
+            raise InfeasibleConfig(f"{args.command} does not read {', '.join(unread)}")
+        if args.seed is not None and args.seed < 0:
+            raise InfeasibleConfig("seed must be non-negative")
+        args.out = "." if args.out is None else args.out
         cfg = _load_config(args.config)
         return _HANDLERS[args.command](cfg, args)
     except Error as exc:

@@ -157,7 +157,7 @@ class TaskSpec:
             at = f"task {self.name!r}: node {node}"
             if not 0 <= node < n_nodes:
                 raise NodeOutOfRange(f"{at} outside [0, {n_nodes})")
-            if node not in self.labels:
+            if not self.labels.get(node):
                 raise NoLabeledNodes(f"{at} has no labels")
             for c in self.labels[node]:
                 if not 0 <= c < self.n_classes:
@@ -188,7 +188,7 @@ def _stage(stage: Stage, graph: BiGraph, inputs: dict, ps: ParamSet, layer: int,
            config: ModelConfig, records: ForwardRecords | None) -> dict:
     """One stage for both node classes: attend over the relation block, fuse, residual."""
     sources = inputs
-    if stage.mapped:
+    if stage.cross:
         sources = {t: ops.matmul(inputs[t], ps.get(layer_param(layer, t, "common_map")))
                    for t in TYPES}
     out = {}
@@ -222,9 +222,9 @@ def _stage(stage: Stage, graph: BiGraph, inputs: dict, ps: ParamSet, layer: int,
         else:  # no relation declared: the stage contributes a zero pre-residual
             fused = ops.constant(np.zeros(inputs[t].shape))
         gain, bias = (ps.get(n) for n in stage.residual_names(layer, t))
-        weight = getattr(config, stage.res_weight)
+        weight = config.res_weight_inter if stage.cross else config.res_weight
         out[t] = inter.weighted_residual(fused, inputs[t], weight, gain, bias, config.slope)
-        if config.extra_inter_residual and stage.label == "inter":
+        if config.extra_inter_residual and stage.cross:
             # second pass through the same residual, reusing its tensors
             out[t] = inter.weighted_residual(out[t], inputs[t], weight, gain, bias, config.slope)
     return out
@@ -311,12 +311,10 @@ def _ranking_loss(task: TaskSpec, embs: dict, ps: ParamSet, config: ModelConfig,
     if n_cand < 2:
         raise NoLabeledNodes(f"task {task.name!r} needs at least 2 {cand_type.label} nodes "
                              f"to sample negatives, found {n_cand}")
-    instances = [task.instances[i] for i in idxs]
-    m = len(instances)
-    k = config.num_negatives
-    queries = np.array([inst.query for inst in instances], dtype=np.int64)
+    queries, cands, relevant = task.candidate_matrix(idxs)
+    m, k = queries.size, config.num_negatives
     cols = np.zeros((m, 1 + k), dtype=np.int64)
-    cols[:, 0] = [inst.true_id for inst in instances]
+    cols[:, 0] = cands[np.arange(m), relevant.argmax(axis=1)]
     cols[:, 1:] = _draw_negatives(rng, n_cand, np.repeat(cols[:, 0], k)).reshape(m, k)
     q = ops.matmul(ops.gather_rows(embs[task.target_type], queries),
                    ps.get(task_param(task, "query")))

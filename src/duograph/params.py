@@ -5,10 +5,14 @@ is fixed by the graph schema and config, so checkpoints, the optimizer,
 and gradient checks all see the same layout. Names double as the
 checkpoint header keys.
 
-`STAGES` is the stage table: one row per stage kind (`intra`, `inter`,
-and the `unified` stage of the no-dual variant), each node-level
-attention over one relation block per node class, relation-level fusion,
-then a weighted residual.
+`STAGES` is the stage table: one row per encoder (`intra`, `inter`, and
+the `unified` stage of the no-dual variant), each node-level attention
+over one relation block per node class, relation-level fusion, then a
+weighted residual. `cross` marks the cross-class encoder, the one row
+that maps both classes into a common space (`common_map`), creates its
+attention relation by relation, scores fusion by `inter_score` without
+graph-level weights, weighs its residual by `res_weight_inter` (twice
+under `extra_inter_residual`), and may find no relation to read.
 `build_params` creates and `model.forward` reads parameters through the
 same rows and naming functions, so every name is spelled once.
 """
@@ -35,18 +39,13 @@ class Stage:
     label: str                 # stage name on attention and fusion records
     attn: str                  # attention parameter stem under layer{l}, from {rel} and {t}
     reads: Callable[[BiGraph, NodeType], list[str]]  # relations a target type fuses, in order
-    mapped: bool               # attention reads inputs mapped by `common_map`
-    score: str                 # per-node fusion score; absent under no-hier (mean fusion)
-    global_fusion: bool        # graph-level logits and mix gate under full and no-dual
     residual: str              # residual normalization stem
-    res_weight: str            # ModelConfig field holding the residual weight
-    required: bool             # no relation raises NoRelations, else zero pre-residual
-    relation_major: bool       # attention sets created relation by relation (checkpoint order)
+    cross: bool                # the cross-class encoder (see the module docstring)
 
     def relations(self, graph: BiGraph, t: NodeType) -> list[str]:
-        """`reads`, raising NoRelations when a required stage has none."""
+        """`reads`; none raises NoRelations, except in the cross stage (zero pre-residual)."""
         rels = self.reads(graph, t)
-        if not rels and self.required:
+        if not rels and not self.cross:
             raise NoRelations(f"node class {t.label} has no relations for the {self.label} stage")
         return rels
 
@@ -56,8 +55,9 @@ class Stage:
 
     def fusion_names(self, layer: int, t: NodeType, variant: str) -> tuple:
         """(score, global logits, mix gate) names; None where the variant has none."""
-        score = None if variant == "no-hier" else layer_param(layer, t, self.score)
-        if self.global_fusion and variant in ("full", "no-dual"):
+        score = None if variant == "no-hier" else layer_param(
+            layer, t, "inter_score" if self.cross else "local_score")
+        if not self.cross and variant in ("full", "no-dual"):
             return score, layer_param(layer, t, "global_logits"), layer_param(layer, t, "mix_logit")
         return score, None, None
 
@@ -67,15 +67,11 @@ class Stage:
 
 
 STAGES = {stage.label: stage for stage in (
-    Stage("intra", "intra.{rel}", lambda g, t: g.intra_relations(t), mapped=False,
-          score="local_score", global_fusion=True, residual="res_intra",
-          res_weight="res_weight", required=True, relation_major=False),
-    Stage("inter", "inter.{rel}.to_{t}", lambda g, t: g.inter_relations(), mapped=True,
-          score="inter_score", global_fusion=False, residual="res_inter",
-          res_weight="res_weight_inter", required=False, relation_major=True),
+    Stage("intra", "intra.{rel}", lambda g, t: g.intra_relations(t), "res_intra", cross=False),
+    Stage("inter", "inter.{rel}.to_{t}", lambda g, t: g.inter_relations(), "res_inter",
+          cross=True),
     Stage("unified", "uni.{rel}.to_{t}", lambda g, t: g.intra_relations(t) + g.inter_relations(),
-          mapped=False, score="local_score", global_fusion=True, residual="res",
-          res_weight="res_weight", required=True, relation_major=False),
+          "res", cross=False),
 )}
 
 
@@ -184,15 +180,14 @@ def _add_stage(named: list, rng, graph: BiGraph, stage: Stage, layer: int, d: in
         values = (_attn_vec(rng, 2 * d), np.ones((1, d)), np.zeros((1, d)))
         named.extend(zip(stage.attn_names(layer, rel, t), values))
 
-    if stage.mapped:
+    if stage.cross:  # common-space maps, then attention sets relation by relation
         named += [(layer_param(layer, t, "common_map"), _glorot(rng, d, d)) for t in TYPES]
-    if stage.relation_major:  # the relation list is then the same for both classes
-        for rel in stage.relations(graph, TYPES[0]):
+        for rel in stage.relations(graph, TYPES[0]):  # one list serves both classes
             for t in TYPES:
                 add_attention(rel, t)
     for t in TYPES:
         rels = stage.relations(graph, t)
-        if not stage.relation_major:
+        if not stage.cross:
             for rel in rels:
                 add_attention(rel, t)
         score, global_logits, mix = stage.fusion_names(layer, t, variant)

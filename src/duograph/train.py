@@ -151,9 +151,9 @@ def evaluate(graph: BiGraph, tasks, ps: ParamSet, config: ModelConfig,
     single = next((t for t in tasks if t.kind is TaskKind.SINGLE_LABEL), None)
     if single is not None:
         nodes = np.array(sorted(single.labels), dtype=np.int64)
-        labels = np.array([single.labels[int(n)][0] for n in nodes])
-        emb = embs_data[single.target_type][nodes]
-        res = cluster_eval(emb, labels, single.n_classes,
+        emb = embs_data[single.target_type]
+        lowest = single.label_matrix(nodes, emb.shape[0]).argmax(axis=1)  # each node's lowest class
+        res = cluster_eval(emb[nodes], lowest, single.n_classes,
                            repeats=cluster_repeats, seed=config.seed)
         report["clustering"] = {"nmi_mean": res.nmi_mean, "nmi_std": res.nmi_std,
                                 "ari_mean": res.ari_mean, "ari_std": res.ari_std}

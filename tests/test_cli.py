@@ -412,6 +412,23 @@ class TestExitCodes:
         assert err == (f"error: ParseError: {labels}:{k + 1}: "
                        "task 'pv': class 2 outside [0, 2)\n")
 
+    @pytest.mark.parametrize("command, flags, named", [
+        ("generate", ["--variant", "no-hier", "--ordering", "parallel",
+                      "--compat-literal-temperature"],
+         "--variant, --ordering, --compat-literal-temperature"),
+        ("gradcheck", ["--config", "missing.json"], "--config"),
+        ("gradcheck", ["--variant", "no-dual", "--ordering", "inverted"], "--variant, --ordering"),
+        ("gradcheck", ["--out", "out", "--compat-literal-temperature"],
+         "--out, --compat-literal-temperature"),
+    ])
+    def test_unread_flag_is_one_line(self, tmp_path, monkeypatch, capsys, command, flags, named):
+        # rejected before the config is read, and nothing is written
+        monkeypatch.chdir(tmp_path)
+        assert main([command, *flags]) == 1
+        assert capsys.readouterr().err == (
+            f"error: InfeasibleConfig: {command} does not read {named}\n")
+        assert os.listdir(tmp_path) == []
+
     def test_missing_checkpoint_is_one(self, tmp_path, config_path):
         assert main(["eval", "--config", config_path,
                      "--out", str(tmp_path / "empty")]) == 1

@@ -89,9 +89,7 @@ def _oracle_exports(tmp_path, config_path, flags):
     """What export-attn and export-emb wrote before write_table, under tmp_path/old."""
     cfg = cli._load_config(config_path)
     args = cli._build_parser().parse_args(["export-attn", "--out", str(tmp_path / "run"), *flags])
-    (graph, tasks), _ = cli._resolve_dataset(cfg, args)
-    config = cli._model_config(cfg, args, graph)
-    ps = cli._load_checkpoint(cfg, args, graph, tasks, config)
+    graph, tasks, config, ps = cli._trained_model(cfg, args)
     embs, records = forward(graph, config, ps, training=False, collect=True)
     old = tmp_path / "old"
     old.mkdir()

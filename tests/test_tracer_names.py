@@ -3,18 +3,20 @@
 `perfbench/tracer.py` looks every traced function and method up by name
 when it installs, and `perfbench/workloads.py` reads a few graph
 attributes. A change that deletes or renames one of them fails here
-instead of breaking `perfbench/run.py --trace 1`. The test only reads
-`perfbench/`.
+instead of breaking `perfbench/run.py --trace 1`; a change that stops
+calling one fails the reach test, instead of its per-layer metric reading
+0. The test only reads `perfbench/`.
 """
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import sys
 
 import pytest
 
-from duograph import model
+from duograph import cli, model
 from duograph.graph import BiGraph
 from duograph.params import build_params
 from duograph.rand import rng_for
@@ -34,6 +36,10 @@ def _load_tracer():
 
 
 TRACER = _load_tracer()
+
+# nothing in the package calls these: `cluster_eval` runs `kmeans_lockstep`,
+# and the reports compute MRR with `mrr_rows`
+UNREACHED = {"metrics.kmeans", "metrics.mrr"}
 
 
 @pytest.mark.parametrize("module, attr, label", TRACER.FUNCTIONS)
@@ -114,3 +120,25 @@ def test_traced_tape_keeps_parameter_gradients():
     assert any(g != bytes(len(g)) for g in got.values())
     # only leaves go through accumulate_grad, fewer than there are records
     assert 0 < counts["tensor.accumulate_grad_calls"] < counts["tensor.tape_records"]
+
+
+def test_every_traced_name_is_reached(tmp_path, monkeypatch):
+    # one small CLI pass, from generate through both exports, must open a
+    # span under every traced label
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "data": "data", "synth": {"n_papers": 40, "n_authors": 20, "seed": 0},
+        "model": {"hidden_dim": 4, "num_layers": 2, "epochs": 2, "seed": 0}}))
+    tracer = TRACER.Tracer()
+    try:
+        tracer.install()
+        for command, out in (("generate", "data"), ("train", "run"), ("eval", "run"),
+                             ("export-attn", "run"), ("export-emb", "run")):
+            assert cli.main([command, "--config", str(config), "--out", out]) == 0, command
+    finally:
+        tracer.uninstall()
+    labels = {entry[-1] for entry in TRACER.FUNCTIONS + TRACER.METHODS}
+    missing = labels - {span[0] for span in tracer.spans}
+    assert UNREACHED <= labels
+    assert missing <= UNREACHED, sorted(missing - UNREACHED)

@@ -9,7 +9,7 @@ import pytest
 
 from duograph import ops
 from duograph.errors import ConfigShapeMismatch, DivergedLoss, NoLabeledNodes, NodeOutOfRange
-from duograph.metrics import accuracy, mrr, ndcg, ranked_order
+from duograph.metrics import accuracy, cluster_eval, mrr, ndcg, ranked_order
 from duograph.model import ModelConfig, RankInstance, TaskKind, forward
 from duograph.optim import AdamW, cosine_lr
 from duograph.params import build_params
@@ -354,3 +354,29 @@ class TestBadLabels:
         del pv.labels[node]
         with pytest.raises(NoLabeledNodes, match=f"^task 'pv': node {node} has no labels$"):
             evaluate(graph, tasks, ps, config)
+
+    @pytest.mark.parametrize("node", [40, -1])
+    def test_clustering_checks_labelled_nodes_outside_every_split(self, node):
+        # training reads only split nodes; the clustering reads every labelled node
+        graph, tasks, config, pv, _ = self._problem()
+        pv.labels[node] = (0,)
+        ps, _ = train(graph, tasks, config)
+        with pytest.raises(NodeOutOfRange, match=rf"^task 'pv': node {node} outside \[0, 40\)$"):
+            evaluate(graph, tasks, ps, config, cluster_repeats=1)
+
+    def test_empty_label_set_counts_as_no_labels(self):
+        graph, tasks, config, pv, node = self._problem()
+        pv.labels[node] = ()
+        with pytest.raises(NoLabeledNodes, match=f"^task 'pv': node {node} has no labels$"):
+            train(graph, tasks, config)
+
+    def test_clustering_scores_each_nodes_lowest_class(self):
+        graph, tasks, config, pv, _ = self._problem()
+        ps = build_params(graph, config, tasks)
+        report = evaluate(graph, tasks, ps, config, cluster_repeats=2)
+        nodes = sorted(pv.labels)
+        emb = forward(graph, config, ps)[0][pv.target_type].data[nodes]
+        res = cluster_eval(emb, np.array([min(pv.labels[n]) for n in nodes]), pv.n_classes,
+                           repeats=2, seed=config.seed)
+        assert report["clustering"] == {"nmi_mean": res.nmi_mean, "nmi_std": res.nmi_std,
+                                        "ari_mean": res.ari_mean, "ari_std": res.ari_std}
