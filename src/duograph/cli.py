@@ -98,6 +98,13 @@ def _model_config(cfg: dict, args, graph: BiGraph) -> ModelConfig:
     return ModelConfig.from_dict(fields)
 
 
+def _make_out_dir(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot create output directory {path!r}: {exc}") from exc
+
+
 def _write_json(path, payload) -> None:
     write_lines(path, [json.dumps(payload, indent=2, sort_keys=True)])
 
@@ -145,7 +152,6 @@ def _trained_model(cfg: dict, args):
 def _cmd_generate(cfg, args) -> int:
     synth = _synth_config(cfg, args)
     graph, tasks = generate(synth)
-    os.makedirs(args.out, exist_ok=True)
     export_dataset(graph, tasks, args.out)
     _write_json(os.path.join(args.out, "synth_config.json"), synth.to_dict())
     print(f"dataset written to {args.out}")
@@ -156,7 +162,6 @@ def _cmd_train(cfg, args) -> int:
     (graph, tasks), synth = _resolve_dataset(cfg, args)
     config = _model_config(cfg, args, graph)
     ps, result = train(graph, tasks, config)
-    os.makedirs(args.out, exist_ok=True)
     save_tensors(os.path.join(args.out, "checkpoint.bin"),
                  ps.named, meta=_fingerprint(graph, config))
     write_log(os.path.join(args.out, "train_log.jsonl"), result.log)
@@ -173,7 +178,6 @@ def _cmd_train(cfg, args) -> int:
 def _cmd_eval(cfg, args) -> int:
     graph, tasks, config, ps = _trained_model(cfg, args)
     report = evaluate(graph, tasks, ps, config)
-    os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "eval_report.json"), report)
     print(json.dumps(report, sort_keys=True))
     return 0
@@ -197,7 +201,6 @@ def _cmd_ablate(cfg, args) -> int:
             rows.append({"variant": variant, "seed": seed,
                          "report": evaluate(graph, tasks, ps, config)})
 
-    os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "ablation.json"),
                 {"seeds": list(seeds), "variants": list(VARIANTS), "rows": rows})
     columns = [(f"{task.name}_{m}", task.name, m) for task in tasks
@@ -226,8 +229,6 @@ def _cmd_gradcheck(cfg, args) -> int:
 def _cmd_export_attn(cfg, args) -> int:
     graph, tasks, config, ps = _trained_model(cfg, args)
     _, records = forward(graph, config, ps, training=False, collect=True)
-    os.makedirs(args.out, exist_ok=True)
-
     for cross, name in ((False, "attn_intra.tsv"), (True, "attn_inter.tsv")):
         # the relation picks the file: no-dual records carry stage "unified"
         recs = [rec for rec in records.attention if graph.spec(rec.relation).is_intra is not cross]
@@ -274,8 +275,6 @@ def _pca_2d(matrix: np.ndarray) -> np.ndarray:
 def _cmd_export_emb(cfg, args) -> int:
     graph, tasks, config, ps = _trained_model(cfg, args)
     embs, _ = forward(graph, config, ps, training=False)
-    os.makedirs(args.out, exist_ok=True)
-
     values = {t: embs[t].data for t in NodeType}
     write_node_table(os.path.join(args.out, "embeddings.tsv"), "emb", values)
     proj = _pca_2d(np.vstack([values[NodeType.A], values[NodeType.B]]))
@@ -312,6 +311,8 @@ def main(argv=None) -> int:
             raise InfeasibleConfig("seed must be non-negative")
         args.out = "." if args.out is None else args.out
         cfg = _load_config(args.config)
+        if "out" not in UNREAD_FLAGS.get(args.command, ()):
+            _make_out_dir(args.out)  # before any work, so a bad --out costs no training run
         return _HANDLERS[args.command](cfg, args)
     except Error as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -4,7 +4,7 @@ Every contract violation raises one of these instead of a bare assert so
 callers can distinguish bad input from bugs. `check_fields` is the field
 type check that the model and generator configs share.
 """
-import math
+import sys
 from dataclasses import fields
 from numbers import Integral, Real
 
@@ -129,8 +129,9 @@ def check_fields(config, error: type) -> None:
         if f.type == "int":
             ok, want = isinstance(value, Integral) and not isinstance(value, bool), "an integer"
         elif f.type == "float":
+            # false for NaN, ±inf and ints past float range, which isfinite cannot convert
             ok = (isinstance(value, Real) and not isinstance(value, bool)
-                  and math.isfinite(value))
+                  and abs(value) <= sys.float_info.max)
             want = "a finite number"
         else:
             ok, want = isinstance(value, {"str": str, "bool": bool}[f.type]), f"a {f.type}"

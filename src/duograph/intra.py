@@ -68,7 +68,7 @@ def attend_over_plan(target_feats: Tensor, values: Tensor, block: BlockPlan,
     scores = ops.leaky_relu(ops.edge_scores(target_feats, values, attns, block.target_index,
                                             block.source_index), slope)
     alpha = ops.segment_softmax(scores, block.offsets)
-    agg = ops.weighted_sum_rows(alpha, values, block.sources, block.layout)
+    agg = ops.weighted_sum_rows(alpha, values, block.layout)
     out = ops.layer_norm(agg, gains, biases, block.row_runs, slope=slope)
     if not block.covers_all:
         out = ops.scatter_rows(out, block.rows, n_rows)

@@ -13,6 +13,7 @@ from math import comb
 
 import numpy as np
 
+from . import ops
 from .errors import DegenerateData, EmptySet, NoRelevant
 from .rand import rng_for
 
@@ -230,7 +231,7 @@ def _update(pts: np.ndarray, start: np.ndarray, assign: np.ndarray,
     k = centers.shape[0]
     counts = np.bincount(assign, minlength=k)
     if counts.all():
-        rows = np.take(pts, np.argsort(assign, kind="stable"), axis=0)
+        rows = np.take(pts, ops._stable_order(assign), axis=0)
         for j, stop in enumerate(np.cumsum(counts).tolist()):
             np.add.reduce(rows[stop - counts[j]:stop], axis=0, out=centers[j])
         centers /= counts[:, None]

@@ -82,6 +82,8 @@ class ModelConfig:
         unknown = set(data) - known
         if unknown:
             raise ConfigShapeMismatch(f"unknown config keys: {sorted(unknown)}")
+        if "input_dim" not in data:
+            raise ConfigShapeMismatch("config has no input_dim")
         return cls(**data)
 
 

@@ -316,26 +316,35 @@ def segment_softmax(scores: Tensor, offsets) -> Tensor:
     return _result(y, (scores,), bw)
 
 
+# Edges per piece of a degree group (1 MiB of gathered rows at d=64): a
+# pass gathers every piece into one buffer that stays in a core's L2.
+PIECE_EDGES = 2048
+
+
 @dataclass(frozen=True)
 class DegreeLayout:
-    """The edges of a segmented edge list, grouped by degree both ways.
+    """The whole schedule of `weighted_sum_rows` over one segmented edge list.
 
     `target_perm` lists the edges group by group: the segments with k
-    edges, in segment order, fill one run of n_k * k entries, so the run
-    reshapes to the [n_k, k] edge positions of those segments.
-    `target_groups` holds (k, segment ids) for each run. `source_perm`
-    and `source_groups` do the same for the edges leaving each source
-    node, taken in a stable source-sorted order, and `source_segments`
-    is the segment of each edge in `source_perm` order.
+    edges, in segment order, fill one run of n_k * k entries, which
+    `target_pieces` cuts into the pieces of `_degree_groups`;
+    `target_sources` is each edge's source in that order. `source_perm`
+    and `source_pieces` do the same for the edges leaving each source
+    node, in a stable source-sorted order, and `source_segments` is the
+    segment of each edge in `source_perm` order. The sources index
+    `n_values` rows; the widest piece has `widest` edges.
     """
 
     n_edges: int
     n_segments: int
+    n_values: int
+    widest: int
     target_perm: Array
-    target_groups: tuple
+    target_sources: Array
+    target_pieces: tuple
     source_perm: Array
-    source_groups: tuple
     source_segments: Array
+    source_pieces: tuple
 
 
 def _stable_order(keys: Array) -> Array:
@@ -349,7 +358,10 @@ def _degree_groups(ids: Array, lengths: Array, edges: Array):
     """Group `ids` by edge count; `edges` holds the edges of ids[0], ids[1], ... in turn.
 
     Returns the edges reordered group by group (a stable sort, so each
-    id's edges stay together and in order) and ((k, ids with k edges), ...).
+    id's edges stay together and in order) and the (ids, run slice, n, k)
+    pieces of the groups, in that order: n ids with k edges each, at most
+    PIECE_EDGES edges unless one id alone has more. Splitting a group
+    between whole ids keeps every id's batched matmul as it was.
     """
     order = _stable_order(lengths)
     lens = lengths[order]
@@ -358,50 +370,35 @@ def _degree_groups(ids: Array, lengths: Array, edges: Array):
     perm = edges[np.repeat(starts - run_starts, lens) + np.arange(edges.size)]
     bounds = [0, *(np.flatnonzero(np.diff(lens)) + 1).tolist(), lens.size]
     sorted_ids = ids[order]
-    return perm, tuple((int(lens[lo]), sorted_ids[lo:hi])
-                       for lo, hi in zip(bounds[:-1], bounds[1:]))
+    pieces = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        k = int(lens[lo])
+        step = max(1, PIECE_EDGES // k)
+        for first in range(lo, hi, step):
+            n, start = min(step, hi - first), int(run_starts[first])
+            pieces.append((sorted_ids[first:first + n], slice(start, start + n * k), n, k))
+    return perm, tuple(pieces)
 
 
 def degree_layout(offsets, sources) -> DegreeLayout:
-    """Degree groups of the edges that `offsets` segments; see `weighted_sum_rows`."""
+    """The schedule of the edges that `offsets` segments; see `weighted_sum_rows`."""
     off = np.asarray(offsets, dtype=np.int64)
     src = np.asarray(sources, dtype=np.int64)
     if src.ndim != 1 or (src.size and src.min() < 0):
         raise ShapeMismatch("degree_layout sources must be 1-D and non-negative")
     _check_offsets(off, src.size)
     seg_len = np.diff(off)
-    target_perm, target_groups = _degree_groups(np.arange(seg_len.size), seg_len,
+    target_perm, target_pieces = _degree_groups(np.arange(seg_len.size), seg_len,
                                                 np.arange(src.size))
     out_degree = np.bincount(src)
     nodes = np.flatnonzero(out_degree)
-    source_perm, source_groups = _degree_groups(nodes, out_degree[nodes], _stable_order(src))
+    source_perm, source_pieces = _degree_groups(nodes, out_degree[nodes], _stable_order(src))
     edge_segments = np.repeat(np.arange(seg_len.size), seg_len)
-    return DegreeLayout(n_edges=src.size, n_segments=seg_len.size,
-                        target_perm=target_perm, target_groups=target_groups,
-                        source_perm=source_perm, source_groups=source_groups,
-                        source_segments=edge_segments[source_perm])
-
-
-# Bytes of gathered rows per piece of a degree group (2048 edges at d=64):
-# a pass gathers every piece into one buffer that stays in a core's L2.
-PIECE_BYTES = 1 << 20
-
-
-def _pieces(groups, edges):
-    """(ids, run slice, n, k) for each piece of each degree group, in layout order.
-
-    A piece holds n ids with k edges each, at most `edges` edges unless one
-    id alone has more. Splitting a group between whole ids keeps every id's
-    batched matmul as it was.
-    """
-    start = 0
-    for k, ids in groups:
-        step = max(1, edges // k)
-        for lo in range(0, ids.size, step):
-            piece = ids[lo:lo + step]
-            stop = start + piece.size * k
-            yield piece, slice(start, stop), piece.size, k
-            start = stop
+    return DegreeLayout(n_edges=src.size, n_segments=seg_len.size, n_values=out_degree.size,
+                        widest=max(n * k for _, _, n, k in target_pieces + source_pieces),
+                        target_perm=target_perm, target_sources=src[target_perm],
+                        target_pieces=target_pieces, source_perm=source_perm,
+                        source_segments=edge_segments[source_perm], source_pieces=source_pieces)
 
 
 def _take(table: Array, idx: Array, buf: Array, n: int, k: int) -> Array:
@@ -412,51 +409,44 @@ def _take(table: Array, idx: Array, buf: Array, n: int, k: int) -> Array:
     return rows.reshape(n, k, d)
 
 
-def weighted_sum_rows(weights: Tensor, values: Tensor, sources,
-                      layout: DegreeLayout) -> Tensor:
+def weighted_sum_rows(weights: Tensor, values: Tensor, layout: DegreeLayout) -> Tensor:
     """Per segment s: sum of weights[e] * values[sources[e]] over its edges e.
 
-    Returns [n_segments, d]. The source gather is fused into the sum.
-    `layout` is `degree_layout(offsets, sources)`; each piece of a group of
-    segments with k edges (see `_pieces`) gathers its source rows into one
-    buffer that the pass reuses and sums them in one batched [1,k] @ [k,d]
-    matmul, so no [E,d] block of rows is ever built or kept. The backward,
-    with its own buffer, gathers each piece's rows again and takes each
-    edge's weight gradient as a batched dot of its segment's output
-    gradient with its row. It takes the values gradient as batched matmuls
-    over pieces of the groups of source nodes with equal out-degree (values
-    no edge reads get 0).
+    Returns [n_segments, d]; `layout` is `degree_layout(offsets, sources)`.
+    The source gather is fused into the sum: each of the layout's target
+    pieces gathers its source rows into one buffer that the pass reuses
+    and sums them in one batched [1,k] @ [k,d] matmul, so no [E,d] block
+    of rows is ever built or kept. The backward, with its own buffer,
+    gathers each piece's rows again and takes each edge's weight gradient
+    as a batched dot of its segment's output gradient with its row. It
+    takes the values gradient as batched matmuls over the source pieces
+    (values no edge reads get 0).
     """
     n_edges, d = layout.n_edges, values.shape[1]
     if weights.shape != (n_edges, 1):
         raise ShapeMismatch(f"weights {weights.shape} vs {n_edges} edges")
-    src = _row_index(sources, values.shape[0], "weighted_sum_rows sources")
-    if src.size != n_edges:
-        raise ShapeMismatch(f"weighted_sum_rows {src.size} sources vs {n_edges} edges")
+    if values.shape[0] < layout.n_values:
+        raise ShapeMismatch(f"values {values.shape} vs sources of {layout.n_values} rows")
     need_w, need_v = weights.requires_grad, values.requires_grad
     vd = values.data
     w = weights.data[:, 0]
     w_t = w[layout.target_perm]
-    src_t = src[layout.target_perm]
-    edges = max(1, PIECE_BYTES // (8 * max(d, 1)))
-    hub = max((k for k, _ in layout.target_groups + layout.source_groups), default=0)
-    buf_size = min(max(edges, hub), n_edges) * d  # room for the widest piece
     out = np.empty((layout.n_segments, d))
-    buf = np.empty(buf_size)  # last, so its free leaves no heap hole under live arrays
-    for segs, run, n, k in _pieces(layout.target_groups, edges):
-        rows = _take(vd, src_t[run], buf, n, k)
+    buf = np.empty(layout.widest * d)  # last, so its free leaves no heap hole under live arrays
+    for segs, run, n, k in layout.target_pieces:
+        rows = _take(vd, layout.target_sources[run], buf, n, k)
         out[segs] = np.matmul(w_t[run].reshape(n, 1, k), rows)[:, 0, :]
 
     def bw(g: Array):
         gw = np.empty((n_edges, 1)) if need_w else None
         gv = np.zeros(vd.shape) if need_v else None
-        buf = np.empty(buf_size)  # the forward's was freed on return
+        buf = np.empty(layout.widest * d)  # the forward's was freed on return
         if gw is not None:
-            for segs, run, n, k in _pieces(layout.target_groups, edges):
-                rows = _take(vd, src_t[run], buf, n, k)
+            for segs, run, n, k in layout.target_pieces:
+                rows = _take(vd, layout.target_sources[run], buf, n, k)
                 gw[layout.target_perm[run], 0] = np.matmul(rows, g[segs][:, :, None]).ravel()
         if gv is not None:
-            for nodes, run, n, k in _pieces(layout.source_groups, edges):
+            for nodes, run, n, k in layout.source_pieces:
                 g_rows = _take(g, layout.source_segments[run], buf, n, k)
                 w_s = w[layout.source_perm[run]].reshape(n, 1, k)
                 gv[nodes] = np.matmul(w_s, g_rows)[:, 0, :]

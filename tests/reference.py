@@ -11,8 +11,9 @@ used a matrix product: every round sums all `[n, k, d]` squared
 differences. `metrics.kmeans` must match it bit for bit.
 
 `weighted_sum_rows` is the edge reduction as it was before it streamed
-its degree groups in pieces: it gathers the whole [E, d] block of source
-rows once and keeps it for the backward. `backward` is the tape walk as
+its degree groups in pieces: it gathers each whole group's source rows
+once and keeps them for the backward, and it finds the degree groups
+itself, from the offsets and sources. `backward` is the tape walk as
 it was before it dropped spent gradients and spent records, and before
 it kept a closure's fresh arrays uncopied. The package's versions must
 match both bit for bit.
@@ -299,44 +300,40 @@ def kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
     return centers, assign, inertia
 
 
-def _group_runs(groups):
-    """(ids, run slice, n_k, k) for each whole degree group, in layout order."""
-    start = 0
-    for k, ids in groups:
-        stop = start + ids.size * k
-        yield ids, slice(start, stop), ids.size, k
-        start = stop
+def weighted_sum_rows(weights, values, offsets, sources):
+    """Per segment s: sum of weights[e] * values[sources[e]] over its edges e.
 
-
-def weighted_sum_rows(weights, values, sources, layout):
-    """Per segment s: sum of weights[e] * values[sources[e]] over its edges e."""
-    n_edges, d = layout.n_edges, values.shape[1]
-    if weights.shape != (n_edges, 1):
-        raise ShapeMismatch(f"weights {weights.shape} vs {n_edges} edges")
-    src = ops._row_index(sources, values.shape[0], "weighted_sum_rows sources")
-    if src.size != n_edges:
-        raise ShapeMismatch(f"weighted_sum_rows {src.size} sources vs {n_edges} edges")
-    w = weights.data[:, 0]
-    w_t = w[layout.target_perm]
-    rows = np.take(values.data, src[layout.target_perm], axis=0)
-    out = np.empty((layout.n_segments, d))
-    for segs, run, n, k in _group_runs(layout.target_groups):
-        out[segs] = np.matmul(w_t[run].reshape(n, 1, k), rows[run].reshape(n, k, d))[:, 0, :]
+    Groups the segments, and the source nodes, by edge count on its own
+    (no `ops.degree_layout`), and gathers each whole group's rows at once.
+    """
+    w, vd = weights.data[:, 0], values.data
+    seg_len = np.diff(offsets)
+    out = np.empty((seg_len.size, vd.shape[1]))
+    groups = []
+    for k in np.unique(seg_len).tolist():
+        segs = np.flatnonzero(seg_len == k)
+        edges = offsets[segs][:, None] + np.arange(k)  # [n_k, k] edge positions
+        rows = vd[sources[edges]]
+        out[segs] = np.matmul(w[edges].reshape(segs.size, 1, k), rows)[:, 0, :]
+        groups.append((segs, edges, rows))
 
     def bw(g):
         gw = gv = None
         if weights.requires_grad:
-            gw_t = np.empty(n_edges)
-            for segs, run, n, k in _group_runs(layout.target_groups):
-                gw_t[run] = np.matmul(rows[run].reshape(n, k, d), g[segs][:, :, None]).ravel()
-            gw = np.empty((n_edges, 1))
-            gw[layout.target_perm, 0] = gw_t
+            gw = np.empty((sources.size, 1))
+            for segs, edges, rows in groups:
+                gw[edges.ravel(), 0] = np.matmul(rows, g[segs][:, :, None]).ravel()
         if values.requires_grad:
             gv = np.zeros(values.shape)
-            w_s = w[layout.source_perm]
-            for nodes, run, n, k in _group_runs(layout.source_groups):
-                g_rows = np.take(g, layout.source_segments[run], axis=0).reshape(n, k, d)
-                gv[nodes] = np.matmul(w_s[run].reshape(n, 1, k), g_rows)[:, 0, :]
+            edge_segments = np.repeat(np.arange(seg_len.size), seg_len)
+            by_source = np.argsort(sources, kind="stable")
+            out_degree = np.bincount(sources)
+            first = np.cumsum(out_degree) - out_degree
+            for k in np.unique(out_degree[out_degree > 0]).tolist():
+                nodes = np.flatnonzero(out_degree == k)
+                edges = by_source[first[nodes][:, None] + np.arange(k)]
+                g_rows = g[edge_segments[edges]]
+                gv[nodes] = np.matmul(w[edges].reshape(nodes.size, 1, k), g_rows)[:, 0, :]
         return gw, gv
 
     return ops._result(out, (weights, values), bw)

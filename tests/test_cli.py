@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from duograph import cli
 from duograph.cli import _check_fingerprint, main
 from duograph.errors import ConfigShapeMismatch
 from duograph.tensor import Tensor, load_meta, load_tensors, save_tensors
@@ -428,6 +429,21 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: InfeasibleConfig: {command} does not read {named}\n")
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("command", ["generate", "train", "eval", "ablate",
+                                         "export-attn", "export-emb"])
+    @pytest.mark.parametrize("bad", ["empty", "a file"])
+    def test_bad_out_is_one_line_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                                 config_path, command, bad):
+        out = ""
+        if bad == "a file":
+            out = str(tmp_path / "taken")
+            (tmp_path / "taken").write_text("not a directory\n")
+        monkeypatch.setitem(cli._HANDLERS, command, lambda cfg, args: pytest.fail("ran"))
+        assert main([command, "--config", config_path, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: IoFailure: cannot create output directory {out!r}: ")
+        assert err.count("\n") == 1
 
     def test_missing_checkpoint_is_one(self, tmp_path, config_path):
         assert main(["eval", "--config", config_path,

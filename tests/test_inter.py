@@ -172,7 +172,7 @@ def _per_relation(graph, rels, t, h, attns, gains, biases):
                                                 plan.sources), 0.2)
         alpha = ops.segment_softmax(scores, plan.offsets)
         layout = ops.degree_layout(plan.offsets, plan.sources)
-        agg = ops.weighted_sum_rows(alpha, src, plan.sources, layout)
+        agg = ops.weighted_sum_rows(alpha, src, layout)
         rep = ops.leaky_relu(ops.layer_norm(agg, gain, bias), 0.2)
         reps.append(rep if plan.covers_all else ops.scatter_rows(rep, plan.rows, n))
     return reps

@@ -6,9 +6,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from duograph import ops
-from duograph.errors import ConfigShapeMismatch, NoLabeledNodes
+from duograph.errors import ConfigShapeMismatch, Error, NoLabeledNodes
 from duograph.graph import NodeType
 from duograph.model import (ORDERINGS, VARIANTS, ModelConfig, RankInstance, TaskKind, TaskSpec,
                             _draw_negatives, classification_scores, forward, ranking_scores,
@@ -97,17 +98,49 @@ class TestForwardVariants:
         assert diff > 1e-6
 
 
+# what json.load can hand a config field, NaN, ±inf and ints past float range included
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from([float("nan"), float("inf"), -float("inf"), 10 ** 400, -10 ** 400]),
+    lambda kids: st.lists(kids, max_size=2) | st.dictionaries(st.text(max_size=2), kids,
+                                                                max_size=2),
+    max_leaves=4)
+
+
+@st.composite
+def _config_dicts(draw):
+    """A model or generator config's dict: valid fields with a few replaced,
+    dropped or added."""
+    cls = draw(st.sampled_from([ModelConfig, SynthConfig]))
+    names = sorted(cls.__dataclass_fields__)
+    fields = {"input_dim": 3} if cls is ModelConfig else {}
+    for name in draw(st.lists(st.sampled_from(names + ["unknown"]), max_size=3, unique=True)):
+        fields[name] = draw(_JSON)
+    for name in draw(st.lists(st.sampled_from(names), max_size=1)):
+        fields.pop(name, None)
+    return cls, fields
+
+
 class TestConfigFieldTypes:
     @pytest.mark.parametrize("field, value", [
         ("epochs", "3"), ("hidden_dim", 4.5), ("epochs", 2.5), ("seed", True),
         ("temperature", float("inf")), ("dropout", float("nan")), ("variant", 3),
-        ("extra_inter_residual", 1)])
+        ("extra_inter_residual", 1), pytest.param("lr_max", 10 ** 400, id="lr_max-10**400")])
     def test_wrong_type_raises_naming_the_field(self, field, value):
         with pytest.raises(ConfigShapeMismatch, match=f"^{field} must be"):
             _config(**{field: value})
 
     def test_ints_are_accepted_for_float_fields(self):
         assert _config(dropout=0, temperature=2).temperature == 2
+
+    @settings(max_examples=300, deadline=1000, derandomize=True)
+    @given(_config_dicts())
+    def test_any_json_fields_return_or_raise_a_package_error(self, case):
+        cls, fields = case
+        try:
+            assert isinstance(cls.from_dict(fields), cls)
+        except Error:
+            pass
 
 
 class TestOpBudget:

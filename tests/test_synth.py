@@ -164,7 +164,7 @@ def _synth_fields(draw):
 
 
 class TestMatchesTuplePathOracle:
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60, deadline=1000, derandomize=True)
     @given(_synth_fields())
     def test_small_configs(self, fields):
         outcomes = []

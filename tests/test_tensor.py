@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -374,7 +375,7 @@ class TestPrimitiveGradients:
         off = np.array([0, 2, 3, 7])
         sources = np.array([1, 3, 0, 3, 1, 4, 1])
         layout = ops.degree_layout(off, sources)
-        check_op_gradient(lambda a, b: ops.weighted_sum_rows(a, b, sources, layout), [w, v])
+        check_op_gradient(lambda a, b: ops.weighted_sum_rows(a, b, layout), [w, v])
         assert v.grad[2].tolist() == [0.0, 0.0, 0.0]
 
     def test_layer_norm(self):
@@ -538,22 +539,28 @@ def _weighted_sum_oracle(w, h, sources, offsets, g):
     return out, (g_rows * rows).sum(axis=1, keepdims=True), gh
 
 
+def _kernels(offsets, sources):
+    """The package's and the reference's edge reduction over one edge list, as fn(w, h)."""
+    layout = ops.degree_layout(offsets, sources)
+    return (lambda w, h: ops.weighted_sum_rows(w, h, layout),
+            lambda w, h: reference.weighted_sum_rows(w, h, offsets, sources))
+
+
 def _run_weighted_sum(fn, offsets, sources, n_sources, d=4, seed=0):
     """Random weights, values and output gradient; fn's output and both gradients."""
     rng = np.random.default_rng(seed)
     w = Tensor(rng.uniform(-1.0, 1.0, size=(sources.size, 1)), requires_grad=True)
     h = Tensor(rng.standard_normal((n_sources, d)), requires_grad=True)
     g = rng.standard_normal((offsets.size - 1, d))
-    layout = ops.degree_layout(offsets, sources)
     with Tape() as tape:
-        out = fn(w, h, sources, layout)
+        out = fn(w, h)
         loss = ops.sum_all(ops.mul(out, ops.constant(g)))
     backward(tape, loss)
     return (w.data, h.data, g), (out.data, w.grad, h.grad)
 
 
 def _check_against_oracle(offsets, sources, n_sources, d=4, seed=0):
-    (w, h, g), results = _run_weighted_sum(ops.weighted_sum_rows, offsets, sources,
+    (w, h, g), results = _run_weighted_sum(_kernels(offsets, sources)[0], offsets, sources,
                                            n_sources, d, seed)
     for got, want in zip(results, _weighted_sum_oracle(w, h, sources, offsets, g)):
         assert got.shape == want.shape
@@ -618,9 +625,8 @@ class TestWeightedSumRows:
     @pytest.mark.parametrize("case", ["10k one-edge segments", "k=3 group of 3000 segments",
                                       "hub segment over a piece"])
     def test_pieces_match_unchunked_kernel_bitwise(self, case):
-        # at d=64 a piece holds 2048 edges
+        # a piece holds PIECE_EDGES = 2048 edges at every d
         rng = np.random.default_rng(17)
-        d = 64
         if case == "10k one-edge segments":
             # every source is read 5 times, so the source side is one k=5 group
             offsets = np.arange(10_001)
@@ -636,16 +642,19 @@ class TestWeightedSumRows:
         # a group of several ids spans several pieces on both sides, except the
         # hub case's few sources; there one id on each side is wider than a
         # piece, so the buffer must grow
-        piece, hub = ops.PIECE_BYTES // (8 * d), case.startswith("hub")
-        sides = (layout.target_groups, layout.source_groups)
-        assert [max((k * ids.size for k, ids in groups if ids.size > 1), default=0) > piece
-                for groups in sides] == [True, not hub]
-        assert [groups[-1][0] > piece for groups in sides] == [hub, hub]
+        hub = case.startswith("hub")
+        sides = (layout.target_pieces, layout.source_pieces)
+        assert [max(Counter(k for *_, k in pieces).values()) > 1 for pieces in sides] == [
+            True, not hub]
+        assert [pieces[-1][3] > ops.PIECE_EDGES for pieces in sides] == [hub, hub]
+        assert (layout.widest > ops.PIECE_EDGES) == hub
         n_sources = int(sources.max()) + 1
-        _, want = _run_weighted_sum(reference.weighted_sum_rows, offsets, sources, n_sources, d)
-        _, got = _run_weighted_sum(ops.weighted_sum_rows, offsets, sources, n_sources, d)
-        for g, w in zip(got, want):
-            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+        kernel, unchunked = _kernels(offsets, sources)
+        for d in (16, 32, 64):
+            _, want = _run_weighted_sum(unchunked, offsets, sources, n_sources, d)
+            _, got = _run_weighted_sum(kernel, offsets, sources, n_sources, d)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
     def test_two_calls_on_one_tape_match_reference_bitwise(self):
         # Two reductions read one values tensor and meet in concat_cols. The
@@ -658,13 +667,13 @@ class TestWeightedSumRows:
         for hub in (20_000, 3):
             lengths = np.concatenate([np.full(150, 20), [hub], rng.integers(1, 9, size=49)])
             offsets, sources = _segments(lengths, n_sources, rng)
-            plans.append((sources, ops.degree_layout(offsets, sources)))
+            plans.append((sources.size, _kernels(offsets, sources)))
 
-        def run(fn):
+        def run(which):
             r = np.random.default_rng(29)
             h = Tensor(r.standard_normal((n_sources, d)), requires_grad=True)
-            ws = [Tensor(r.uniform(-1.0, 1.0, size=(s.size, 1)), requires_grad=True)
-                  for s, _ in plans]
+            ws = [Tensor(r.uniform(-1.0, 1.0, size=(n, 1)), requires_grad=True)
+                  for n, _ in plans]
             g = r.standard_normal((200, 2 * d))
             started = not tracemalloc.is_tracing()
             if started:
@@ -672,7 +681,7 @@ class TestWeightedSumRows:
             try:
                 base = tracemalloc.get_traced_memory()[0]
                 with Tape() as tape:
-                    a, b = (fn(w, h, s, layout) for w, (s, layout) in zip(ws, plans))
+                    a, b = (kernels[which](w, h) for w, (_, kernels) in zip(ws, plans))
                     held = tracemalloc.get_traced_memory()[0] - base - a.data.nbytes - b.data.nbytes
                     loss = ops.sum_all(ops.mul(ops.concat_cols(a, b), ops.constant(g)))
                 closures = [tape._records[tape.slot(t)][2] for t in (a, b)]
@@ -685,14 +694,15 @@ class TestWeightedSumRows:
             direct = [x for bw, cols in zip(closures, (g[:, :d], g[:, d:])) for x in bw(cols)]
             return [a.data, b.data, ws[0].grad, ws[1].grad, h.grad, *direct], held
 
-        got, held = run(ops.weighted_sum_rows)
-        want, _ = run(reference.weighted_sum_rows)
+        got, held = run(0)
+        want, _ = run(1)
         for x, y in zip(got, want):
             assert x.shape == y.shape and x.tobytes() == y.tobytes()
-        # what each closure keeps: about three int64 or float64 entries per edge
-        n_edges = sum(s.size for s, _ in plans)
+        # what each closure keeps: no per-edge array, since the layout holds
+        # every index the backward reads (one int64 per edge is 211 kB here)
+        n_edges = sum(n for n, _ in plans)
         assert 20_000 < n_edges < 30_000
-        assert held < 3 * n_edges * 8 + (256 << 10)
+        assert held < 16 << 10
 
     def test_forward_and_backward_peak_stays_below_half_the_source_rows(self):
         # about 100k edges at d=32: the [E, d] block of gathered rows would be
@@ -711,7 +721,7 @@ class TestWeightedSumRows:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             with Tape() as tape:
-                out = ops.weighted_sum_rows(w, h, sources, layout)
+                out = ops.weighted_sum_rows(w, h, layout)
                 loss = ops.sum_all(out)
             backward(tape, loss)
             peak = tracemalloc.get_traced_memory()[1] - base
@@ -727,19 +737,36 @@ class TestWeightedSumRows:
         layout = ops.degree_layout(offsets, sources)
         assert sorted(layout.target_perm.tolist()) == list(range(9))
         assert sorted(layout.source_perm.tolist()) == list(range(9))
-        assert [(k, ids.tolist()) for k, ids in layout.target_groups] == [
-            (1, [1]), (2, [3]), (3, [0, 2])]
-        assert [(k, ids.tolist()) for k, ids in layout.source_groups] == [
-            (1, [1, 4]), (3, [0]), (4, [2])]
+        assert [(ids.tolist(), run, n, k) for ids, run, n, k in layout.target_pieces] == [
+            ([1], slice(0, 1), 1, 1), ([3], slice(1, 3), 1, 2), ([0, 2], slice(3, 9), 2, 3)]
+        assert [(ids.tolist(), run, n, k) for ids, run, n, k in layout.source_pieces] == [
+            ([1, 4], slice(0, 2), 2, 1), ([0], slice(2, 5), 1, 3), ([2], slice(5, 9), 1, 4)]
+        assert layout.target_sources.tolist() == [1, 0, 2, 2, 0, 2, 2, 0, 4]
+        assert (layout.n_values, layout.widest) == (5, 6)
         # node 2's edges in source order (stable), and their segments
         assert layout.source_perm[-4:].tolist() == [0, 2, 4, 8]
         assert layout.source_segments[-4:].tolist() == [0, 0, 2, 3]
 
+    def test_pieces_split_groups_at_piece_edges_between_whole_ids(self):
+        # 5000 one-edge segments, 1000 of three edges and one of 3000; each
+        # source is read once, so the source side is one k=1 group
+        offsets = np.concatenate([[0], np.cumsum([1] * 5000 + [3] * 1000 + [3000])])
+        layout = ops.degree_layout(offsets, np.arange(offsets[-1]))
+        assert [(n, k) for _, _, n, k in layout.target_pieces] == [
+            (2048, 1), (2048, 1), (904, 1), (682, 3), (318, 3), (1, 3000)]
+        assert [n for _, _, n, _ in layout.source_pieces] == [2048] * 5 + [760]
+        for pieces in (layout.target_pieces, layout.source_pieces):
+            runs = [run for _, run, _, _ in pieces]
+            assert [r.start for r in runs] == [0, *(r.stop for r in runs[:-1])]
+            assert runs[-1].stop == 11_000
+        assert layout.widest == 3000
+
     @pytest.mark.parametrize("case", ["weights wide", "weights short", "weights row",
-                                      "source high", "source negative", "sources short"])
+                                      "source high", "source negative"])
     def test_shape_checks(self, case):
+        # a source past the values' rows fails in the kernel, a negative one
+        # already in degree_layout
         offsets, sources = np.array([0, 2, 3]), np.array([0, 2, 1])
-        layout = ops.degree_layout(offsets, sources)
         w, h = np.ones((3, 1)), np.ones((3, 2))
         if case == "weights wide":
             w = np.ones((3, 2))
@@ -749,12 +776,10 @@ class TestWeightedSumRows:
             w = np.ones((1, 3))
         elif case == "source high":
             sources = np.array([0, 3, 1])
-        elif case == "source negative":
-            sources = np.array([0, -1, 1])
         else:
-            sources = np.array([0, 2])
+            sources = np.array([0, -1, 1])
         with pytest.raises(ShapeMismatch):
-            ops.weighted_sum_rows(Tensor(w), Tensor(h), sources, layout)
+            ops.weighted_sum_rows(Tensor(w), Tensor(h), ops.degree_layout(offsets, sources))
 
     def test_layout_of_ids_past_16_bits(self):
         # ids of 2**16 and up take the general stable sort; an order-keeping
@@ -765,8 +790,8 @@ class TestWeightedSumRows:
         small = ops.degree_layout(offsets, sources)
         big = ops.degree_layout(offsets, renamed[sources])
         assert big.source_perm.tolist() == small.source_perm.tolist()
-        assert [(k, ids.tolist()) for k, ids in big.source_groups] == [
-            (k, renamed[ids].tolist()) for k, ids in small.source_groups]
+        assert [(ids.tolist(), run, n, k) for ids, run, n, k in big.source_pieces] == [
+            (renamed[ids].tolist(), run, n, k) for ids, run, n, k in small.source_pieces]
 
     def test_layout_rejects_empty_segment(self):
         with pytest.raises(EmptySegment):
